@@ -33,7 +33,6 @@
 #include "index/br_tree.h"
 #include "index/filter_refine.h"
 #include "index/linear_scan.h"
-#include "index/va_file.h"
 #include "linalg/flat_view.h"
 #include "linalg/simd.h"
 
@@ -60,11 +59,6 @@ const qcluster::index::LinearScanIndex& Scan() {
   static const auto* scan =
       new qcluster::index::LinearScanIndex(&Features().features);
   return *scan;
-}
-
-const qcluster::index::VaFile& Va() {
-  static const auto* va = new qcluster::index::VaFile(&Features().features);
-  return *va;
 }
 
 void BM_LinearScanEuclidean(benchmark::State& state) {
@@ -104,14 +98,6 @@ qcluster::core::DisjunctiveDistance MakeDisjunctive() {
       BenchClusters(), qcluster::stats::CovarianceScheme::kDiagonal, 1e-4);
 }
 
-void BM_VaFileEuclidean(benchmark::State& state) {
-  const FeatureSet& set = Features();
-  const qcluster::index::EuclideanDistance dist(set.features[0]);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Va().Search(dist, 100));
-  }
-}
-
 void BM_LinearScanDisjunctive(benchmark::State& state) {
   const auto dist = MakeDisjunctive();
   for (auto _ : state) {
@@ -123,13 +109,6 @@ void BM_BrTreeDisjunctive(benchmark::State& state) {
   const auto dist = MakeDisjunctive();
   for (auto _ : state) {
     benchmark::DoNotOptimize(Tree().Search(dist, 100));
-  }
-}
-
-void BM_VaFileDisjunctive(benchmark::State& state) {
-  const auto dist = MakeDisjunctive();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Va().Search(dist, 100));
   }
 }
 
@@ -455,7 +434,7 @@ void TierSweep(benchmark::internal::Benchmark* b) {
 void BM_FilterRefineWideDisjunctive(benchmark::State& state) {
   const auto& pts = WideFeatures();
   const int kp = static_cast<int>(state.range(0));
-  const qcluster::index::FilterRefineIndex index(&pts, kp,
+  const qcluster::index::FilterRefineIndex index(PackedFeatures().view(), kp,
                                                  &PoolWithThreads(1));
   const auto dist = WideDisjunctive();
   // Exactness sanity outside the timed loop: the filter must return what
@@ -697,7 +676,8 @@ void RunReplayFilterRefine(benchmark::State& state, const std::string& family,
                            bool warm_mode, const MakeMetric& metric) {
   const auto& pts = ReplayFeatures();
   const int kp = static_cast<int>(state.range(0));
-  const qcluster::index::FilterRefineIndex index(&pts, kp,
+  const auto block = qcluster::linalg::FlatBlock::FromPoints(pts);
+  const qcluster::index::FilterRefineIndex index(block.view(), kp,
                                                  &PoolWithThreads(1));
   {
     const qcluster::index::LinearScanIndex scan(&pts, &PoolWithThreads(1));
@@ -815,10 +795,8 @@ BENCHMARK(BM_FilterRefineWideDisjunctive)
 
 BENCHMARK(BM_LinearScanEuclidean)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BrTreeEuclidean)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_VaFileEuclidean)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_LinearScanDisjunctive)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BrTreeDisjunctive)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_VaFileDisjunctive)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BrTreeWarmRefinement)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_ReplayDiagCold)

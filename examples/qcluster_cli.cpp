@@ -16,11 +16,10 @@
 //   save <path>               cache the current feature set to disk
 //   load <path>               restore a cached feature set
 //   method <qcluster|qpm|qex|falcon|mindreader>
-//   pca <dims|auto|off>       PCA filter-and-refine pre-filter (qcluster
-//                             method; exact — results never change)
 //   query <image_id>          initial query-by-example
 //   mark auto                 oracle marks relevant in current result, feedback
-//   mark <id>:<score> ...     manual marks, feedback
+//   mark <id>:<score> ...     manual marks, feedback (score defaults to 1;
+//                             a bad id or score prints an error instead)
 //   show [n]                  print top-n of the current result
 //   clusters                  print Qcluster's current clusters
 //   metrics                   precision/recall of the current result
@@ -37,6 +36,8 @@
 //   --slow-ms=N               enable tracing and dump the span tree of any
 //                             feedback round slower than N ms to stderr
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -70,9 +71,6 @@ struct CliState {
   std::unique_ptr<qcluster::eval::OracleUser> oracle;
   std::string method_name = "qcluster";
   int k = 50;
-  /// Filter-and-refine pre-filter dimensionality for the qcluster method:
-  /// 0 = off, < 0 = auto (d/4), > 0 = explicit k'.
-  int pca_dims = 0;
   int query_id = -1;
   std::vector<qcluster::index::Neighbor> result;
 
@@ -109,7 +107,6 @@ void MakeMethod(CliState& state) {
   } else {
     qcluster::core::QclusterOptions opt;
     opt.k = state.k;
-    opt.pca_dims = state.pca_dims;
     state.method = std::make_unique<qcluster::core::QclusterEngine>(
         features, knn, opt);
   }
@@ -207,6 +204,38 @@ void CmdQuery(CliState& state, std::istringstream& args) {
               static_cast<int>(state.result.size()));
 }
 
+/// Parses the whole of `text` as a T; false on any leftover or bad input.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Parses one `<id>[:<score>]` mark. User input, so it is checked here
+/// rather than left to the engine's programmer-error CHECKs: the id must be
+/// an integer in [0, n) and the score finite and > 0. On failure prints an
+/// `error:` line and returns false.
+bool ParseMark(const std::string& token, int n,
+               qcluster::core::RelevantItem* item) {
+  const std::size_t colon = token.find(':');
+  if (!ParseWhole(token.substr(0, colon), &item->id) || item->id < 0 ||
+      item->id >= n) {
+    std::printf("error: mark '%s': id must be an integer in [0, %d)\n",
+                token.c_str(), n);
+    return false;
+  }
+  item->score = 1.0;
+  if (colon != std::string::npos &&
+      (!ParseWhole(token.substr(colon + 1), &item->score) ||
+       !std::isfinite(item->score) || item->score <= 0.0)) {
+    std::printf("error: mark '%s': score must be a finite number > 0\n",
+                token.c_str());
+    return false;
+  }
+  return true;
+}
+
 void CmdMark(CliState& state, std::istringstream& args) {
   if (!RequireDb(state)) return;
   if (state.query_id < 0) {
@@ -223,13 +252,11 @@ void CmdMark(CliState& state, std::istringstream& args) {
         state.db->themes[static_cast<std::size_t>(state.query_id)];
     marked = state.oracle->Judge(state.result, cat, theme);
   } else {
+    // Validate every token before any feedback runs, so a bad one leaves
+    // the result unchanged.
     do {
-      const std::size_t colon = token.find(':');
       qcluster::core::RelevantItem item;
-      item.id = std::stoi(token.substr(0, colon));
-      item.score = colon == std::string::npos
-                       ? 1.0
-                       : std::stod(token.substr(colon + 1));
+      if (!ParseMark(token, state.db->size(), &item)) return;
       marked.push_back(item);
     } while (args >> token);
   }
@@ -297,7 +324,6 @@ void CmdHelp() {
       "  build <categories> <images_per_category> [color|texture]\n"
       "  save <path> | load <path>\n"
       "  method <qcluster|qpm|qex|falcon|mindreader>\n"
-      "  pca <dims|auto|off>   PCA filter-and-refine for qcluster queries\n"
       "  query <image_id>\n"
       "  mark auto | mark <id>:<score> ...\n"
       "  show [n] | clusters | metrics | help | quit\n");
@@ -329,33 +355,6 @@ bool Execute(CliState& state, const std::string& line) {
       state.result.clear();
       state.query_id = -1;
       std::printf("method = %s\n", name.c_str());
-    }
-  } else if (command == "pca") {
-    std::string value;
-    args >> value;
-    if (value == "off") {
-      state.pca_dims = 0;
-    } else if (value == "auto") {
-      state.pca_dims = -1;
-    } else {
-      try {
-        state.pca_dims = std::stoi(value);
-      } catch (const std::exception&) {
-        std::printf("error: pca expects a dimension count, `auto`, or "
-                    "`off`\n");
-        return true;
-      }
-      if (state.pca_dims < 0) state.pca_dims = -1;
-    }
-    MakeMethod(state);
-    state.result.clear();
-    state.query_id = -1;
-    if (state.pca_dims == 0) {
-      std::printf("pca filter off\n");
-    } else if (state.pca_dims < 0) {
-      std::printf("pca filter auto (d/4)\n");
-    } else {
-      std::printf("pca filter k' = %d\n", state.pca_dims);
     }
   } else if (command == "query") {
     CmdQuery(state, args);

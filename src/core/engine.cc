@@ -18,10 +18,6 @@ QclusterEngine::QclusterEngine(const std::vector<Vector>* database,
   QCLUSTER_CHECK(0.0 < options.alpha && options.alpha < 1.0);
   QCLUSTER_CHECK(options.max_clusters >= 1);
   QCLUSTER_CHECK(options.initial_clusters >= 1);
-  if (options.pca_dims != 0 && !database->empty()) {
-    filter_refine_ = std::make_unique<index::FilterRefineIndex>(
-        database, options.pca_dims);
-  }
 }
 
 std::uint64_t QclusterEngine::EnsureTraceId() {
@@ -156,19 +152,13 @@ void QclusterEngine::Reset() {
 std::vector<index::Neighbor> QclusterEngine::RunQuery(
     const index::DistanceFunction& dist) {
   last_stats_ = index::SearchStats{};
-  // pca_dims opts every round into the filter-and-refine scan; it returns
-  // exactly what the exhaustive index would.
-  const index::KnnIndex* idx =
-      filter_refine_ != nullptr
-          ? static_cast<const index::KnnIndex*>(filter_refine_.get())
-          : knn_;
   if (options_.use_query_cache) {
     // One warm-start path for every index: round t's survivors (recorded
     // into warm_ by SearchWarm itself) seed round t+1's certified θ₀
     // pruning bound. Results stay bit-for-bit identical to cold searches.
-    return idx->SearchWarm(dist, options_.k, warm_, &last_stats_);
+    return knn_->SearchWarm(dist, options_.k, warm_, &last_stats_);
   }
-  return idx->Search(dist, options_.k, &last_stats_);
+  return knn_->Search(dist, options_.k, &last_stats_);
 }
 
 }  // namespace qcluster::core

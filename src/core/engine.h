@@ -2,7 +2,6 @@
 #define QCLUSTER_CORE_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "core/hierarchical.h"
 #include "core/merging.h"
 #include "core/retrieval_method.h"
-#include "index/filter_refine.h"
 #include "index/knn.h"
 
 namespace qcluster::core {
@@ -55,16 +53,8 @@ struct QclusterOptions {
   /// a certified θ₀ upper bound on the k-th distance and prunes with it.
   /// Effective on every index path — BrTree skips cached leaves, the linear
   /// scan rejects at heap admission, filter-refine tightens its survivor
-  /// bound, the VA-file stops its candidate walk early — and results stay
-  /// bit-for-bit identical to cold searches.
+  /// bound — and results stay bit-for-bit identical to cold searches.
   bool use_query_cache = true;
-  /// Dimensionality k' of the PCA filter-and-refine pre-filter (Sec. 4.4 /
-  /// Eq. 17-19). 0 (default) disables it and queries go to the engine's
-  /// index unchanged; > 0 routes every k-NN round through a
-  /// FilterRefineIndex with that many reduced dimensions per metric
-  /// component; < 0 picks k' = max(1, d/4) automatically. Results are
-  /// bit-for-bit identical either way — the filter only prunes.
-  int pca_dims = 0;
 };
 
 /// The Qcluster retrieval engine — Algorithm 1.
@@ -139,10 +129,6 @@ class QclusterEngine final : public RetrievalMethod {
   const std::vector<linalg::Vector>* database_;
   const index::KnnIndex* knn_;
   QclusterOptions options_;
-  /// Engine-owned filter-and-refine pipeline; non-null iff
-  /// options.pca_dims != 0, in which case RunQuery routes through it
-  /// instead of `knn_`.
-  std::unique_ptr<index::FilterRefineIndex> filter_refine_;
 
   std::vector<Cluster> clusters_;
   std::unordered_set<int> seen_ids_;

@@ -119,17 +119,13 @@ inline Status ValidateContractiveBound(double reduced, double exact,
 }
 
 /// Sharded top-k contract: every merged result list is strictly ascending
-/// under the (distance, id) order the indexes promise — equal distances
-/// break ties by id, and no id appears twice. A violation means a shard
-/// heap or the merge lost the deterministic tie-break.
+/// under the index::NeighborOrder the indexes promise — equal distances
+/// break ties by id, NaN sorts last, and no id appears twice. A violation
+/// means a shard heap or the merge lost the deterministic tie-break.
 inline Status ValidateSortedNeighbors(const std::vector<index::Neighbor>& v,
                                       const char* what) {
   for (std::size_t i = 1; i < v.size(); ++i) {
-    const index::Neighbor& prev = v[i - 1];
-    const index::Neighbor& cur = v[i];
-    const bool ordered = prev.distance < cur.distance ||
-                         (prev.distance == cur.distance && prev.id < cur.id);
-    if (!ordered) {
+    if (!index::NeighborOrder{}(v[i - 1], v[i])) {
       return Status::FailedPrecondition(
           std::string(what) + ": neighbors out of (distance, id) order at " +
           std::to_string(i) + " — top-k heap/merge tie-break violated");

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/mutex.h"
 #include "image/color_moments.h"
 #include "image/color_histogram.h"
 #include "image/glcm.h"
@@ -104,18 +103,6 @@ FeatureDatabase FeatureDatabase::FromRawFeatures(std::vector<Vector> raw,
   std::vector<Vector> reduced = pca.value().TransformAll(raw, reduced_dim);
   return FeatureDatabase(std::move(reduced), std::move(categories),
                          std::move(themes), std::move(pca).value());
-}
-
-std::shared_ptr<const index::FilterRefineIndex>
-FeatureDatabase::filter_refine_index(int pca_dims) const {
-  MutexLock lock(fr_cache_->mu);
-  std::shared_ptr<const index::FilterRefineIndex>& slot =
-      fr_cache_->by_dims[pca_dims];
-  if (slot == nullptr) {
-    slot = std::make_shared<const index::FilterRefineIndex>(flat_.view(),
-                                                            pca_dims);
-  }
-  return slot;
 }
 
 }  // namespace qcluster::dataset

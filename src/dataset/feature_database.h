@@ -1,14 +1,10 @@
 #ifndef QCLUSTER_DATASET_FEATURE_DATABASE_H_
 #define QCLUSTER_DATASET_FEATURE_DATABASE_H_
 
-#include <map>
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "common/annotations.h"
-#include "common/mutex.h"
 #include "dataset/image_collection.h"
-#include "index/filter_refine.h"
 #include "linalg/flat_view.h"
 #include "linalg/pca.h"
 #include "linalg/vector.h"
@@ -59,16 +55,6 @@ class FeatureDatabase {
   // qlint: snapshot(valid for the database's lifetime; storage is immutable)
   linalg::FlatView flat_view() const { return flat_.view(); }
 
-  /// A filter-and-refine index over this database's flat block, built on
-  /// first use and shared by every caller asking for the same `pca_dims`
-  /// (the index's projected block is itself a second contiguous FlatBlock,
-  /// rebuilt lazily whenever the querying metric's covariance changes — see
-  /// index::FilterRefineIndex). Zero-copy: the index scans flat_view().
-  /// Shared ownership: the handle co-owns the index, so it stays valid even
-  /// past the cache's (and database's) lifetime. Thread-safe.
-  [[nodiscard]] std::shared_ptr<const index::FilterRefineIndex>
-  filter_refine_index(int pca_dims) const;
-
   const std::vector<int>& categories() const { return categories_; }
   const std::vector<int>& themes() const { return themes_; }
   const linalg::Pca& pca() const { return pca_; }
@@ -83,25 +69,11 @@ class FeatureDatabase {
         pca_(std::move(pca)),
         flat_(linalg::FlatBlock::FromPoints(features_)) {}
 
-  /// Lazily-built filter-and-refine indexes keyed by their pca_dims
-  /// argument. Held behind a shared_ptr so the database stays movable
-  /// (a Mutex is not) and handed-out index handles survive moves. Each
-  /// index is itself shared-owned: filter_refine_index() copies the
-  /// shared_ptr out under the lock, so callers never hold a raw reference
-  /// into the guarded map.
-  struct FilterRefineCache {
-    Mutex mu;
-    std::map<int, std::shared_ptr<const index::FilterRefineIndex>> by_dims
-        QCLUSTER_GUARDED_BY(mu);
-  };
-
   std::vector<linalg::Vector> features_;
   std::vector<int> categories_;
   std::vector<int> themes_;
   linalg::Pca pca_;
   linalg::FlatBlock flat_;  ///< Contiguous packing of features_.
-  std::shared_ptr<FilterRefineCache> fr_cache_ =
-      std::make_shared<FilterRefineCache>();
 };
 
 }  // namespace qcluster::dataset

@@ -71,6 +71,26 @@ Result<FeatureSet> LoadFeatureSet(const std::string& path) {
     return Status::InvalidArgument("unsupported version in " + path);
   }
 
+  // The header sizes the allocation below, so check its claim against the
+  // bytes actually left before trusting it. Each point carries dim doubles
+  // plus two int labels; n ≤ left / per_point cannot overflow where
+  // n · per_point could.
+  const long header_end = std::ftell(f.get());
+  if (header_end < 0 || std::fseek(f.get(), 0, SEEK_END) != 0) {
+    return Status::Internal("cannot seek in " + path);
+  }
+  const long file_end = std::ftell(f.get());
+  if (file_end < header_end || std::fseek(f.get(), header_end, SEEK_SET) != 0) {
+    return Status::Internal("cannot seek in " + path);
+  }
+  const auto left = static_cast<std::uint64_t>(file_end - header_end);
+  const std::uint64_t per_point =
+      std::uint64_t{dim} * sizeof(double) + 2 * sizeof(int);
+  if (n > left / per_point) {
+    return Status::InvalidArgument("header claims more data than " + path +
+                                   " holds");
+  }
+
   FeatureSet set;
   set.features.resize(n, linalg::Vector(dim));
   for (linalg::Vector& v : set.features) {

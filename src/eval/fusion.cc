@@ -16,11 +16,7 @@ std::vector<index::Neighbor> SortAndTruncate(
   for (const auto& [id, score] : scores) {
     fused.push_back(index::Neighbor{id, score});
   }
-  std::sort(fused.begin(), fused.end(),
-            [](const index::Neighbor& a, const index::Neighbor& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.id < b.id;
-            });
+  std::sort(fused.begin(), fused.end(), index::NeighborOrder{});
   if (static_cast<int>(fused.size()) > k) {
     fused.resize(static_cast<std::size_t>(k));
   }

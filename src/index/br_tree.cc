@@ -1,6 +1,7 @@
 #include "index/br_tree.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <unordered_set>
@@ -123,25 +124,20 @@ std::vector<Neighbor> BrTree::SearchImpl(
   QCLUSTER_TIMED("index.br_tree.search");
   SearchStats local;
 
-  const auto neighbor_cmp = [](const Neighbor& a, const Neighbor& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.id < b.id;
-  };
   // Max-heap of the best k seen so far; top is the current k-th distance.
-  std::priority_queue<Neighbor, std::vector<Neighbor>,
-                      decltype(neighbor_cmp)>
-      best(neighbor_cmp);
+  std::priority_queue<Neighbor, std::vector<Neighbor>, NeighborOrder> best;
   auto offer = [&](int id, double d) {
     if (static_cast<int>(best.size()) < k) {
       best.push(Neighbor{id, d});
-    } else if (d < best.top().distance ||
-               (d == best.top().distance && id < best.top().id)) {
+    } else if (NeighborOrder{}(Neighbor{id, d}, best.top())) {
       best.pop();
       best.push(Neighbor{id, d});
     }
   };
+  // A NaN on top sorts after every number, so any finite candidate still
+  // displaces it: there is no finite bound to prune with yet.
   auto kth_bound = [&] {
-    return static_cast<int>(best.size()) < k
+    return static_cast<int>(best.size()) < k || std::isnan(best.top().distance)
                ? std::numeric_limits<double>::infinity()
                : best.top().distance;
   };

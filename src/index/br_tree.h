@@ -58,8 +58,6 @@ class BrTree final : public KnnIndex {
   int node_count() const { return static_cast<int>(nodes_.size()); }
 
  private:
-  friend class IncrementalKnn;
-
   struct Node {
     Rect rect;
     int left = -1;    ///< Child index, -1 for leaves.

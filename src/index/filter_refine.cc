@@ -1,7 +1,6 @@
 #include "index/filter_refine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <utility>
 
@@ -33,21 +32,7 @@ constexpr double kLowerBoundSlack = 1.0 - 1e-9;
 /// that are scattered in the original block.
 constexpr std::size_t kGatherRows = 256;
 
-const std::vector<linalg::Vector>& Deref(
-    const std::vector<linalg::Vector>* points) {
-  QCLUSTER_CHECK(points != nullptr);
-  return *points;
-}
-
 }  // namespace
-
-FilterRefineIndex::FilterRefineIndex(const std::vector<linalg::Vector>* points,
-                                     int pca_dims, ThreadPool* pool)
-    : owned_(linalg::FlatBlock::FromPoints(Deref(points))),
-      view_(owned_.view()),
-      pca_dims_(pca_dims),
-      pool_(pool),
-      fallback_(view_, pool) {}
 
 FilterRefineIndex::FilterRefineIndex(linalg::FlatView view, int pca_dims,
                                      ThreadPool* pool)
@@ -201,8 +186,6 @@ std::vector<Neighbor> FilterRefineIndex::SearchImpl(const DistanceFunction& dist
   span.AddAttr("k", k);
   QCLUSTER_TIMED("index.filter_refine.search");
   const bool metrics = MetricsEnabled();
-  const auto start = metrics ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point{};
 
   const std::size_t n = view_.n;
   if (n == 0) {
@@ -440,13 +423,6 @@ std::vector<Neighbor> FilterRefineIndex::SearchImpl(const DistanceFunction& dist
     MetricAdd("index.filter_refine.candidates", static_cast<long long>(m));
     MetricRecord("index.filter_refine.refine_ratio",
                  static_cast<double>(m) / static_cast<double>(n));
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (seconds > 0.0) {
-      MetricRecord("index.filter_refine.points_per_sec",
-                   static_cast<double>(n) / seconds);
-    }
   }
   std::vector<Neighbor> result = TopK(std::move(merged), k);
   if (warm != nullptr) warm->Record(dist, result);

@@ -50,16 +50,12 @@ namespace qcluster::index {
 /// admits no non-negative lower bound, so pruning under it would be wrong.
 class FilterRefineIndex final : public KnnIndex {
  public:
-  /// Indexes `points` by packing a contiguous copy. `pca_dims` is the
-  /// reduced dimensionality k' per metric component: > 0 explicit (clamped
-  /// to the feature dimension at query time), <= 0 auto (max(1, d/4)).
-  /// `pool` is the scan pool (nullptr = ThreadPool::Global()).
-  FilterRefineIndex(const std::vector<linalg::Vector>* points, int pca_dims,
-                    ThreadPool* pool = nullptr);
-
-  /// Zero-copy variant over an external contiguous block (e.g.
+  /// Zero-copy index over an external contiguous block (e.g.
   /// dataset::FeatureDatabase::flat_view()); the block owner keeps it alive
-  /// and unchanged for the lifetime of the index.
+  /// and unchanged for the lifetime of the index. `pca_dims` is the reduced
+  /// dimensionality k' per metric component: > 0 explicit (clamped to the
+  /// feature dimension at query time), <= 0 auto (max(1, d/4)). `pool` is
+  /// the scan pool (nullptr = ThreadPool::Global()).
   FilterRefineIndex(linalg::FlatView view, int pca_dims,
                     ThreadPool* pool = nullptr);
 
@@ -126,10 +122,9 @@ class FilterRefineIndex final : public KnnIndex {
 
   ThreadPool& pool() const;
 
-  // Built once in the ctor and never reassigned: the database snapshot and
+  // Built once in the ctor and never reassigned: the database view and
   // fallback index are structurally immutable, so searches read them
   // without mu_ (which only protects the projection cache below).
-  linalg::FlatBlock owned_;   // qlint: unguarded(immutable after ctor)
   linalg::FlatView view_;     // qlint: unguarded(immutable after ctor)
   const int pca_dims_;
   ThreadPool* const pool_;  ///< nullptr = ThreadPool::Global().

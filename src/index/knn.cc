@@ -55,15 +55,12 @@ WarmStart::Seed WarmStart::SeedFromScores(int k, std::vector<Neighbor> scored,
   seed.scored = std::move(scored);
   seed.evaluations = evals;
   seed.reused = reused;
-  // θ₀ = k-th smallest exact distance among the cached candidates, with the
-  // same (distance, id) tiebreak every index uses, so the certificate is a
-  // value the cold path itself could have produced.
+  // θ₀ = k-th smallest exact distance among the cached candidates, under
+  // the NeighborOrder every index uses, so the certificate is a value the
+  // cold path itself could have produced.
   std::vector<Neighbor> order = seed.scored;
   std::nth_element(order.begin(), order.begin() + (k - 1), order.end(),
-                   [](const Neighbor& a, const Neighbor& b) {
-                     return a.distance != b.distance ? a.distance < b.distance
-                                                     : a.id < b.id;
-                   });
+                   NeighborOrder{});
   seed.theta0 = order[k - 1].distance;
   return seed;
 }

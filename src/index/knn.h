@@ -1,6 +1,7 @@
 #ifndef QCLUSTER_INDEX_KNN_H_
 #define QCLUSTER_INDEX_KNN_H_
 
+#include <cmath>
 #include <limits>
 #include <unordered_set>
 #include <vector>
@@ -15,6 +16,21 @@ struct Neighbor {
   double distance = 0.0; ///< Value of the query's DistanceFunction.
 
   friend bool operator==(const Neighbor& a, const Neighbor& b) = default;
+};
+
+/// The one order every index, merge and audit ranks neighbors by: ascending
+/// distance, ties broken by id. A NaN distance sorts after every number
+/// (ties among NaNs again by id), so the order stays a strict weak order on
+/// any input — a requirement of std::nth_element and the bounded heaps —
+/// and one poisoned row can never displace a finite neighbor.
+struct NeighborOrder {
+  bool operator()(const Neighbor& a, const Neighbor& b) const {
+    if (a.distance < b.distance) return true;
+    if (a.distance > b.distance) return false;
+    if (a.distance == b.distance) return a.id < b.id;
+    // Unordered: at least one side is NaN.
+    return std::isnan(b.distance) && (!std::isnan(a.distance) || a.id < b.id);
+  }
 };
 
 /// Cost counters filled by a search, used by the execution-cost experiments
@@ -131,8 +147,8 @@ void FinishWarmSearch(const char* index_name, const WarmStart::Seed& seed,
                       const std::vector<Neighbor>& result, double pruned_frac);
 
 /// Interface of a k-nearest-neighbor search structure over an immutable
-/// point database. Implementations must return results sorted by ascending
-/// distance with stable id tiebreak.
+/// point database. Implementations must return results sorted by
+/// NeighborOrder.
 class KnnIndex {
  public:
   virtual ~KnnIndex() = default;

@@ -1,7 +1,6 @@
 #include "index/linear_scan.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
 #include "common/check.h"
@@ -18,11 +17,6 @@ namespace {
 /// scores buffer, task hand-off) outweighs the scan itself.
 constexpr std::size_t kMinShardPoints = 1024;
 
-bool Closer(const Neighbor& a, const Neighbor& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.id < b.id;
-}
-
 }  // namespace
 
 BoundedTopK::BoundedTopK(int k) : k_(static_cast<std::size_t>(k)) {
@@ -33,17 +27,17 @@ BoundedTopK::BoundedTopK(int k) : k_(static_cast<std::size_t>(k)) {
 void BoundedTopK::Push(const Neighbor& candidate) {
   if (heap_.size() < k_) {
     heap_.push_back(candidate);
-    std::push_heap(heap_.begin(), heap_.end(), Closer);
+    std::push_heap(heap_.begin(), heap_.end(), NeighborOrder{});
     return;
   }
-  if (!Closer(candidate, heap_.front())) return;
-  std::pop_heap(heap_.begin(), heap_.end(), Closer);
+  if (!NeighborOrder{}(candidate, heap_.front())) return;
+  std::pop_heap(heap_.begin(), heap_.end(), NeighborOrder{});
   heap_.back() = candidate;
-  std::push_heap(heap_.begin(), heap_.end(), Closer);
+  std::push_heap(heap_.begin(), heap_.end(), NeighborOrder{});
 }
 
 std::vector<Neighbor> BoundedTopK::TakeSorted() && {
-  std::sort_heap(heap_.begin(), heap_.end(), Closer);
+  std::sort_heap(heap_.begin(), heap_.end(), NeighborOrder{});
   return std::move(heap_);
 }
 
@@ -88,9 +82,6 @@ std::vector<Neighbor> LinearScanIndex::SearchImpl(
   span.AddAttr("n", view_.n);
   span.AddAttr("warm", seed != nullptr ? 1 : 0);
   QCLUSTER_TIMED("index.linear_scan.search");
-  const bool metrics = MetricsEnabled();
-  const auto start = metrics ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point{};
 
   const std::size_t n = view_.n;
   // θ₀ from the warm seed: an exact upper bound on the final k-th distance.
@@ -151,18 +142,11 @@ std::vector<Neighbor> LinearScanIndex::SearchImpl(
   local.distance_evaluations =
       static_cast<long long>(n) + (seed != nullptr ? seed->evaluations : 0);
   FinishSearch("index.linear_scan", local, stats);
-  if (metrics && n > 0) {
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (seconds > 0.0) {
-      MetricRecord("index.linear_scan.batch.points_per_sec",
-                   static_cast<double>(n) / seconds);
-    }
+  if (n > 0 && MetricsEnabled()) {
     MetricGauge("index.linear_scan.batch.shards",
                 static_cast<double>(shards));
     // Which SIMD tier scored this scan; tier choice never changes the
-    // scores (linalg/simd.h), only the throughput above.
+    // scores (linalg/simd.h), only their throughput.
     MetricGauge("simd.dispatch_tier",
                 static_cast<double>(linalg::simd::ActiveTier()));
   }
@@ -170,18 +154,14 @@ std::vector<Neighbor> LinearScanIndex::SearchImpl(
 }
 
 std::vector<Neighbor> TopK(std::vector<Neighbor> all, int k) {
-  const auto cmp = [](const Neighbor& a, const Neighbor& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.id < b.id;
-  };
   if (static_cast<int>(all.size()) > k) {
-    std::nth_element(all.begin(), all.begin() + k, all.end(), cmp);
+    std::nth_element(all.begin(), all.begin() + k, all.end(), NeighborOrder{});
     all.resize(static_cast<std::size_t>(k));
   }
-  std::sort(all.begin(), all.end(), cmp);
+  std::sort(all.begin(), all.end(), NeighborOrder{});
   // Every index's final result funnels through here: the returned list must
-  // be strictly ascending under (distance, id) — the deterministic
-  // tie-break contract of the sharded merge.
+  // be strictly ascending under NeighborOrder — the deterministic tie-break
+  // contract of the sharded merge.
   QCLUSTER_AUDIT(core::ValidateSortedNeighbors(all, "TopK merged result"));
   return all;
 }

@@ -57,9 +57,9 @@ class LinearScanIndex final : public KnnIndex {
   ThreadPool* const pool_;   ///< nullptr = ThreadPool::Global().
 };
 
-/// A fixed-capacity max-heap of the k closest neighbors seen so far, with
-/// (distance, id) ordering so ties resolve deterministically. The shard-
-/// local accumulator of the parallel scan.
+/// A fixed-capacity max-heap of the k closest neighbors seen so far under
+/// NeighborOrder, so ties resolve deterministically. The shard-local
+/// accumulator of the parallel scan.
 class BoundedTopK {
  public:
   explicit BoundedTopK(int k);
@@ -77,8 +77,8 @@ class BoundedTopK {
   std::vector<Neighbor> heap_;  ///< Max-heap: worst retained entry on top.
 };
 
-/// Selects the k smallest (distance, id) pairs from `all` in-place semantics:
-/// shared helper for index implementations.
+/// Selects the k smallest of `all` under NeighborOrder, sorted: shared
+/// helper for index implementations.
 std::vector<Neighbor> TopK(std::vector<Neighbor> all, int k);
 
 }  // namespace qcluster::index

@@ -3,13 +3,11 @@
 // top-k lists — same ids, same distances, same tie-breaks — for every
 // decomposable metric, every reduced dimensionality, every thread count,
 // and tie-heavy inputs; plus contractiveness property tests for the
-// Projector, the opaque-metric fallback, the projection cache, and the
-// engine's pca_dims routing.
+// Projector, the opaque-metric fallback, and the projection cache.
 
 #include "index/filter_refine.h"
 
 #include <cmath>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -20,8 +18,6 @@
 #include "common/thread_pool.h"
 #include "core/cluster.h"
 #include "core/disjunctive_distance.h"
-#include "core/engine.h"
-#include "dataset/feature_database.h"
 #include "dataset/synthetic_gaussian.h"
 #include "index/linear_scan.h"
 #include "linalg/pca.h"
@@ -85,7 +81,8 @@ DisjunctiveDistance MakeDisjunctive(const std::vector<Vector>& pts,
 void ExpectExact(const std::vector<Vector>& pts, const DistanceFunction& dist,
                  int pca_dims, ThreadPool* pool, int k = 25) {
   const LinearScanIndex oracle(&pts, pool);
-  const FilterRefineIndex filter(&pts, pca_dims, pool);
+  const FlatBlock block = FlatBlock::FromPoints(pts);
+  const FilterRefineIndex filter(block.view(), pca_dims, pool);
   SearchStats stats;
   const std::vector<Neighbor> got = filter.Search(dist, k, &stats);
   EXPECT_EQ(got, oracle.Search(dist, k));
@@ -222,7 +219,8 @@ TEST(FilterRefineIndexTest, PrunesWellSeparatedClusters) {
   opt.inter_cluster_distance = 8.0;
   const std::vector<Vector> pts =
       dataset::GenerateGaussianClusters(opt, rng).points;
-  const FilterRefineIndex filter(&pts, kDim / 4);
+  const FlatBlock block = FlatBlock::FromPoints(pts);
+  const FilterRefineIndex filter(block.view(), kDim / 4);
   const MahalanobisDistance dist(pts[0], RandomPsd(kDim, rng));
   SearchStats stats;
   const auto got = filter.Search(dist, 20, &stats);
@@ -255,7 +253,8 @@ TEST(FilterRefineIndexTest, FallsBackOnOpaqueMetric) {
   Rng rng(3);
   const std::vector<Vector> pts = TieHeavyPoints(200, rng);
   const ManhattanDistance dist(pts[1]);
-  const FilterRefineIndex filter(&pts, 4);
+  const FlatBlock block = FlatBlock::FromPoints(pts);
+  const FilterRefineIndex filter(block.view(), 4);
   const LinearScanIndex oracle(&pts);
   EXPECT_EQ(filter.Search(dist, 10), oracle.Search(dist, 10));
   EXPECT_EQ(filter.rebuilds(), 0);  // The filter stage never engaged.
@@ -264,7 +263,8 @@ TEST(FilterRefineIndexTest, FallsBackOnOpaqueMetric) {
 TEST(FilterRefineIndexTest, CachesProjectionPerCovariance) {
   Rng rng(21);
   const std::vector<Vector> pts = TieHeavyPoints(300, rng);
-  const FilterRefineIndex filter(&pts, 4);
+  const FlatBlock block = FlatBlock::FromPoints(pts);
+  const FilterRefineIndex filter(block.view(), 4);
   const EuclideanDistance a(pts[0]);
   const EuclideanDistance b(pts[50]);  // Different query, same covariance.
   // Each search is run for its cache side effect; only rebuilds() is under
@@ -289,7 +289,8 @@ TEST(FilterRefineIndexTest, ConcurrentFirstSearchesInstallOneProjection) {
   // installs — not the racing refits.
   Rng rng(33);
   const std::vector<Vector> pts = TieHeavyPoints(300, rng);
-  const FilterRefineIndex filter(&pts, 4);
+  const FlatBlock block = FlatBlock::FromPoints(pts);
+  const FilterRefineIndex filter(block.view(), 4);
   const LinearScanIndex oracle(&pts);
   const std::vector<Neighbor> expected =
       oracle.Search(EuclideanDistance(pts[0]), 10);
@@ -317,7 +318,8 @@ TEST(FilterRefineIndexTest, RecordsRegistryMetrics) {
   SetMetricsEnabled(true);
   Rng rng(17);
   const std::vector<Vector> pts = TieHeavyPoints(200, rng);
-  const FilterRefineIndex filter(&pts, 4);
+  const FlatBlock block = FlatBlock::FromPoints(pts);
+  const FilterRefineIndex filter(block.view(), 4);
   // Run for the registry side effects asserted below.
   DiscardResult(filter.Search(EuclideanDistance(pts[0]), 10));
   SetMetricsEnabled(false);
@@ -327,58 +329,12 @@ TEST(FilterRefineIndexTest, RecordsRegistryMetrics) {
   EXPECT_GE(registry.CounterValue("index.filter_refine.rebuilds"), 1);
 }
 
-TEST(FilterRefineIndexTest, EngineRoutesThroughPcaDims) {
-  Rng rng(31);
-  dataset::GaussianClustersOptions opt;
-  opt.dim = 8;
-  opt.num_clusters = 3;
-  opt.points_per_cluster = 120;
-  opt.inter_cluster_distance = 4.0;
-  const std::vector<Vector> pts =
-      dataset::GenerateGaussianClusters(opt, rng).points;
-  const LinearScanIndex idx(&pts);
-
-  core::QclusterOptions base;
-  base.k = 40;
-  core::QclusterOptions filtered = base;
-  filtered.pca_dims = 2;
-  core::QclusterEngine plain(&pts, &idx, base);
-  core::QclusterEngine routed(&pts, &idx, filtered);
-
-  const auto r0 = plain.InitialQuery(pts[0]);
-  ASSERT_EQ(r0, routed.InitialQuery(pts[0]));
-
-  std::vector<core::RelevantItem> marked;
-  for (int i = 0; i < 10; ++i) marked.push_back({r0[i].id, 1.0});
-  EXPECT_EQ(plain.Feedback(marked), routed.Feedback(marked));
-}
-
-TEST(FilterRefineIndexTest, FeatureDatabaseSharesIndexPerDims) {
-  Rng rng(57);
-  std::vector<Vector> raw;
-  std::vector<int> categories, themes;
-  for (int i = 0; i < 150; ++i) {
-    raw.push_back(rng.GaussianVector(10));
-    categories.push_back(i % 5);
-    themes.push_back(0);
-  }
-  const dataset::FeatureDatabase db = dataset::FeatureDatabase::FromRawFeatures(
-      std::move(raw), std::move(categories), std::move(themes), 6);
-  const std::shared_ptr<const FilterRefineIndex> a = db.filter_refine_index(3);
-  const std::shared_ptr<const FilterRefineIndex> b = db.filter_refine_index(3);
-  EXPECT_EQ(a.get(), b.get());  // One shared index per pca_dims.
-  EXPECT_NE(a.get(), db.filter_refine_index(2).get());
-
-  const EuclideanDistance dist(db.features()[0]);
-  const LinearScanIndex oracle(db.flat_view());
-  EXPECT_EQ(a->Search(dist, 15), oracle.Search(dist, 15));
-}
-
 TEST(FilterRefineIndexTest, HandlesDegenerateThetaAllDuplicates) {
   // Every point identical to the query: θ = 0 forces the refine-everything
   // path, and the result is still the k lowest ids at distance 0.
   const std::vector<Vector> pts(50, Vector(kDim, 1.5));
-  const FilterRefineIndex filter(&pts, 4);
+  const FlatBlock block = FlatBlock::FromPoints(pts);
+  const FilterRefineIndex filter(block.view(), 4);
   const auto got = filter.Search(EuclideanDistance(Vector(kDim, 1.5)), 5);
   ASSERT_EQ(got.size(), 5u);
   for (int i = 0; i < 5; ++i) {

@@ -1,9 +1,13 @@
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "index/br_tree.h"
 #include "index/linear_scan.h"
 
@@ -104,6 +108,61 @@ TEST(TopKTest, SortsAndTruncates) {
   EXPECT_EQ(top[0].id, 0);  // Tie at distance 1: lower id first.
   EXPECT_EQ(top[1].id, 1);
   EXPECT_EQ(top[2].id, 2);
+}
+
+TEST(NeighborOrderTest, NanRowNeverDisplacesFiniteNeighbors) {
+  // One NaN coordinate makes one distance NaN. Every index must still
+  // return the k nearest finite points, at any thread count.
+  Rng rng(3);
+  std::vector<Vector> pts(5000, Vector(3));
+  for (Vector& p : pts) {
+    for (double& x : p) x = rng.Uniform();
+  }
+  pts[0][1] = std::numeric_limits<double>::quiet_NaN();
+  const EuclideanDistance d({0.5, 0.5, 0.5});
+  constexpr int kK = 8;
+
+  std::vector<std::pair<double, int>> finite;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const double dist = d.Distance(pts[i]);
+    if (!std::isnan(dist)) finite.emplace_back(dist, static_cast<int>(i));
+  }
+  std::sort(finite.begin(), finite.end());
+  std::vector<Neighbor> expected;
+  for (int i = 0; i < kK; ++i) {
+    expected.push_back(Neighbor{finite[static_cast<std::size_t>(i)].second,
+                                finite[static_cast<std::size_t>(i)].first});
+  }
+
+  ThreadPool serial(1);
+  ThreadPool parallel(4);
+  EXPECT_EQ(LinearScanIndex(&pts, &serial).Search(d, kK), expected);
+  EXPECT_EQ(LinearScanIndex(&pts, &parallel).Search(d, kK), expected);
+  EXPECT_EQ(BrTree(&pts).Search(d, kK), expected);
+}
+
+TEST(BrTreeTest, NanAtTheKthSlotDoesNotStopTheDescent) {
+  // Leaves of 4, k = 4: the first leaf holds the NaN row and 3 finite rows,
+  // so the heap fills with NaN on top. The next node popped is the right
+  // subtree, whose leaf holds the true 4th neighbor (1, 0, 0); a NaN k-th
+  // bound must not prune it in favour of the far leaf at y >= 50.
+  std::vector<Vector> pts{{0.000, 0.0, 0.0}, {0.001, 0.1, 0.0},
+                          {0.002, 0.2, 0.0}, {0.003, 0.3, 0.0},
+                          {0.004, 50.0, 0.0}, {0.005, 60.0, 0.0},
+                          {0.006, 70.0, 0.0}, {0.007, 80.0, 0.0}};
+  for (double x : {1.0, 150.0, 160.0, 170.0, 180.0, 190.0, 195.0, 200.0}) {
+    pts.push_back({x, 0.0, 0.0});
+  }
+  pts[0][2] = std::numeric_limits<double>::quiet_NaN();
+  BrTree::Options opt;
+  opt.leaf_size = 4;
+  const BrTree tree(&pts, opt);
+  const auto result = tree.Search(EuclideanDistance({0.0, 0.0, 0.0}), 4);
+  ASSERT_EQ(result.size(), 4u);
+  EXPECT_EQ(result[0].id, 1);
+  EXPECT_EQ(result[1].id, 2);
+  EXPECT_EQ(result[2].id, 3);
+  EXPECT_EQ(result[3].id, 8);
 }
 
 TEST(BrTreeTest, MatchesLinearScanEuclidean) {

@@ -3,6 +3,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -75,6 +76,21 @@ TEST(FeatureIoTest, TruncatedPayloadRejected) {
   std::fclose(f);
   ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
   EXPECT_FALSE(dataset::LoadFeatureSet(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(FeatureIoTest, HeaderClaimingMoreThanTheFileRejected) {
+  // A valid 16-byte header whose n × dim would need ~140 TB: rejected from
+  // the file size before anything is allocated.
+  const std::string path = TempPath("oversized_header.bin");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const std::uint32_t header[] = {0x51434653, 1, (1u << 28) - 1, 65535};
+  ASSERT_EQ(std::fwrite(header, sizeof(header), 1, f), 1u);
+  std::fclose(f);
+  const Result<dataset::FeatureSet> r = dataset::LoadFeatureSet(path);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 

@@ -13,7 +13,6 @@
 #include "core/merging.h"
 #include "index/br_tree.h"
 #include "index/linear_scan.h"
-#include "index/va_file.h"
 #include "stats/weighted_stats.h"
 
 namespace qcluster {
@@ -55,7 +54,6 @@ TEST_P(SeededPropertyTest, AllIndexesAgreeOnDisjunctiveQueries) {
   for (int i = 0; i < n; ++i) pts.push_back(rng.GaussianVector(3));
   const index::LinearScanIndex scan(&pts);
   const index::BrTree tree(&pts);
-  const index::VaFile va(&pts);
 
   std::vector<Cluster> clusters;
   const int g = 1 + static_cast<int>(rng.UniformInt(4));
@@ -72,7 +70,6 @@ TEST_P(SeededPropertyTest, AllIndexesAgreeOnDisjunctiveQueries) {
   const int k = 1 + static_cast<int>(rng.UniformInt(30));
   const auto expected = scan.Search(dist, k);
   EXPECT_EQ(tree.Search(dist, k), expected);
-  EXPECT_EQ(va.Search(dist, k), expected);
 }
 
 TEST_P(SeededPropertyTest, MergingAlwaysTerminatesAtOrBelowCap) {

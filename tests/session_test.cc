@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "index/br_tree.h"
-#include "index/r_tree.h"
 
 namespace qcluster::core {
 namespace {
@@ -124,25 +123,6 @@ TEST(RetrievalSessionTest, FeedbackBeforeStartDies) {
   const index::BrTree tree(&world.points);
   RetrievalSession session(&world.points, &tree, SessionOptions());
   EXPECT_DEATH(session.Feedback({{0, 1.0}}), "Start");
-}
-
-TEST(RetrievalSessionTest, WorksOverDynamicRTree) {
-  // The engine is index-agnostic: a session over the dynamic R-tree gives
-  // the same results as over the bulk-loaded BR-tree.
-  Rng rng(347);
-  const SessionWorld world(rng);
-  const index::BrTree br(&world.points);
-  index::RTree rt(&world.points);
-  for (int i = 0; i < static_cast<int>(world.points.size()); ++i) {
-    rt.Insert(i);
-  }
-  QclusterOptions opt = SessionOptions();
-  opt.use_query_cache = false;  // Same cold path on both indexes.
-  RetrievalSession sa(&world.points, &br, opt);
-  RetrievalSession sb(&world.points, &rt, opt);
-  EXPECT_EQ(sa.Start(world.points[0]), sb.Start(world.points[0]));
-  EXPECT_EQ(sa.Feedback({{0, 1.0}, {2, 1.0}}),
-            sb.Feedback({{0, 1.0}, {2, 1.0}}));
 }
 
 }  // namespace

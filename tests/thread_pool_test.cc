@@ -12,7 +12,6 @@
 #include "core/cluster.h"
 #include "core/disjunctive_distance.h"
 #include "index/linear_scan.h"
-#include "index/va_file.h"
 
 namespace qcluster {
 namespace {
@@ -22,7 +21,6 @@ using index::EuclideanDistance;
 using index::LinearScanIndex;
 using index::Neighbor;
 using index::TopK;
-using index::VaFile;
 using linalg::Vector;
 
 TEST(ThreadPoolTest, ParseThreadCount) {
@@ -143,20 +141,6 @@ TEST(ParallelScanDeterminismTest, LinearScanIdenticalAcrossThreadCounts) {
     // k = 50 cuts inside a tie group (~857 copies of each base point).
     EXPECT_EQ(scan1.Search(euclid, 50), scan8.Search(euclid, 50));
     EXPECT_EQ(scan1.Search(disjunctive, 50), scan8.Search(disjunctive, 50));
-  }
-}
-
-TEST(ParallelScanDeterminismTest, VaFileIdenticalAcrossThreadCounts) {
-  Rng rng(512);
-  std::vector<Vector> pts;
-  for (int i = 0; i < 6000; ++i) pts.push_back(rng.GaussianVector(3));
-  ThreadPool serial(1);
-  ThreadPool parallel(8);
-  const VaFile va1(&pts, VaFile::Options{}, &serial);
-  const VaFile va8(&pts, VaFile::Options{}, &parallel);
-  for (int q = 0; q < 5; ++q) {
-    const EuclideanDistance d(rng.GaussianVector(3));
-    EXPECT_EQ(va1.Search(d, 25), va8.Search(d, 25));
   }
 }
 

@@ -11,6 +11,10 @@ Checks the artifact a user would actually load into chrome://tracing:
  - a traced feedback round shows the documented tree: feedback.total →
    {feedback.classify, feedback.merge, feedback.knn_query} → index search.
 
+A second, untraced run feeds the CLI bad marks (an id out of range, a score
+<= 0, a NaN score, text that is not a number): each must print an `error:`
+line, and the process must still exit 0.
+
 Usage: trace_smoke_test.py <path-to-qcluster_cli>
 """
 
@@ -25,6 +29,12 @@ SCRIPT = (
     "mark auto; mark auto; show 3; quit"
 )
 
+BAD_MARKS_SCRIPT = (
+    "build 5 10 color; method qcluster; query 0; "
+    "mark 999999:1; mark 3:-1; mark 3:nan; mark x; show 3; quit"
+)
+BAD_MARKS = 4
+
 # ts/dur are microseconds rendered through %.9g; allow rounding slack.
 EPS_US = 1.0
 
@@ -34,12 +44,32 @@ def fail(message):
     sys.exit(1)
 
 
+def check_bad_marks(cli):
+    proc = subprocess.run(
+        [str(cli), BAD_MARKS_SCRIPT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        timeout=240,
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        fail(f"qcluster_cli exited with {proc.returncode} on bad marks")
+    errors = [
+        line
+        for line in proc.stdout.decode(errors="replace").splitlines()
+        if line.startswith("error:")
+    ]
+    if len(errors) != BAD_MARKS:
+        fail(f"expected {BAD_MARKS} error lines for bad marks, got {errors}")
+
+
 def main():
     if len(sys.argv) != 2:
         fail(f"usage: {sys.argv[0]} <path-to-qcluster_cli>")
     cli = pathlib.Path(sys.argv[1])
     if not cli.is_file():
         fail(f"qcluster_cli not found at {cli}")
+    check_bad_marks(cli)
 
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = pathlib.Path(tmp) / "trace.json"

@@ -28,8 +28,7 @@
 #include "index/br_tree.h"
 #include "index/filter_refine.h"
 #include "index/linear_scan.h"
-#include "index/r_tree.h"
-#include "index/va_file.h"
+#include "linalg/flat_view.h"
 #include "linalg/simd.h"
 
 namespace qcluster {
@@ -285,16 +284,14 @@ TEST(WarmStartUnitTest, ThetaUpperBoundsTrueKthDistance) {
 
 TEST(WarmExactnessTest, EveryIndexEveryMetricEveryThreadCount) {
   const auto& pts = TieHeavyPoints();
+  const linalg::FlatBlock block = linalg::FlatBlock::FromPoints(pts);
   ThreadPool pool(4);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     const std::string threads = p == nullptr ? "t1" : "t4";
     const index::LinearScanIndex scan(&pts, p);
-    const index::FilterRefineIndex filter_auto(&pts, 0, p);
-    const index::FilterRefineIndex filter_k8(&pts, 8, p);
-    const index::VaFile va(&pts, index::VaFile::Options{}, p);
+    const index::FilterRefineIndex filter_auto(block.view(), 0, p);
+    const index::FilterRefineIndex filter_k8(block.view(), 8, p);
     const index::BrTree tree(&pts);
-    index::RTree rtree(&pts);
-    for (int i = 0; i < static_cast<int>(pts.size()); ++i) rtree.Insert(i);
 
     for (const std::string& family : Families()) {
       const auto rounds = MetricRounds(family);
@@ -302,9 +299,7 @@ TEST(WarmExactnessTest, EveryIndexEveryMetricEveryThreadCount) {
       ExpectWarmMatchesCold(scan, rounds, "scan/" + ctx);
       ExpectWarmMatchesCold(filter_auto, rounds, "filter_auto/" + ctx, &scan);
       ExpectWarmMatchesCold(filter_k8, rounds, "filter_k8/" + ctx, &scan);
-      ExpectWarmMatchesCold(va, rounds, "va/" + ctx, &scan);
       ExpectWarmMatchesCold(tree, rounds, "br_tree/" + ctx, &scan);
-      ExpectWarmMatchesCold(rtree, rounds, "r_tree/" + ctx, &scan);
     }
   }
 }
@@ -322,13 +317,12 @@ TEST(WarmExactnessTest, OpaqueMetricRoundsStayExactEverywhere) {
     bases.push_back(std::make_unique<index::EuclideanDistance>(q));
     rounds.push_back(std::make_unique<OpaqueMetric>(bases.back().get()));
   }
+  const linalg::FlatBlock block = linalg::FlatBlock::FromPoints(pts);
   const index::LinearScanIndex scan(&pts);
-  const index::FilterRefineIndex filter(&pts, 0);
-  const index::VaFile va(&pts);
+  const index::FilterRefineIndex filter(block.view(), 0);
   const index::BrTree tree(&pts);
   ExpectWarmMatchesCold(scan, rounds, "scan/opaque");
   ExpectWarmMatchesCold(filter, rounds, "filter/opaque", &scan);
-  ExpectWarmMatchesCold(va, rounds, "va/opaque", &scan);
   ExpectWarmMatchesCold(tree, rounds, "br_tree/opaque", &scan);
 }
 
@@ -340,8 +334,9 @@ class WarmSimdTest : public ::testing::Test {
 
 TEST_F(WarmSimdTest, TiersAgreeWithScalarColdRounds) {
   const auto& pts = TieHeavyPoints();
+  const linalg::FlatBlock block = linalg::FlatBlock::FromPoints(pts);
   const index::LinearScanIndex scan(&pts);
-  const index::FilterRefineIndex filter(&pts, 0);
+  const index::FilterRefineIndex filter(block.view(), 0);
 
   // Scalar-tier cold results are the cross-tier reference.
   ASSERT_TRUE(linalg::simd::SetTier(Tier::kScalar));

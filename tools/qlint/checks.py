@@ -880,7 +880,7 @@ def _taint_seeds(body, fn, symtab):
 
     A bare use seeds only when the function's own class guards that
     member; a `.`/`->` access seeds for any class's guarded member (the
-    cross-object case, e.g. `fr_cache_->by_dims`).
+    cross-object case, e.g. `cache_->entries`).
     """
     seeds = {}
     for i, t in enumerate(body):
