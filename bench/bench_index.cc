@@ -23,7 +23,6 @@
 
 #include "bench_util.h"
 #include "common/check.h"
-#include "common/status.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -31,7 +30,6 @@
 #include "core/disjunctive_distance.h"
 #include "dataset/synthetic_gaussian.h"
 #include "index/br_tree.h"
-#include "index/filter_refine.h"
 #include "index/linear_scan.h"
 #include "linalg/flat_view.h"
 #include "linalg/simd.h"
@@ -279,17 +277,14 @@ void BM_LinearScanBatchDisjunctive(benchmark::State& state) {
 
 
 // ---------------------------------------------------------------------------
-// PCA filter-and-refine family: full batch scan vs FilterRefineIndex at
-// k' ∈ {4, 8, 16, d} on a wide (d = 32) synthetic workload. The paper's
-// 3-4-dim image features are too narrow for the filter to pay; dimensions
-// like these are where the contractive pre-filter earns its keep.
+// Wide (d = 32) synthetic workload for the kernel-tier family below: 40
+// elliptical categories of 500 points, wider than one SIMD lane group.
 
 constexpr int kWideDim = 32;
 constexpr int kWideCategories = 40;
 constexpr int kWidePointsPerCategory = 500;
 /// The retrieval-realistic shape: the user's relevant images form a few
-/// query clusters inside a database of many categories, so most of the
-/// database is far from every query centroid and prunable.
+/// query clusters inside a database of many categories.
 constexpr int kWideQueryClusters[] = {0, 17, 34};
 
 const std::vector<qcluster::linalg::Vector>& WideFeatures() {
@@ -431,58 +426,16 @@ void TierSweep(benchmark::internal::Benchmark* b) {
   b->Arg(0)->Arg(1)->Arg(2);
 }
 
-void BM_FilterRefineWideDisjunctive(benchmark::State& state) {
-  const auto& pts = WideFeatures();
-  const int kp = static_cast<int>(state.range(0));
-  const qcluster::index::FilterRefineIndex index(PackedFeatures().view(), kp,
-                                                 &PoolWithThreads(1));
-  const auto dist = WideDisjunctive();
-  // Exactness sanity outside the timed loop: the filter must return what
-  // the exhaustive scan returns, bit for bit. The first call also warms the
-  // projection cache, so the loop measures steady-state throughput.
-  {
-    const qcluster::index::LinearScanIndex scan(&pts, &PoolWithThreads(1));
-    QCLUSTER_CHECK(index.Search(dist, 100) == scan.Search(dist, 100));
-  }
-  qcluster::index::SearchStats stats;
-  // Run once for its cost counters; the refine ratio gauge is the output.
-  qcluster::DiscardResult(index.Search(dist, 100, &stats));
-  qcluster::MetricGauge(
-      "bench.filter_refine.d32.k" + std::to_string(kp) + ".refine_ratio",
-      static_cast<double>(stats.distance_evaluations) /
-          static_cast<double>(pts.size()));
-  RunThroughputMetric(state, "bench.filter_refine.d32.k" + std::to_string(kp),
-                      pts.size(), [&] { return index.Search(dist, 100); });
-}
-
-void BM_FullScanWideDisjunctive(benchmark::State& state) {
-  const auto& pts = WideFeatures();
-  const qcluster::index::LinearScanIndex scan(&pts, &PoolWithThreads(1));
-  const auto dist = WideDisjunctive();
-  RunThroughputMetric(state, "bench.filter_refine.d32.full", pts.size(),
-                      [&] { return scan.Search(dist, 100); });
-}
-
 // ---------------------------------------------------------------------------
 // Feedback-round replay family: a six-round relevance-feedback session
-// (t = 0..5) served cold vs warm-started from the previous round's
-// candidate cache, through FilterRefineIndex and the batched linear scan.
-// The replay workload uses its own database — 20 categories x 500 points
-// at d = 64 (image-descriptor scale, Fig. 6 sizes its features similarly),
-// where a dense d x d exact distance is expensive enough that the refine
-// phase dominates a served round. Three round shapes cover the cases a
-// session mixes:
-//
-//  * query-drift rounds (`diag.*`, `full.*`): the refined query point moves
-//    every round while the learned metric matrix is stable, so the PCA
-//    projection stays cached and the gauges isolate the per-round serve
-//    cost the warm certificate attacks. The metric still *changes* every
-//    round (the query is part of the quadratic decomposition), so the
-//    WarmStart key mismatches and every warm round takes the re-score path.
-//  * shape-update rounds (`shape.*`): the cluster covariances themselves
-//    move (disjunctive metric re-weighted per round), so cold and warm both
-//    pay the projection rebuild — the honest bound on what any candidate
-//    cache can do for those rounds.
+// (t = 0..5) served by the batched linear scan, cold vs warm-started from
+// the previous round's candidate cache. The replay workload uses its own
+// database — 20 categories x 500 points at d = 64 (image-descriptor scale,
+// Fig. 6 sizes its features similarly), where a dense d x d exact distance
+// dominates a served round. The refined query point moves every round
+// while the learned metric matrix is stable; the metric still *changes*
+// every round (the query is part of the quadratic decomposition), so the
+// WarmStart key mismatches and every warm round takes the re-score path.
 //
 // Each round records `bench.warm_replay.<label>.t<t>.{points_per_sec,
 // candidates}` (candidates = exact distance evaluations, seeds included).
@@ -519,30 +472,11 @@ qcluster::linalg::Vector ReplayQuery(int t) {
   return q;
 }
 
-/// Query-drift rounds under a fixed diagonal metric (the covariance scheme
-/// the paper adopts): one diagonal quadratic form per exact distance.
-const qcluster::index::MahalanobisDistance& ReplayDiagMetric(int t) {
-  static const auto* metrics = [] {
-    qcluster::linalg::Matrix a(kReplayDim, kReplayDim);
-    for (int d = 0; d < kReplayDim; ++d) a(d, d) = 1.0 + 0.5 * (d % 3);
-    auto* out = new std::vector<qcluster::index::MahalanobisDistance>();
-    for (int t = 0; t < kReplayRounds; ++t) {
-      out->emplace_back(ReplayQuery(t), a);
-    }
-    return out;
-  }();
-  return (*metrics)[static_cast<std::size_t>(t)];
-}
-
 /// Query-drift rounds under a fixed dense metric (Fig. 6's full scheme):
 /// A = 0.5 I + 24.5 (uu' + vv') with u ⊥ v — two strongly stretched
 /// "learned" axes over an isotropic floor, the shape relevance feedback
 /// actually produces once a couple of discriminative directions dominate.
-/// Each exact distance costs a dense d x d quadratic form, so the refine
-/// phase dominates the round; and because the k'-dim filter sees mostly
-/// the two stretched axes, points from other categories that happen to
-/// collide in that plane crowd the seed ranking and keep the cold bound
-/// loose — exactly the regime where the warm certificate's tight θ₀ pays.
+/// Each exact distance costs a dense d x d quadratic form.
 const qcluster::index::MahalanobisDistance& ReplayFullMetric(int t) {
   static const auto* a = [] {
     qcluster::Rng rng(781);
@@ -583,36 +517,6 @@ const qcluster::index::MahalanobisDistance& ReplayFullMetric(int t) {
     auto* out = new std::vector<qcluster::index::MahalanobisDistance>();
     for (int t = 0; t < kReplayRounds; ++t) {
       out->emplace_back(ReplayQuery(t), *a);
-    }
-    return out;
-  }();
-  return (*metrics)[static_cast<std::size_t>(t)];
-}
-
-/// Shape-update rounds: the full disjunctive metric with per-round cluster
-/// re-weighting. Re-weighting moves every cluster covariance (the weighted
-/// covariance normalizes by m − 1), so each round forces a projection
-/// rebuild in cold and warm alike.
-const qcluster::core::DisjunctiveDistance& ReplayShapeMetric(int t) {
-  static const auto* metrics = [] {
-    const auto& pts = ReplayFeatures();
-    auto* out = new std::vector<qcluster::core::DisjunctiveDistance>();
-    for (int round = 0; round < kReplayRounds; ++round) {
-      std::vector<qcluster::core::Cluster> clusters;
-      int j = 0;
-      for (int c : {0, 7, 13}) {
-        qcluster::core::Cluster cluster(kReplayDim);
-        const double score = std::ldexp(1.0, (round + j) % 3);
-        for (int i = 0; i < 20; ++i) {
-          cluster.Add(
-              pts[static_cast<std::size_t>(c * kReplayPerCategory + i)],
-              score);
-        }
-        clusters.push_back(std::move(cluster));
-        ++j;
-      }
-      out->emplace_back(clusters, qcluster::stats::CovarianceScheme::kDiagonal,
-                        1e-4);
     }
     return out;
   }();
@@ -666,64 +570,6 @@ void RunReplay(benchmark::State& state, const std::string& label,
 }
 
 constexpr int kReplayK = 100;  // The paper's round size.
-
-/// One replay benchmark: exactness preamble (which also warms the
-/// projection cache, so the timed loop measures steady-state rounds), then
-/// the six-round session cold or warm. `metric(t)` supplies round t's
-/// distance function.
-template <typename MakeMetric>
-void RunReplayFilterRefine(benchmark::State& state, const std::string& family,
-                           bool warm_mode, const MakeMetric& metric) {
-  const auto& pts = ReplayFeatures();
-  const int kp = static_cast<int>(state.range(0));
-  const auto block = qcluster::linalg::FlatBlock::FromPoints(pts);
-  const qcluster::index::FilterRefineIndex index(block.view(), kp,
-                                                 &PoolWithThreads(1));
-  {
-    const qcluster::index::LinearScanIndex scan(&pts, &PoolWithThreads(1));
-    qcluster::index::WarmStart check;
-    for (int t = 0; t < kReplayRounds; ++t) {
-      const auto cold = index.Search(metric(t), kReplayK);
-      QCLUSTER_CHECK(cold == scan.Search(metric(t), kReplayK));
-      // Warm rounds must be byte-identical to cold ones.
-      QCLUSTER_CHECK(index.SearchWarm(metric(t), kReplayK, check) == cold);
-    }
-  }
-  const std::string label = family + ".fr" + std::to_string(kp) +
-                            (warm_mode ? ".warm" : ".cold");
-  if (warm_mode) {
-    RunReplay(state, label,
-              [&](int t, qcluster::index::WarmStart& cache,
-                  qcluster::index::SearchStats* stats) {
-                return index.SearchWarm(metric(t), kReplayK, cache, stats);
-              });
-  } else {
-    RunReplay(state, label,
-              [&](int t, qcluster::index::WarmStart&,
-                  qcluster::index::SearchStats* stats) {
-                return index.Search(metric(t), kReplayK, stats);
-              });
-  }
-}
-
-void BM_ReplayDiagCold(benchmark::State& state) {
-  RunReplayFilterRefine(state, "diag", false, ReplayDiagMetric);
-}
-void BM_ReplayDiagWarm(benchmark::State& state) {
-  RunReplayFilterRefine(state, "diag", true, ReplayDiagMetric);
-}
-void BM_ReplayFullCold(benchmark::State& state) {
-  RunReplayFilterRefine(state, "full", false, ReplayFullMetric);
-}
-void BM_ReplayFullWarm(benchmark::State& state) {
-  RunReplayFilterRefine(state, "full", true, ReplayFullMetric);
-}
-void BM_ReplayShapeCold(benchmark::State& state) {
-  RunReplayFilterRefine(state, "shape", false, ReplayShapeMetric);
-}
-void BM_ReplayShapeWarm(benchmark::State& state) {
-  RunReplayFilterRefine(state, "shape", true, ReplayShapeMetric);
-}
 
 void BM_ReplayLinearScanCold(benchmark::State& state) {
   const auto& pts = ReplayFeatures();
@@ -785,34 +631,12 @@ BENCHMARK(BM_KernelDisjunctiveNarrow)
     ->Apply(TierSweep)
     ->Unit(benchmark::kMicrosecond);
 
-BENCHMARK(BM_FullScanWideDisjunctive)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_FilterRefineWideDisjunctive)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(kWideDim)
-    ->Unit(benchmark::kMicrosecond);
-
 BENCHMARK(BM_LinearScanEuclidean)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BrTreeEuclidean)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_LinearScanDisjunctive)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BrTreeDisjunctive)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BrTreeWarmRefinement)->Unit(benchmark::kMicrosecond);
 
-BENCHMARK(BM_ReplayDiagCold)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReplayDiagWarm)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReplayFullCold)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReplayFullWarm)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReplayShapeCold)->Arg(4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ReplayShapeWarm)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplayLinearScanCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplayLinearScanWarm)->Unit(benchmark::kMillisecond);
 

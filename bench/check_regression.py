@@ -5,7 +5,9 @@ Turns the bench dumps into a standing performance gate: for every throughput
 metric (name containing ``points_per_sec``) present in both a baseline file
 under ``bench/baselines/`` and the matching fresh export, the fresh value
 must not fall below ``baseline * (1 - tolerance)``. Exits non-zero on any
-regression so CI fails the bench job.
+regression so CI fails the bench job. Any histogram in a fresh export that
+counts samples above its top bucket (``overflow > 0``) also fails the gate:
+its percentiles are capped and no longer describe what was recorded.
 
 The default tolerance is deliberately wide (50%): CI runners and developer
 machines differ by far more than any single optimization, so the gate only
@@ -45,6 +47,18 @@ def load_metrics(path):
         if THROUGHPUT_MARKER in name and snap.get("count", 0) > 0:
             out[name] = float(snap["p50"])
     return out
+
+
+def overflowing_histograms(path):
+    """Returns [(name, overflow)] for the histograms in one dump that
+    recorded samples above their top bucket."""
+    with open(path, "r", encoding="utf-8") as f:
+        doc = json.load(f)
+    return [
+        (name, snap["overflow"])
+        for name, snap in sorted(doc.get("histograms", {}).items())
+        if snap.get("overflow", 0) > 0
+    ]
 
 
 def compare(baseline_path, fresh_path, tolerance):
@@ -128,8 +142,13 @@ def main():
 
     total_regressions = []
     total_unbaselined = []
+    total_overflow = []
     checked = 0
     for fresh in fresh_files:
+        total_overflow.extend(
+            (fresh.name, name, count)
+            for name, count in overflowing_histograms(fresh)
+        )
         baseline = baseline_dir / fresh.name
         if not baseline.is_file():
             continue  # No baseline committed for this binary: nothing gates.
@@ -145,14 +164,23 @@ def main():
             f"{fresh.name}:{name}" for name in unbaselined
         )
 
+    failed = False
+    if total_overflow:
+        print(
+            f"\nFAIL: {len(total_overflow)} histogram(s) recorded samples "
+            "above their top bucket; their percentiles are capped:",
+            file=sys.stderr,
+        )
+        for file_name, name, count in total_overflow:
+            print(f"  {file_name}:{name}: overflow {count}", file=sys.stderr)
+        failed = True
     if checked == 0:
         print(
             f"warning: no fresh file matched a baseline in {baseline_dir}; "
             "nothing checked",
             file=sys.stderr,
         )
-        return 0
-    failed = False
+        return 1 if failed else 0
     if total_regressions:
         print(
             f"\nFAIL: {len(total_regressions)} throughput regression(s):",

@@ -84,6 +84,7 @@ int Histogram::BucketIndex(double value) {
 
 void Histogram::Record(double value) {
   buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+  if (value > kMaxValue) overflow_.fetch_add(1, std::memory_order_relaxed);
   const long long before = count_.fetch_add(1, std::memory_order_relaxed);
   AtomicDoubleAdd(sum_, value);
   if (before == 0) {
@@ -131,6 +132,7 @@ Histogram::Snapshot Histogram::snapshot() const {
   snap.sum = sum_.load(std::memory_order_relaxed);
   snap.min = min_.load(std::memory_order_relaxed);
   snap.max = max_.load(std::memory_order_relaxed);
+  snap.overflow = overflow_.load(std::memory_order_relaxed);
   snap.p50 = Percentile(0.50, snap.count, snap.min, snap.max);
   snap.p95 = Percentile(0.95, snap.count, snap.min, snap.max);
   snap.p99 = Percentile(0.99, snap.count, snap.min, snap.max);
@@ -233,7 +235,8 @@ std::string MetricsRegistry::ToJson() const {
         << ", \"max\": " << FormatDouble(s.max)
         << ", \"p50\": " << FormatDouble(s.p50)
         << ", \"p95\": " << FormatDouble(s.p95)
-        << ", \"p99\": " << FormatDouble(s.p99) << "}";
+        << ", \"p99\": " << FormatDouble(s.p99)
+        << ", \"overflow\": " << s.overflow << "}";
     first = false;
   }
   out << "}}";

@@ -21,8 +21,7 @@ namespace qcluster {
 /// counters, gauges, and latency histograms, collected into a single
 /// registry and exported as JSON. Collection is gated by a global enable
 /// flag (off by default) so the un-instrumented fast path costs one relaxed
-/// atomic load per site; compiling with -DQCLUSTER_DISABLE_METRICS removes
-/// the timer macro entirely.
+/// atomic load per site.
 ///
 /// Enablement happens either programmatically (SetMetricsEnabled) or via
 /// the environment, parsed at process start next to QCLUSTER_LOG_LEVEL:
@@ -64,6 +63,12 @@ class Histogram {
   static constexpr int kNumBuckets = 192;
   static constexpr int kBucketsPerOctave = 4;
   static constexpr double kMinValue = 1e-9;
+  /// BucketUpperEdge(kNumBuckets - 1). A larger sample still lands in the
+  /// top bucket, which caps its percentiles, so it is also counted as
+  /// overflow to keep the saturation visible.
+  static constexpr double kMaxValue =
+      kMinValue *
+      static_cast<double>(1LL << (kNumBuckets / kBucketsPerOctave));
 
   void Record(double value);
 
@@ -75,6 +80,7 @@ class Histogram {
     double p50 = 0.0;
     double p95 = 0.0;
     double p99 = 0.0;
+    long long overflow = 0;  ///< Samples above kMaxValue.
   };
   Snapshot snapshot() const;
 
@@ -92,6 +98,7 @@ class Histogram {
   // synchronization; snapshot() tolerates torn cross-field views.
   std::atomic<long long> buckets_[kNumBuckets] = {};
   std::atomic<long long> count_{0};
+  std::atomic<long long> overflow_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{0.0};
   std::atomic<double> max_{0.0};
@@ -203,14 +210,10 @@ class ScopedTimer {
 
 /// Times the rest of the enclosing scope into histogram `name`.
 /// Usage: QCLUSTER_TIMED("feedback.classify");
-#ifdef QCLUSTER_DISABLE_METRICS
-#define QCLUSTER_TIMED(name)
-#else
 #define QCLUSTER_TIMED_CONCAT2(a, b) a##b
 #define QCLUSTER_TIMED_CONCAT(a, b) QCLUSTER_TIMED_CONCAT2(a, b)
 #define QCLUSTER_TIMED(name)                 \
   ::qcluster::ScopedTimer QCLUSTER_TIMED_CONCAT(qcluster_scoped_timer_, \
                                                 __COUNTER__)(name)
-#endif
 
 #endif  // QCLUSTER_COMMON_METRICS_H_

@@ -30,9 +30,7 @@ namespace qcluster::trace {
 /// (oldest span dropped on overflow, never blocking), drained on demand
 /// into the bounded process-wide TraceRecorder. Collection is off by
 /// default; while disabled a span site costs one relaxed atomic load and
-/// no allocation. Compiling with -DQCLUSTER_DISABLE_METRICS removes the
-/// span macros entirely (the same compile-to-nothing path as
-/// QCLUSTER_TIMED).
+/// no allocation.
 ///
 /// Environment hooks, parsed at process start next to QCLUSTER_METRICS:
 ///
@@ -132,14 +130,6 @@ class ScopedSpan {
   // zeroing ~300 bytes per disabled span is the overhead the disabled path
   // must not pay. Only read when active_.
   SpanRecord rec_;
-};
-
-/// No-op stand-in the span macros expand to under
-/// -DQCLUSTER_DISABLE_METRICS, so attribute call sites still compile.
-class NullSpan {
- public:
-  template <typename T>
-  void AddAttr(const char*, T) {}
 };
 
 /// RAII trace-context scope for one feedback round. Takes ownership iff
@@ -305,18 +295,10 @@ class TraceRecorder {
 /// `var` is a real object so call sites can attach attributes:
 ///   QCLUSTER_TRACE_SPAN(span, "index.linear_scan.search");
 ///   span.AddAttr("k", k);
-/// Under -DQCLUSTER_DISABLE_METRICS both macros compile to no-ops.
-#ifdef QCLUSTER_DISABLE_METRICS
-#define QCLUSTER_TRACE_SPAN(var, name) \
-  [[maybe_unused]] ::qcluster::trace::NullSpan var
-#define QCLUSTER_TRACE_ROUND(var, trace_id, round) \
-  [[maybe_unused]] ::qcluster::trace::NullSpan var
-#else
 #define QCLUSTER_TRACE_SPAN(var, name) ::qcluster::trace::ScopedSpan var(name)
 /// Establishes the (trace id, round id) context for the rest of the scope;
 /// the outermost such scope of a round emits the summary / slow-query log.
 #define QCLUSTER_TRACE_ROUND(var, trace_id, round) \
   ::qcluster::trace::ScopedTraceContext var(trace_id, round)
-#endif
 
 #endif  // QCLUSTER_COMMON_TRACE_H_

@@ -53,8 +53,7 @@ class DisjunctiveDistance final : public index::DistanceFunction {
   double MinDistance(const index::Rect& rect) const override;
 
   /// One component per cluster (centroid, Sᵢ⁻¹, mᵢ) under the harmonic
-  /// Eq. 5 combine — the structure the filter-and-refine index lower-bounds
-  /// cluster-wise (Eq. 5 is monotone in each per-cluster distance).
+  /// Eq. 5 combine — index::WarmStart's key for an unchanged metric.
   bool Decompose(index::QuadraticDecomposition* out) const override;
 
   /// Number of query points (clusters) in the aggregate.

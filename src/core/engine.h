@@ -52,8 +52,8 @@ struct QclusterOptions {
   /// through KnnIndex::SearchWarm, which re-scores the cached survivors for
   /// a certified θ₀ upper bound on the k-th distance and prunes with it.
   /// Effective on every index path — BrTree skips cached leaves, the linear
-  /// scan rejects at heap admission, filter-refine tightens its survivor
-  /// bound — and results stay bit-for-bit identical to cold searches.
+  /// scan rejects at heap admission — and results stay bit-for-bit
+  /// identical to cold searches.
   bool use_query_cache = true;
 };
 

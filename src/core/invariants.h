@@ -33,7 +33,6 @@ namespace qcluster::core {
 inline constexpr double kAuditSymmetryTol = 1e-9;
 inline constexpr double kAuditPsdTol = 1e-7;
 inline constexpr double kAuditClosureTol = 1e-8;
-inline constexpr double kAuditBoundTol = 1e-9;
 
 /// Eq. 7 / Eq. 10: every covariance (and pooled covariance, Eq. 15) entering
 /// classification — and its inverse — must be symmetric and positive
@@ -92,28 +91,6 @@ inline Status ValidateHotellingT2(double t2, double m_total) {
     return Status::FailedPrecondition(
         "Hotelling T² " + std::to_string(t2) +
         " negative or non-finite violates Eq. 14");
-  }
-  return Status::OK();
-}
-
-/// Theorem 1 / Eq. 17–19: the PCA-reduced distance is a lower bound on the
-/// exact quadratic-form distance — dropping coordinates of an orthonormal
-/// rotation of the whitened difference can only shrink the norm. Audited on
-/// sampled (point, query) pairs where both values are already computed.
-inline Status ValidateContractiveBound(double reduced, double exact,
-                                       const char* what) {
-  if (!(reduced >= 0.0)) {
-    return Status::FailedPrecondition(
-        std::string(what) + ": reduced distance " + std::to_string(reduced) +
-        " < 0 violates Theorem 1/Eq. 17");
-  }
-  if (!std::isfinite(exact)) return Status::OK();  // Nothing to bound.
-  if (reduced * (1.0 - kAuditBoundTol) >
-      exact + kAuditBoundTol * std::max(1.0, exact)) {
-    return Status::FailedPrecondition(
-        std::string(what) + ": reduced " + std::to_string(reduced) +
-        " exceeds exact " + std::to_string(exact) +
-        ", violates Theorem 1/Eq. 17-19 contractiveness");
   }
   return Status::OK();
 }

@@ -1,5 +1,7 @@
 #include "image/ppm_io.h"
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 
@@ -14,6 +16,7 @@ struct FileCloser {
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 /// Skips PPM whitespace and '#' comment lines, then reads one integer.
+/// Fails on a missing number or one above INT_MAX.
 bool ReadPpmInt(std::FILE* f, int* out) {
   int c;
   for (;;) {
@@ -28,6 +31,7 @@ bool ReadPpmInt(std::FILE* f, int* out) {
   int value = 0;
   bool any = false;
   while (c >= '0' && c <= '9') {
+    if (value > (INT_MAX - (c - '0')) / 10) return false;
     value = value * 10 + (c - '0');
     any = true;
     c = std::fgetc(f);
@@ -62,10 +66,27 @@ Result<Image> ReadPpm(const std::string& path) {
   int width = 0, height = 0, maxval = 0;
   if (!ReadPpmInt(f.get(), &width) || !ReadPpmInt(f.get(), &height) ||
       !ReadPpmInt(f.get(), &maxval)) {
-    return Status::InvalidArgument("truncated PPM header: " + path);
+    return Status::InvalidArgument("malformed PPM header: " + path);
   }
   if (width <= 0 || height <= 0 || maxval != 255) {
     return Status::InvalidArgument("unsupported PPM parameters: " + path);
+  }
+
+  // The header sizes the raster allocated below, so check its claim against
+  // the bytes actually left first. Both sides are below 2^31, so the 64-bit
+  // product cannot overflow.
+  const long header_end = std::ftell(f.get());
+  if (header_end < 0 || std::fseek(f.get(), 0, SEEK_END) != 0) {
+    return Status::Internal("cannot seek in " + path);
+  }
+  const long file_end = std::ftell(f.get());
+  if (file_end < header_end || std::fseek(f.get(), header_end, SEEK_SET) != 0) {
+    return Status::Internal("cannot seek in " + path);
+  }
+  if (std::uint64_t{3} * static_cast<std::uint64_t>(width) *
+          static_cast<std::uint64_t>(height) >
+      static_cast<std::uint64_t>(file_end - header_end)) {
+    return Status::InvalidArgument("truncated PPM pixels: " + path);
   }
   Image img(width, height);
   for (Rgb& px : img.pixels()) {

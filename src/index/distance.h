@@ -37,20 +37,18 @@ struct QuadraticComponent {
   double weight = 1.0;  ///< mᵢ in the Eq. 5 combine; unused otherwise.
 
   /// Exact structural equality — every entry compared bit for bit, never
-  /// hashed or tolerance-matched. Cross-round caches (the filter-refine
-  /// projection cache and index::WarmStart) key on it, so a stored artifact
-  /// is only ever reused under the *identical* metric.
+  /// hashed or tolerance-matched. index::WarmStart keys its cross-round
+  /// cache on it, so stored distances are only ever reused under the
+  /// *identical* metric.
   friend bool operator==(const QuadraticComponent& a,
                          const QuadraticComponent& b) = default;
 };
 
-/// The quadratic structure of a metric, as exposed to filter-and-refine
-/// search (index/filter_refine.h): either one plain quadratic form
-/// (`harmonic` false, exactly one component) or the paper's disjunctive
-/// aggregate of Eq. 5 over the components (`harmonic` true, the α = −2
-/// weighted power mean Σmᵢ / Σ(mᵢ/d²ᵢ)). Eq. 5 is monotone in each d²ᵢ, so
-/// combining per-component *lower bounds* with the same rule lower-bounds
-/// the aggregate.
+/// The quadratic structure of a metric, the key index::WarmStart stores to
+/// recognize an unchanged metric across rounds: either one plain quadratic
+/// form (`harmonic` false, exactly one component) or the paper's
+/// disjunctive aggregate of Eq. 5 over the components (`harmonic` true, the
+/// α = −2 weighted power mean Σmᵢ / Σ(mᵢ/d²ᵢ)).
 struct QuadraticDecomposition {
   std::vector<QuadraticComponent> components;
   bool harmonic = false;
@@ -105,9 +103,10 @@ class DistanceFunction {
   virtual double MinDistance(const Rect& rect) const;
 
   /// Fills `out` with the metric's quadratic structure and returns true when
-  /// the metric is a (combination of) quadratic form(s) — the contract the
-  /// filter-and-refine index builds its contractive lower bounds on. The
-  /// default returns false: opaque metrics simply skip the filter stage.
+  /// the metric is a (combination of) quadratic form(s); index::WarmStart
+  /// reuses cached distances only under an equal decomposition. The default
+  /// returns false: an opaque metric never matches, so its cached rows are
+  /// always re-scored.
   virtual bool Decompose(QuadraticDecomposition* out) const;
 };
 

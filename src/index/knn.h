@@ -71,11 +71,11 @@ void FinishSearch(const char* index_name, const SearchStats& delta,
 /// Invalidation: Record stores the recording metric's full
 /// QuadraticDecomposition as the cache key; Reseed reuses the stored
 /// distances only when the current metric's decomposition compares equal —
-/// exact structural equality, the same scheme as the filter-refine
-/// projection cache — and otherwise re-scores every cached id with one
-/// DistanceBatch call. Opaque metrics (Decompose → false) never store a key
-/// and never match, so a stale distance can never be served by
-/// construction; at worst the cache pays |ids| fresh evaluations.
+/// exact structural equality, every entry bit for bit — and otherwise
+/// re-scores every cached id with one DistanceBatch call. Opaque metrics
+/// (Decompose → false) never store a key and never match, so a stale
+/// distance can never be served by construction; at worst the cache pays
+/// |ids| fresh evaluations.
 ///
 /// Thread safety: externally synchronized. The engine owns one WarmStart
 /// per session and RetrievalSession guards the engine with its mutex; the

@@ -47,7 +47,7 @@ struct AlignedAllocator {
 };
 
 /// Cache-line-aligned contiguous double storage: the backing buffer type for
-/// FlatBlock and for producers that pack rows in place before FromRaw.
+/// FlatBlock and for scratch blocks that pack rows for a batch kernel.
 using AlignedBuffer = std::vector<double, AlignedAllocator<double, 64>>;
 
 /// A non-owning view of `n` points of dimension `dim` stored contiguously in
@@ -89,18 +89,6 @@ class FlatBlock {
     for (const Vector& p : points) {
       block.data_.insert(block.data_.end(), p.begin(), p.end());
     }
-    return block;
-  }
-
-  /// Adopts an already-packed row-major buffer of `n` rows of `dim` doubles
-  /// (`data.size() == n * dim`). Lets producers that fill rows in place —
-  /// e.g. the filter-and-refine index writing projected points — build a
-  /// block without a second copy.
-  static FlatBlock FromRaw(AlignedBuffer data, std::size_t n, int dim) {
-    FlatBlock block;
-    block.data_ = std::move(data);
-    block.n_ = n;
-    block.dim_ = dim;
     return block;
   }
 

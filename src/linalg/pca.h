@@ -3,7 +3,6 @@
 
 #include "common/status.h"
 #include "linalg/eigen_sym.h"
-#include "linalg/flat_view.h"
 #include "linalg/matrix.h"
 
 namespace qcluster::linalg {
@@ -55,72 +54,6 @@ class Pca {
 
   Vector mean_;
   SymmetricEigen eigen_;
-};
-
-/// A contractive linear map for the quadratic-form metric
-/// d²(x, q) = (x − q)' A (x − q), the GEMINI-style lower-bound transform
-/// behind the filter-and-refine index.
-///
-/// The map is P = G_k' A^{1/2}: A^{1/2} whitens the metric — in whitened
-/// coordinates the quadratic form is a plain squared Euclidean norm, which
-/// is exactly the rotation argument of Theorem 1 / Eq. 17-18 — and G
-/// collects the principal directions of the whitened sample so the k kept
-/// coordinates carry as much of the distance mass as possible. Because G is
-/// orthonormal, dropping coordinates only shrinks the norm:
-///
-///   ||P(x − q)||² = ||G_k' A^{1/2}(x − q)||² <= ||A^{1/2}(x − q)||²
-///                 = (x − q)' A (x − q),
-///
-/// with equality at k = input_dim (Eq. 18: the full rotation preserves the
-/// form). The bound holds for any orthonormal basis; the principal fit only
-/// affects how tightly it prunes, never correctness.
-class Projector {
- public:
-  /// Projector for a diagonal metric A = diag(`diagonal_a`) (entries >= 0,
-  /// the covariance scheme the paper adopts). `sample` supplies rows for
-  /// the principal-basis fit (a deterministic subsample is used when large);
-  /// `k` is the output dimensionality, clamped to [1, dim].
-  [[nodiscard]] static Projector FitDiagonal(const Vector& diagonal_a,
-                                             const FlatView& sample, int k);
-
-  /// Projector for a full symmetric PSD metric `a`. Falls back to the
-  /// spectral-floor whitener sqrt(λ_lower)·I (Gershgorin bound) when the
-  /// eigendecomposition of `a` diverges — looser but still contractive.
-  [[nodiscard]] static Projector Fit(const Matrix& a, const FlatView& sample,
-                                     int k);
-
-  /// True when the factory certified the contractive bound for the metric
-  /// it was given. Diagonal metrics always certify (entries are checked
-  /// non-negative and their quadratic form accumulates without
-  /// cancellation). A full metric certifies only when its spectrum is
-  /// strictly positive with λ_min >= 1e-12·λ_max: an indefinite or
-  /// worse-conditioned `a` can round its *exact* full-dimension form to
-  /// <= 0 for distinct points, in which case no non-negative reduced
-  /// distance is a valid lower bound and callers must not prune with this
-  /// projector (Project then yields all-zero coordinates).
-  [[nodiscard]] bool contractive() const { return contractive_; }
-
-  int input_dim() const { return p_.cols(); }
-  int output_dim() const { return p_.rows(); }
-
-  /// Writes the output_dim() projected coordinates of the raw point `x`
-  /// (input_dim() doubles) into `out`.
-  void Project(const double* x, double* out) const;
-
-  /// Convenience wrapper over the raw-pointer entry point.
-  Vector Project(const Vector& x) const;
-
- private:
-  Projector(Matrix p, bool contractive)
-      : p_(std::move(p)), contractive_(contractive) {}
-
-  /// Shared tail of the factories: fits the principal basis of the
-  /// whitened sample and composes it with the whitener.
-  [[nodiscard]] static Projector Compose(const Matrix& whitener,
-                                         const FlatView& sample, int k);
-
-  Matrix p_;  ///< k × dim row-major map G_k' A^{1/2}.
-  bool contractive_ = true;
 };
 
 }  // namespace qcluster::linalg

@@ -29,10 +29,9 @@ enum class Tier : int {
 };
 
 /// One quadratic component of a harmonic (Eq. 5) aggregate, viewed as raw
-/// pointers so kernels stay allocation-free. Exactly one of `diagonal`
+/// pointers so kernels stay allocation-free. At most one of `diagonal`
 /// (diag(Aᵢ), length dim) and `full` (row-major dim×dim Aᵢ) is non-null;
-/// for the reduced-space filter pass both are null and the component is
-/// plain Euclidean against `query`.
+/// with both null the component is plain Euclidean against `query`.
 struct QuadComponentView {
   const double* query = nullptr;
   const double* diagonal = nullptr;
@@ -76,11 +75,6 @@ struct KernelTable {
   /// otherwise.
   double (*harmonic_row)(const HarmonicSpec& spec, const double* x, int d,
                          double* scratch);
-  /// Eq. 5 over a packed reduced row [z₀ | z₁ | ...] of `count` segments of
-  /// `reduced` doubles each: d²ⱼ = ‖qⱼ − zⱼ‖² per segment (the
-  /// filter-and-refine lower-bound pass).
-  double (*harmonic_segments_row)(const HarmonicSpec& spec, const double* row,
-                                  int reduced);
   /// Σ wᵢ·clampᵢ² where clampᵢ is q's axis distance to [lo, hi] (0 inside);
   /// `w == nullptr` means unit weights. Requires lo[i] <= hi[i] (or the
   /// ±inf empty rectangle). The per-element clamp is `t > 0 ? t : +0`, so
@@ -98,8 +92,6 @@ struct KernelTable {
                             double* out);
   void (*harmonic_batch)(const HarmonicSpec& spec, const double* base,
                          std::size_t n, int d, double* scratch, double* out);
-  void (*harmonic_segments_batch)(const HarmonicSpec& spec, const double* base,
-                                  std::size_t n, int reduced, double* out);
 };
 
 /// The active kernel table: resolved once (honoring QCLUSTER_SIMD, falling

@@ -123,20 +123,6 @@ inline double HarmonicRowRef(const HarmonicSpec& spec, const double* x, int d,
   return spec.total_weight / denom;
 }
 
-inline double HarmonicSegmentsRowRef(const HarmonicSpec& spec,
-                                     const double* row, int reduced) {
-  double denom = 0.0;
-  for (std::size_t j = 0; j < spec.count; ++j) {
-    const double d2 = SquaredL2RowRef(
-        spec.components[j].query, row + j * static_cast<std::size_t>(reduced),
-        reduced);
-    if (d2 <= 0.0) return 0.0;
-    denom += spec.components[j].weight / d2;
-  }
-  if (denom <= 0.0) return std::numeric_limits<double>::infinity();
-  return spec.total_weight / denom;
-}
-
 inline double WeightedRectRowRef(const double* w, const double* q,
                                  const double* lo, const double* hi, int d) {
   // Axis distance to [lo, hi] as max(0, lo−q) + max(0, q−hi): at most one
@@ -329,43 +315,6 @@ struct KernelImpl {
       out[g] = HarmonicRowRef(spec, base + g * stride, d, scratch);
     }
   }
-
-  static void HarmonicSegmentsBatch(const HarmonicSpec& spec,
-                                    const double* base, std::size_t n,
-                                    int reduced, double* out) {
-    const std::size_t stride = spec.count * static_cast<std::size_t>(reduced);
-    std::size_t g = 0;
-    if constexpr (kWidth > 1) {
-      const V zero = P::Zero();
-      for (; g + kWidth <= n; g += kWidth) {
-        const double* rows[kWidth];
-        for (int r = 0; r < kWidth; ++r) rows[r] = base + (g + r) * stride;
-        M is_zero = P::FalseMask();
-        V denom = zero;
-        for (std::size_t j = 0; j < spec.count; ++j) {
-          const double* q = spec.components[j].query;
-          const int off = static_cast<int>(j) * reduced;
-          V acc = P::Zero();
-          for (int i = 0; i < reduced; ++i) {
-            const V diff =
-                P::Sub(P::Broadcast(q[i]), P::Gather(rows, off + i));
-            acc = P::Add(acc, P::Mul(diff, diff));
-          }
-          is_zero = P::OrMask(is_zero, P::CmpLE(acc, zero));
-          denom = P::Add(
-              denom, P::Div(P::Broadcast(spec.components[j].weight), acc));
-        }
-        const V inf = P::Broadcast(std::numeric_limits<double>::infinity());
-        const V ratio = P::Div(P::Broadcast(spec.total_weight), denom);
-        V result = P::Select(P::CmpLE(denom, zero), inf, ratio);
-        result = P::Select(is_zero, zero, result);
-        P::Store(out + g, result);
-      }
-    }
-    for (; g < n; ++g) {
-      out[g] = HarmonicSegmentsRowRef(spec, base + g * stride, reduced);
-    }
-  }
 };
 
 /// Builds a tier's dispatch table from its policy instantiation. Row
@@ -382,13 +331,11 @@ constexpr KernelTable MakeTable(Tier tier) {
       &QuadraticFormRowRef,
       &MahalanobisRowRef,
       &HarmonicRowRef,
-      &HarmonicSegmentsRowRef,
       &WeightedRectRowRef,
       &K::SquaredL2Batch,
       &K::WeightedSqBatch,
       &K::MahalanobisBatch,
       &K::HarmonicBatch,
-      &K::HarmonicSegmentsBatch,
   };
 }
 

@@ -15,7 +15,6 @@
 namespace qcluster {
 namespace {
 
-using core::ValidateContractiveBound;
 using core::ValidateDisjunctiveAggregate;
 using core::ValidateHotellingT2;
 using core::ValidateMergeClosure;
@@ -82,20 +81,6 @@ TEST(ValidateHotellingT2Test, AcceptsNonNegative) {
 TEST(ValidateHotellingT2Test, RejectsNegativeT2AndZeroWeight) {
   EXPECT_FALSE(ValidateHotellingT2(-1.0, 4.0).ok());
   EXPECT_FALSE(ValidateHotellingT2(1.0, 0.0).ok());
-}
-
-TEST(ValidateContractiveBoundTest, AcceptsLowerBound) {
-  EXPECT_TRUE(ValidateContractiveBound(0.5, 1.0, "test").ok());
-  EXPECT_TRUE(ValidateContractiveBound(1.0, 1.0, "test").ok());
-  // A few ulps of overshoot are rounding, not a violation.
-  EXPECT_TRUE(ValidateContractiveBound(1.0 + 1e-12, 1.0, "test").ok());
-}
-
-TEST(ValidateContractiveBoundTest, RejectsNonContractiveProjector) {
-  const Status s = ValidateContractiveBound(2.0, 1.0, "test");
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("Theorem 1"), std::string::npos);
-  EXPECT_FALSE(ValidateContractiveBound(-1.0, 1.0, "test").ok());
 }
 
 TEST(ValidateSortedNeighborsTest, AcceptsStrictOrderWithIdTiebreak) {

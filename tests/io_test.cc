@@ -118,6 +118,32 @@ TEST(PpmIoTest, RejectsNonPpm) {
   std::remove(path.c_str());
 }
 
+/// Writes `bytes` to a fresh file and returns ReadPpm's status code.
+StatusCode ReadPpmBytes(const char* name, const std::string& bytes) {
+  const std::string path = TempPath(name);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return StatusCode::kInternal;
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  const StatusCode code = image::ReadPpm(path).status().code();
+  std::remove(path.c_str());
+  return code;
+}
+
+TEST(PpmIoTest, RejectsHeaderIntegerAboveIntMax) {
+  // Eleven digits: accumulating them in an int would overflow.
+  EXPECT_EQ(ReadPpmBytes("huge_width.ppm", "P6\n99999999999 1\n255\n"),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(PpmIoTest, RejectsHeaderClaimingMoreThanTheFile) {
+  // 19 bytes asking for a 65535 × 65535 raster (12.9 GB): rejected from the
+  // file size before the image is allocated.
+  EXPECT_EQ(ReadPpmBytes("huge_raster.ppm", "P6\n65535 65535\n255\n"),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(PpmIoTest, HandlesCommentsInHeader) {
   const std::string path = TempPath("comments.ppm");
   std::FILE* f = std::fopen(path.c_str(), "wb");

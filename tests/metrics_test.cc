@@ -168,6 +168,32 @@ TEST_F(MetricsTest, PercentilesMatchExactQuantilesOnKnownDistributions) {
   }
 }
 
+TEST_F(MetricsTest, SamplesAboveTheTopBucketAreCountedAsOverflow) {
+  EXPECT_EQ(Histogram::kMaxValue,
+            Histogram::BucketUpperEdge(Histogram::kNumBuckets - 1));
+  // All three land in the top bucket, so every percentile collapses to the
+  // minimum; only the overflow count shows that.
+  for (double v : {1e6, 1e7, 1e8}) MetricRecord("test.over", v);
+  for (double v : {1e-3, Histogram::kMaxValue}) MetricRecord("test.in", v);
+  const auto over = MetricsRegistry::Global().HistogramSnapshot("test.over");
+  const auto in = MetricsRegistry::Global().HistogramSnapshot("test.in");
+  ASSERT_TRUE(over.has_value());
+  ASSERT_TRUE(in.has_value());
+  EXPECT_EQ(over->overflow, 3);
+  EXPECT_DOUBLE_EQ(over->p50, 1e6);
+  EXPECT_DOUBLE_EQ(over->p99, 1e6);
+  EXPECT_EQ(in->overflow, 0);
+  const std::string json = MetricsRegistry::Global().ToJson();
+  const auto field = [&json](const std::string& name) {
+    const std::size_t at = json.find("\"" + name + "\": {");
+    EXPECT_NE(at, std::string::npos) << name;
+    const std::size_t end = json.find('}', at);
+    return json.substr(at, end - at);
+  };
+  EXPECT_NE(field("test.over").find("\"overflow\": 3"), std::string::npos);
+  EXPECT_NE(field("test.in").find("\"overflow\": 0"), std::string::npos);
+}
+
 TEST_F(MetricsTest, SingleValuePercentilesEqualTheValue) {
   MetricRecord("test.one", 0.25);
   const auto snap = MetricsRegistry::Global().HistogramSnapshot("test.one");
@@ -212,7 +238,7 @@ TEST_F(MetricsTest, ToJsonHasStableSchema) {
   EXPECT_NE(json.find("\"g.clusters\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"h.latency\": {\"count\": 1"), std::string::npos);
   for (const char* key : {"\"p50\"", "\"p95\"", "\"p99\"", "\"min\"",
-                          "\"max\"", "\"sum\""}) {
+                          "\"max\"", "\"sum\"", "\"overflow\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
   // Structurally balanced (a cheap well-formedness check without a parser).

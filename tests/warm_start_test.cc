@@ -26,7 +26,6 @@
 #include "core/cluster.h"
 #include "core/disjunctive_distance.h"
 #include "index/br_tree.h"
-#include "index/filter_refine.h"
 #include "index/linear_scan.h"
 #include "linalg/flat_view.h"
 #include "linalg/simd.h"
@@ -284,21 +283,16 @@ TEST(WarmStartUnitTest, ThetaUpperBoundsTrueKthDistance) {
 
 TEST(WarmExactnessTest, EveryIndexEveryMetricEveryThreadCount) {
   const auto& pts = TieHeavyPoints();
-  const linalg::FlatBlock block = linalg::FlatBlock::FromPoints(pts);
   ThreadPool pool(4);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     const std::string threads = p == nullptr ? "t1" : "t4";
     const index::LinearScanIndex scan(&pts, p);
-    const index::FilterRefineIndex filter_auto(block.view(), 0, p);
-    const index::FilterRefineIndex filter_k8(block.view(), 8, p);
     const index::BrTree tree(&pts);
 
     for (const std::string& family : Families()) {
       const auto rounds = MetricRounds(family);
       const std::string ctx = family + "/" + threads;
       ExpectWarmMatchesCold(scan, rounds, "scan/" + ctx);
-      ExpectWarmMatchesCold(filter_auto, rounds, "filter_auto/" + ctx, &scan);
-      ExpectWarmMatchesCold(filter_k8, rounds, "filter_k8/" + ctx, &scan);
       ExpectWarmMatchesCold(tree, rounds, "br_tree/" + ctx, &scan);
     }
   }
@@ -307,8 +301,8 @@ TEST(WarmExactnessTest, EveryIndexEveryMetricEveryThreadCount) {
 TEST(WarmExactnessTest, OpaqueMetricRoundsStayExactEverywhere) {
   const auto& pts = TieHeavyPoints();
   // Opaque wrappers around drifting Euclidean queries: no Decompose, no
-  // MinDistance — the filter falls back to its scan, trees lose pruning,
-  // and the warm path must still be byte-identical to cold.
+  // MinDistance — trees lose pruning, and the warm path must still be
+  // byte-identical to cold.
   std::vector<std::unique_ptr<index::EuclideanDistance>> bases;
   std::vector<std::unique_ptr<DistanceFunction>> rounds;
   for (int t = 0; t < 4; ++t) {
@@ -317,12 +311,9 @@ TEST(WarmExactnessTest, OpaqueMetricRoundsStayExactEverywhere) {
     bases.push_back(std::make_unique<index::EuclideanDistance>(q));
     rounds.push_back(std::make_unique<OpaqueMetric>(bases.back().get()));
   }
-  const linalg::FlatBlock block = linalg::FlatBlock::FromPoints(pts);
   const index::LinearScanIndex scan(&pts);
-  const index::FilterRefineIndex filter(block.view(), 0);
   const index::BrTree tree(&pts);
   ExpectWarmMatchesCold(scan, rounds, "scan/opaque");
-  ExpectWarmMatchesCold(filter, rounds, "filter/opaque", &scan);
   ExpectWarmMatchesCold(tree, rounds, "br_tree/opaque", &scan);
 }
 
@@ -334,9 +325,7 @@ class WarmSimdTest : public ::testing::Test {
 
 TEST_F(WarmSimdTest, TiersAgreeWithScalarColdRounds) {
   const auto& pts = TieHeavyPoints();
-  const linalg::FlatBlock block = linalg::FlatBlock::FromPoints(pts);
   const index::LinearScanIndex scan(&pts);
-  const index::FilterRefineIndex filter(block.view(), 0);
 
   // Scalar-tier cold results are the cross-tier reference.
   ASSERT_TRUE(linalg::simd::SetTier(Tier::kScalar));
@@ -353,16 +342,12 @@ TEST_F(WarmSimdTest, TiersAgreeWithScalarColdRounds) {
     for (std::size_t f = 0; f < Families().size(); ++f) {
       const auto rounds = MetricRounds(Families()[f]);
       index::WarmStart warm_scan;
-      index::WarmStart warm_filter;
       for (std::size_t t = 0; t < rounds.size(); ++t) {
         const std::string ctx = Families()[f] + "/" +
                                 linalg::simd::TierName(tier) + "/round" +
                                 std::to_string(t);
         EXPECT_EQ(scan.SearchWarm(*rounds[t], kK, warm_scan), reference[f][t])
             << "scan/" << ctx;
-        EXPECT_EQ(filter.SearchWarm(*rounds[t], kK, warm_filter),
-                  reference[f][t])
-            << "filter/" << ctx;
       }
     }
   }
