@@ -42,7 +42,8 @@ int main_impl() {
       clusters, qcluster::stats::CovarianceScheme::kDiagonal,
       /*min_variance=*/1.0);
 
-  const qcluster::index::LinearScanIndex idx(&points);
+  const auto block = qcluster::linalg::FlatBlock::FromPoints(points);
+  const qcluster::index::LinearScanIndex idx(block.view());
   const auto result = idx.Search(dist, ground_truth);
 
   int in_ball1 = 0, in_ball2 = 0, outside = 0;

@@ -55,7 +55,7 @@ const qcluster::index::BrTree& Tree() {
 
 const qcluster::index::LinearScanIndex& Scan() {
   static const auto* scan =
-      new qcluster::index::LinearScanIndex(&Features().features);
+      new qcluster::index::LinearScanIndex(Features().features.view());
   return *scan;
 }
 
@@ -129,8 +129,21 @@ void BM_BrTreeWarmRefinement(benchmark::State& state) {
 // ---------------------------------------------------------------------------
 // Scan-throughput trajectory: scalar reference vs the batched pipeline.
 
+/// The color features in the seed's pointer-chased layout, one Vector per
+/// point, unpacked from the block once. Only the two seed reference loops
+/// below read it: they measure the layout the batched pipeline replaced.
+const std::vector<qcluster::linalg::Vector>& SeedLayoutFeatures() {
+  static const auto* rows = [] {
+    const qcluster::linalg::FlatBlock& block = Features().features;
+    auto* out = new std::vector<qcluster::linalg::Vector>();
+    for (std::size_t i = 0; i < block.size(); ++i) out->push_back(block[i]);
+    return out;
+  }();
+  return *rows;
+}
+
 /// The seed's scoring loop, kept verbatim as the baseline: one virtual
-/// Distance call per pointer-chased point, all n neighbors materialized,
+/// per-point call per pointer-chased point, all n neighbors materialized,
 /// then TopK's nth_element.
 std::vector<qcluster::index::Neighbor> ScalarReferenceScan(
     const std::vector<qcluster::linalg::Vector>& pts,
@@ -228,28 +241,28 @@ qcluster::ThreadPool& PoolWithThreads(int threads) {
 }
 
 void BM_LinearScanScalarEuclidean(benchmark::State& state) {
-  const FeatureSet& set = Features();
-  const qcluster::index::EuclideanDistance dist(set.features[0]);
+  const std::vector<qcluster::linalg::Vector>& pts = SeedLayoutFeatures();
+  const qcluster::index::EuclideanDistance dist(pts[0]);
   RunThroughput(state, "scalar_euclidean",
-                [&] { return ScalarReferenceScan(set.features, dist, 100); });
+                [&] { return ScalarReferenceScan(pts, dist, 100); });
 }
 
 void BM_LinearScanScalarDisjunctive(benchmark::State& state) {
-  const FeatureSet& set = Features();
+  const std::vector<qcluster::linalg::Vector>& pts = SeedLayoutFeatures();
   const auto dist = MakeDisjunctive();
   RunThroughput(state, "scalar_disjunctive",
-                [&] { return ScalarReferenceScan(set.features, dist, 100); });
+                [&] { return ScalarReferenceScan(pts, dist, 100); });
 }
 
 void BM_LinearScanSeedDisjunctive(benchmark::State& state) {
-  const FeatureSet& set = Features();
+  const std::vector<qcluster::linalg::Vector>& pts = SeedLayoutFeatures();
   const SeedDisjunctiveScorer seed(BenchClusters(), 1e-4);
   RunThroughput(state, "seed_disjunctive", [&] {
     std::vector<qcluster::index::Neighbor> all;
-    all.reserve(set.features.size());
-    for (std::size_t i = 0; i < set.features.size(); ++i) {
-      all.push_back(qcluster::index::Neighbor{
-          static_cast<int>(i), seed.Distance(set.features[i])});
+    all.reserve(pts.size());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      all.push_back(qcluster::index::Neighbor{static_cast<int>(i),
+                                              seed.Distance(pts[i])});
     }
     return qcluster::index::TopK(std::move(all), 100);
   });
@@ -258,7 +271,7 @@ void BM_LinearScanSeedDisjunctive(benchmark::State& state) {
 void BM_LinearScanBatchEuclidean(benchmark::State& state) {
   const FeatureSet& set = Features();
   const int threads = static_cast<int>(state.range(0));
-  qcluster::index::LinearScanIndex scan(&set.features,
+  qcluster::index::LinearScanIndex scan(set.features.view(),
                                         &PoolWithThreads(threads));
   const qcluster::index::EuclideanDistance dist(set.features[0]);
   RunThroughput(state, "batch_euclidean.t" + std::to_string(threads),
@@ -268,7 +281,7 @@ void BM_LinearScanBatchEuclidean(benchmark::State& state) {
 void BM_LinearScanBatchDisjunctive(benchmark::State& state) {
   const FeatureSet& set = Features();
   const int threads = static_cast<int>(state.range(0));
-  qcluster::index::LinearScanIndex scan(&set.features,
+  qcluster::index::LinearScanIndex scan(set.features.view(),
                                         &PoolWithThreads(threads));
   const auto dist = MakeDisjunctive();
   RunThroughput(state, "batch_disjunctive.t" + std::to_string(threads),
@@ -406,8 +419,7 @@ void BM_KernelDisjunctiveNarrow(benchmark::State& state) {
     }
     return;
   }
-  static const auto* narrow = new qcluster::linalg::FlatBlock(
-      qcluster::linalg::FlatBlock::FromPoints(Features().features));
+  const qcluster::linalg::FlatBlock* narrow = &Features().features;
   const auto dist = MakeDisjunctive();
   std::vector<double> out(narrow->size());
   RunThroughputMetric(
@@ -445,7 +457,7 @@ constexpr int kReplayDim = 64;
 constexpr int kReplayCategories = 20;
 constexpr int kReplayPerCategory = 500;
 
-const std::vector<qcluster::linalg::Vector>& ReplayFeatures() {
+const qcluster::linalg::FlatBlock& ReplayFeatures() {
   static const auto* points = [] {
     qcluster::dataset::GaussianClustersOptions opt;
     opt.dim = kReplayDim;
@@ -454,8 +466,9 @@ const std::vector<qcluster::linalg::Vector>& ReplayFeatures() {
     opt.inter_cluster_distance = 6.0;
     opt.shape = qcluster::dataset::ClusterShape::kElliptical;
     qcluster::Rng rng(9153);
-    return new std::vector<qcluster::linalg::Vector>(
-        qcluster::dataset::GenerateGaussianClusters(opt, rng).points);
+    return new qcluster::linalg::FlatBlock(
+        qcluster::linalg::FlatBlock::FromPoints(
+            qcluster::dataset::GenerateGaussianClusters(opt, rng).points));
   }();
   return *points;
 }
@@ -573,7 +586,7 @@ constexpr int kReplayK = 100;  // The paper's round size.
 
 void BM_ReplayLinearScanCold(benchmark::State& state) {
   const auto& pts = ReplayFeatures();
-  const qcluster::index::LinearScanIndex scan(&pts, &PoolWithThreads(1));
+  const qcluster::index::LinearScanIndex scan(pts.view(), &PoolWithThreads(1));
   RunReplay(state, "scan.cold",
             [&](int t, qcluster::index::WarmStart&,
                 qcluster::index::SearchStats* stats) {
@@ -583,7 +596,7 @@ void BM_ReplayLinearScanCold(benchmark::State& state) {
 
 void BM_ReplayLinearScanWarm(benchmark::State& state) {
   const auto& pts = ReplayFeatures();
-  const qcluster::index::LinearScanIndex scan(&pts, &PoolWithThreads(1));
+  const qcluster::index::LinearScanIndex scan(pts.view(), &PoolWithThreads(1));
   {
     qcluster::index::WarmStart check;
     for (int t = 0; t < kReplayRounds; ++t) {

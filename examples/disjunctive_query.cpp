@@ -31,7 +31,8 @@ int main() {
   const DisjunctiveDistance dist(
       clusters, qcluster::stats::CovarianceScheme::kDiagonal, 1.0);
 
-  const qcluster::index::LinearScanIndex index(&points);
+  const auto block = qcluster::linalg::FlatBlock::FromPoints(points);
+  const qcluster::index::LinearScanIndex index(block.view());
   const auto result = index.Search(dist, 820);  // The paper retrieves 820.
 
   // ASCII scatter: project the retrieved points on (x, y).

@@ -41,11 +41,12 @@ int main() {
     is_relevant.push_back(false);
   }
 
-  // 2. Index the database and create the engine.
-  const qcluster::index::BrTree tree(&database);
+  // 2. Pack the rows into one block, index it, and create the engine.
+  const auto block = qcluster::linalg::FlatBlock::FromPoints(database);
+  const qcluster::index::BrTree tree(&block);
   QclusterOptions options;
   options.k = 80;
-  QclusterEngine engine(&database, &tree, options);
+  QclusterEngine engine(&block, &tree, options);
 
   // 3. Initial query by example: the first relevant image.
   auto result = engine.InitialQuery(database[0]);

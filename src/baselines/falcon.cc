@@ -18,11 +18,15 @@ FalconDistance::FalconDistance(std::vector<Vector> good_set, double alpha)
   }
 }
 
-double FalconDistance::Distance(const Vector& x) const {
-  QCLUSTER_CHECK(static_cast<int>(x.size()) == dim_);
+double FalconDistance::DistanceRow(const double* x) const {
   std::vector<double> distances(good_set_.size());
   for (std::size_t i = 0; i < good_set_.size(); ++i) {
-    distances[i] = std::sqrt(linalg::SquaredDistance(good_set_[i], x));
+    double sum = 0.0;
+    for (std::size_t j = 0; j < good_set_[i].size(); ++j) {
+      const double d = good_set_[i][j] - x[j];
+      sum += d * d;
+    }
+    distances[i] = std::sqrt(sum);
   }
   return Aggregate(distances);
 }
@@ -48,7 +52,7 @@ double FalconDistance::Aggregate(const std::vector<double>& distances) const {
   return std::pow(sum, 1.0 / alpha_);
 }
 
-Falcon::Falcon(const std::vector<Vector>* database, const index::KnnIndex* knn,
+Falcon::Falcon(const linalg::FlatBlock* database, const index::KnnIndex* knn,
                const FalconOptions& options)
     : database_(database), knn_(knn), options_(options) {
   QCLUSTER_CHECK(database != nullptr && knn != nullptr);

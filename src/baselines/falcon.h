@@ -28,7 +28,7 @@ class FalconDistance final : public index::DistanceFunction {
   FalconDistance(std::vector<linalg::Vector> good_set, double alpha);
 
   int dim() const override { return dim_; }
-  double Distance(const linalg::Vector& x) const override;
+  double DistanceRow(const double* x) const override;
   double MinDistance(const index::Rect& rect) const override;
 
  private:
@@ -44,7 +44,7 @@ class FalconDistance final : public index::DistanceFunction {
 /// dissimilarity. Used in the execution-cost comparison (Fig. 7).
 class Falcon final : public core::RetrievalMethod {
  public:
-  Falcon(const std::vector<linalg::Vector>* database,
+  Falcon(const linalg::FlatBlock* database,
          const index::KnnIndex* knn, const FalconOptions& options);
 
   std::string name() const override { return "falcon"; }
@@ -61,7 +61,7 @@ class Falcon final : public core::RetrievalMethod {
   int good_set_size() const { return static_cast<int>(good_set_.size()); }
 
  private:
-  const std::vector<linalg::Vector>* database_;
+  const linalg::FlatBlock* database_;
   const index::KnnIndex* knn_;
   FalconOptions options_;
 

@@ -9,7 +9,7 @@ namespace qcluster::baselines {
 using linalg::Matrix;
 using linalg::Vector;
 
-MindReader::MindReader(const std::vector<Vector>* database,
+MindReader::MindReader(const linalg::FlatBlock* database,
                        const index::KnnIndex* knn,
                        const MindReaderOptions& options)
     : database_(database), knn_(knn), options_(options) {

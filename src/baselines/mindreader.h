@@ -27,7 +27,7 @@ struct MindReaderOptions {
 /// cannot express disjunctive queries.
 class MindReader final : public core::RetrievalMethod {
  public:
-  MindReader(const std::vector<linalg::Vector>* database,
+  MindReader(const linalg::FlatBlock* database,
              const index::KnnIndex* knn, const MindReaderOptions& options);
 
   std::string name() const override { return "mindreader"; }
@@ -46,7 +46,7 @@ class MindReader final : public core::RetrievalMethod {
   const linalg::Matrix& metric() const { return metric_; }
 
  private:
-  const std::vector<linalg::Vector>* database_;
+  const linalg::FlatBlock* database_;
   const index::KnnIndex* knn_;
   MindReaderOptions options_;
 

@@ -30,8 +30,7 @@ QexDistance::QexDistance(const std::vector<core::Cluster>& clusters,
   }
 }
 
-double QexDistance::Distance(const Vector& x) const {
-  QCLUSTER_CHECK(static_cast<int>(x.size()) == dim_);
+double QexDistance::DistanceRow(const double* x) const {
   double sum = 0.0;
   for (std::size_t i = 0; i < centroids_.size(); ++i) {
     double d2 = 0.0;
@@ -66,7 +65,7 @@ double QexDistance::MinDistance(const index::Rect& rect) const {
   return sum;
 }
 
-QueryExpansion::QueryExpansion(const std::vector<Vector>* database,
+QueryExpansion::QueryExpansion(const linalg::FlatBlock* database,
                                const index::KnnIndex* knn,
                                const QexOptions& options)
     : database_(database), knn_(knn), options_(options) {

@@ -31,7 +31,7 @@ class QexDistance final : public index::DistanceFunction {
               double min_variance);
 
   int dim() const override { return dim_; }
-  double Distance(const linalg::Vector& x) const override;
+  double DistanceRow(const double* x) const override;
   double MinDistance(const index::Rect& rect) const override;
 
  private:
@@ -48,7 +48,7 @@ class QexDistance final : public index::DistanceFunction {
 /// This is the paper's "QEX" comparator in Fig. 10-13.
 class QueryExpansion final : public core::RetrievalMethod {
  public:
-  QueryExpansion(const std::vector<linalg::Vector>* database,
+  QueryExpansion(const linalg::FlatBlock* database,
                  const index::KnnIndex* knn, const QexOptions& options);
 
   std::string name() const override { return "qex"; }
@@ -65,7 +65,7 @@ class QueryExpansion final : public core::RetrievalMethod {
   const std::vector<core::Cluster>& clusters() const { return clusters_; }
 
  private:
-  const std::vector<linalg::Vector>* database_;
+  const linalg::FlatBlock* database_;
   const index::KnnIndex* knn_;
   QexOptions options_;
 

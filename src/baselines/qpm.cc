@@ -8,7 +8,7 @@ namespace qcluster::baselines {
 
 using linalg::Vector;
 
-QueryPointMovement::QueryPointMovement(const std::vector<Vector>* database,
+QueryPointMovement::QueryPointMovement(const linalg::FlatBlock* database,
                                        const index::KnnIndex* knn,
                                        const QpmOptions& options)
     : database_(database), knn_(knn), options_(options) {

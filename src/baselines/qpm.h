@@ -40,7 +40,7 @@ struct QpmOptions {
 /// contour that cannot represent disjoint query regions.
 class QueryPointMovement final : public core::RetrievalMethod {
  public:
-  QueryPointMovement(const std::vector<linalg::Vector>* database,
+  QueryPointMovement(const linalg::FlatBlock* database,
                      const index::KnnIndex* knn, const QpmOptions& options);
 
   std::string name() const override { return "qpm"; }
@@ -71,7 +71,7 @@ class QueryPointMovement final : public core::RetrievalMethod {
  private:
   std::vector<index::Neighbor> RunQuery();
 
-  const std::vector<linalg::Vector>* database_;
+  const linalg::FlatBlock* database_;
   const index::KnnIndex* knn_;
   QpmOptions options_;
 

@@ -2,7 +2,6 @@
 #define QCLUSTER_COMMON_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -177,43 +176,13 @@ inline const bool kMetricsEnvApplied = InitMetricsFromEnv();
 }  // namespace internal
 
 /// Gated instrumentation helpers: no-ops (beyond one relaxed atomic load)
-/// while metrics are disabled.
+/// while metrics are disabled. Phase latencies need no call of their own:
+/// every trace::ScopedSpan (common/trace.h) records its duration into the
+/// histogram of its name.
 void MetricAdd(std::string_view name, long long delta = 1);
 void MetricGauge(std::string_view name, double value);
 void MetricRecord(std::string_view name, double value);
 
-/// RAII timer recording its scope's wall time (seconds) into the named
-/// histogram. Skips the clock reads entirely while metrics are disabled.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const char* name)
-      : name_(MetricsEnabled() ? name : nullptr) {
-    if (name_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedTimer() {
-    if (name_ != nullptr) {
-      const auto elapsed = std::chrono::steady_clock::now() - start_;
-      MetricRecord(name_,
-                   std::chrono::duration<double>(elapsed).count());
-    }
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  const char* name_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 }  // namespace qcluster
-
-/// Times the rest of the enclosing scope into histogram `name`.
-/// Usage: QCLUSTER_TIMED("feedback.classify");
-#define QCLUSTER_TIMED_CONCAT2(a, b) a##b
-#define QCLUSTER_TIMED_CONCAT(a, b) QCLUSTER_TIMED_CONCAT2(a, b)
-#define QCLUSTER_TIMED(name)                 \
-  ::qcluster::ScopedTimer QCLUSTER_TIMED_CONCAT(qcluster_scoped_timer_, \
-                                                __COUNTER__)(name)
 
 #endif  // QCLUSTER_COMMON_METRICS_H_

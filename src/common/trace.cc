@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/mutex.h"
 
 namespace qcluster::trace {
@@ -146,34 +147,39 @@ std::uint64_t NewTraceId() {
   return g_next_trace_id.fetch_add(1, std::memory_order_relaxed);
 }
 
-TraceContext CurrentContext() { return State().context; }
-
-void ScopedSpan::Begin(const char* name) {
-  ThreadState& ts = State();
+void ScopedSpan::Begin(const char* name, bool tracing, bool timing) {
   rec_.name = name;
-  rec_.trace_id = ts.context.trace_id;
-  rec_.span_id = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-  rec_.parent_id = ts.active_span;
-  rec_.round = ts.context.round;
-  rec_.thread_index = internal::LocalBuffer().thread_index();
+  tracing_ = tracing;
+  timing_ = timing;
+  if (tracing) {
+    ThreadState& ts = State();
+    rec_.trace_id = ts.context.trace_id;
+    rec_.span_id = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
+    rec_.parent_id = ts.active_span;
+    rec_.round = ts.context.round;
+    rec_.thread_index = internal::LocalBuffer().thread_index();
+    rec_.attr_count = 0;
+    ts.active_span = rec_.span_id;
+  }
   rec_.begin_ns = NowNs();
-  rec_.end_ns = 0;
-  rec_.attr_count = 0;
-  ts.active_span = rec_.span_id;
-  active_ = true;
 }
 
 void ScopedSpan::End() {
   rec_.end_ns = NowNs();
-  // Scoped nesting is LIFO per thread, so the parent saved at Begin is
-  // exactly the span to restore.
-  State().active_span = rec_.parent_id;
-  internal::LocalBuffer().Push(rec_);
-  active_ = false;
+  if (timing_) {
+    MetricRecord(rec_.name, static_cast<double>(rec_.end_ns - rec_.begin_ns) *
+                                1e-9);
+  }
+  if (tracing_) {
+    // Scoped nesting is LIFO per thread, so the parent saved at Begin is
+    // exactly the span to restore.
+    State().active_span = rec_.parent_id;
+    internal::LocalBuffer().Push(rec_);
+  }
 }
 
 void ScopedSpan::AddAttr(const char* key, long long value) {
-  if (!active_ || rec_.attr_count >= SpanRecord::kMaxAttrs) return;
+  if (!tracing_ || rec_.attr_count >= SpanRecord::kMaxAttrs) return;
   rec_.attr_keys[rec_.attr_count] = key;
   rec_.attr_values[rec_.attr_count] =
       AttrValue{AttrValue::Kind::kInt, value, 0.0, nullptr};
@@ -181,7 +187,7 @@ void ScopedSpan::AddAttr(const char* key, long long value) {
 }
 
 void ScopedSpan::AddAttr(const char* key, double value) {
-  if (!active_ || rec_.attr_count >= SpanRecord::kMaxAttrs) return;
+  if (!tracing_ || rec_.attr_count >= SpanRecord::kMaxAttrs) return;
   rec_.attr_keys[rec_.attr_count] = key;
   rec_.attr_values[rec_.attr_count] =
       AttrValue{AttrValue::Kind::kDouble, 0, value, nullptr};
@@ -189,7 +195,7 @@ void ScopedSpan::AddAttr(const char* key, double value) {
 }
 
 void ScopedSpan::AddAttr(const char* key, const char* value) {
-  if (!active_ || rec_.attr_count >= SpanRecord::kMaxAttrs) return;
+  if (!tracing_ || rec_.attr_count >= SpanRecord::kMaxAttrs) return;
   rec_.attr_keys[rec_.attr_count] = key;
   rec_.attr_values[rec_.attr_count] =
       AttrValue{AttrValue::Kind::kString, 0, 0.0, value};
@@ -199,9 +205,6 @@ void ScopedSpan::AddAttr(const char* key, const char* value) {
 ScopedTraceContext::ScopedTraceContext(std::uint64_t trace_id, int round) {
   if (!TracingEnabled() || trace_id == 0) return;
   ThreadState& ts = State();
-  // A context already in flight wins: the engine nested inside a session
-  // keeps recording into the session's (trace, round).
-  if (ts.context.trace_id != 0) return;
   saved_ = ts.context;
   saved_span_ = ts.active_span;
   installed_ = TraceContext{trace_id, round};

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/annotations.h"
+#include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/status.h"
 
@@ -22,15 +23,17 @@ namespace qcluster::trace {
 /// tree ONE request actually executed: this feedback round, on this trace,
 /// spent 10.1 ms in the disjunctive k-NN, of which shard 3's scan was the
 /// straggler. Spans carry a TraceContext (trace id + round id) that flows
-/// RetrievalSession → QclusterEngine → classifier/merging → the index
-/// implementations, and across ThreadPool::ParallelFor boundaries (worker
-/// shard spans are parented to the submitting span).
+/// QclusterEngine → classifier/merging → the index implementations, and
+/// across ThreadPool::ParallelFor boundaries (worker shard spans are
+/// parented to the submitting span). The same spans time the phases for
+/// the metrics registry: with metrics on, each one records its duration
+/// in seconds into the histogram of its own name.
 ///
 /// Recording is lock-cheap: each thread owns a fixed-capacity ring buffer
 /// (oldest span dropped on overflow, never blocking), drained on demand
 /// into the bounded process-wide TraceRecorder. Collection is off by
-/// default; while disabled a span site costs one relaxed atomic load and
-/// no allocation.
+/// default; with tracing and metrics both off a span site costs two
+/// relaxed atomic loads and no allocation.
 ///
 /// Environment hooks, parsed at process start next to QCLUSTER_METRICS:
 ///
@@ -88,19 +91,21 @@ void SetSlowRoundThresholdMs(double ms);
 /// Allocates a fresh process-unique trace id (never 0).
 std::uint64_t NewTraceId();
 
-/// The calling thread's current trace context ({0, -1} when none).
-TraceContext CurrentContext();
-
-/// RAII span: begins on construction (when tracing is enabled), records
-/// itself into the thread's ring buffer on destruction. Nests via a
-/// thread-local: the span active at construction becomes the parent.
+/// RAII span: begins on construction and ends on destruction, reading the
+/// clock once at each edge. With tracing on it records itself into the
+/// thread's ring buffer, nesting via a thread-local (the span active at
+/// construction becomes the parent); with metrics on it records its
+/// duration in seconds into the histogram named `name`. With both off it
+/// does nothing.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name) {
-    if (TracingEnabled()) Begin(name);
+    const bool tracing = TracingEnabled();
+    const bool timing = MetricsEnabled();
+    if (tracing || timing) Begin(name, tracing, timing);
   }
   ~ScopedSpan() {
-    if (active_) End();
+    if (tracing_ || timing_) End();
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -118,27 +123,26 @@ class ScopedSpan {
     AddAttr(key, static_cast<long long>(value));
   }
 
-  /// 0 while inactive (tracing disabled at construction).
-  std::uint64_t span_id() const { return active_ ? rec_.span_id : 0; }
+  /// 0 unless tracing was enabled at construction.
+  std::uint64_t span_id() const { return tracing_ ? rec_.span_id : 0; }
 
  private:
-  void Begin(const char* name);
+  void Begin(const char* name, bool tracing, bool timing);
   void End();
 
-  bool active_ = false;
-  // Deliberately not value-initialized: Begin() writes every field, and
-  // zeroing ~300 bytes per disabled span is the overhead the disabled path
-  // must not pay. Only read when active_.
+  bool tracing_ = false;  ///< Recording into the trace ring.
+  bool timing_ = false;   ///< Recording into the metrics histogram.
+  // Deliberately not value-initialized: Begin() writes every field it
+  // reads, and zeroing ~300 bytes per disabled span is the overhead the
+  // disabled path must not pay.
   SpanRecord rec_;
 };
 
 /// RAII trace-context scope for one feedback round. Takes ownership iff
-/// tracing is enabled, `trace_id` is non-zero, and no context is already
-/// active on this thread (so an engine nested inside a session inherits the
-/// session's context instead of starting its own). The owner, on
-/// destruction, drains the recorder and emits the round's compact summary
-/// line, plus the full span tree to stderr when the round exceeded the
-/// slow threshold.
+/// tracing is enabled and `trace_id` is non-zero. The owner installs the
+/// context for the scope and, on destruction, restores the previous one,
+/// drains the recorder and emits the round's compact summary line, plus the
+/// full span tree to stderr when the round exceeded the slow threshold.
 class ScopedTraceContext {
  public:
   ScopedTraceContext(std::uint64_t trace_id, int round);
@@ -296,8 +300,8 @@ class TraceRecorder {
 ///   QCLUSTER_TRACE_SPAN(span, "index.linear_scan.search");
 ///   span.AddAttr("k", k);
 #define QCLUSTER_TRACE_SPAN(var, name) ::qcluster::trace::ScopedSpan var(name)
-/// Establishes the (trace id, round id) context for the rest of the scope;
-/// the outermost such scope of a round emits the summary / slow-query log.
+/// Establishes the (trace id, round id) context for the rest of the scope
+/// and emits the round's summary / slow-query log when it closes.
 #define QCLUSTER_TRACE_ROUND(var, trace_id, round) \
   ::qcluster::trace::ScopedTraceContext var(trace_id, round)
 

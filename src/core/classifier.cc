@@ -115,7 +115,6 @@ std::vector<ClassificationDecision> ClassifyBatch(
   QCLUSTER_TRACE_SPAN(span, "classifier.batch");
   span.AddAttr("points", points.size());
   span.AddAttr("clusters_in", clusters.size());
-  QCLUSTER_TIMED("classifier.batch");
   MetricAdd("classifier.points", static_cast<long long>(points.size()));
   std::vector<ClassificationDecision> decisions;
   decisions.reserve(points.size());

@@ -134,7 +134,7 @@ linalg::simd::HarmonicSpec DisjunctiveDistance::BuildHarmonicSpec() const {
   return linalg::simd::HarmonicSpec{views.data(), views.size(), total_weight_};
 }
 
-double DisjunctiveDistance::ScoreRow(const double* x) const {
+double DisjunctiveDistance::DistanceRow(const double* x) const {
 #ifndef NDEBUG
   if (AuditEnabled()) {
     // Audited path: materialize the per-cluster distances so the Eq. 5
@@ -157,17 +157,12 @@ double DisjunctiveDistance::ScoreRow(const double* x) const {
                                               scratch.data());
 }
 
-double DisjunctiveDistance::Distance(const Vector& x) const {
-  QCLUSTER_CHECK(static_cast<int>(x.size()) == dim_);
-  return ScoreRow(x.data());
-}
-
 void DisjunctiveDistance::DistanceBatch(const linalg::FlatView& view,
                                         double* out) const {
   QCLUSTER_CHECK(view.dim == dim_);
 #ifndef NDEBUG
   if (AuditEnabled()) {
-    for (std::size_t i = 0; i < view.n; ++i) out[i] = ScoreRow(view.row(i));
+    for (std::size_t i = 0; i < view.n; ++i) out[i] = DistanceRow(view.row(i));
     return;
   }
 #endif

@@ -47,7 +47,7 @@ class DisjunctiveDistance final : public index::DistanceFunction {
                       double shrinkage);
 
   int dim() const override { return dim_; }
-  double Distance(const linalg::Vector& x) const override;
+  double DistanceRow(const double* x) const override;
   void DistanceBatch(const linalg::FlatView& view,
                      double* out) const override;
   double MinDistance(const index::Rect& rect) const override;
@@ -69,9 +69,6 @@ class DisjunctiveDistance final : public index::DistanceFunction {
   /// fills only), so copies of this object stay safe and concurrent scans
   /// never share them.
   linalg::simd::HarmonicSpec BuildHarmonicSpec() const;
-
-  /// Eq. 5 at the raw point `x`.
-  double ScoreRow(const double* x) const;
 
   /// Eq. 5 over precomputed per-cluster squared distances d2[0..n).
   double Aggregate(const double* d2, std::size_t n) const;

@@ -8,7 +8,7 @@ namespace qcluster::core {
 
 using linalg::Vector;
 
-QclusterEngine::QclusterEngine(const std::vector<Vector>* database,
+QclusterEngine::QclusterEngine(const linalg::FlatBlock* database,
                                const index::KnnIndex* knn,
                                const QclusterOptions& options)
     : database_(database), knn_(knn), options_(options) {
@@ -21,9 +21,6 @@ QclusterEngine::QclusterEngine(const std::vector<Vector>* database,
 }
 
 std::uint64_t QclusterEngine::EnsureTraceId() {
-  // A surrounding session context wins; the lazy engine-owned id only
-  // exists for callers driving the engine directly.
-  if (trace::CurrentContext().trace_id != 0) return 0;
   if (trace_id_ == 0 && trace::TracingEnabled()) {
     trace_id_ = trace::NewTraceId();
   }
@@ -36,7 +33,6 @@ std::vector<index::Neighbor> QclusterEngine::InitialQuery(
   QCLUSTER_TRACE_ROUND(trace_round, EnsureTraceId(), 0);
   QCLUSTER_TRACE_SPAN(round_span, "engine.initial_query");
   round_span.AddAttr("k", options_.k);
-  QCLUSTER_TIMED("engine.initial_query");
   MetricAdd("engine.initial_queries");
   const index::EuclideanDistance dist(query);
   return RunQuery(dist);
@@ -47,7 +43,6 @@ std::vector<index::Neighbor> QclusterEngine::Feedback(
   QCLUSTER_TRACE_ROUND(trace_round, EnsureTraceId(), iteration_ + 1);
   QCLUSTER_TRACE_SPAN(round_span, "feedback.total");
   round_span.AddAttr("marked", marked.size());
-  QCLUSTER_TIMED("feedback.total");
   // Collect the genuinely new relevant points.
   std::vector<Vector> points;
   std::vector<double> scores;
@@ -67,7 +62,6 @@ std::vector<index::Neighbor> QclusterEngine::Feedback(
   {
     QCLUSTER_TRACE_SPAN(span, "feedback.classify");
     span.AddAttr("new_points", points.size());
-    QCLUSTER_TIMED("feedback.classify");
     if (clusters_.empty()) {
       // First round: hierarchical clustering of the relevant set
       // (Algorithm 1 step 1).
@@ -91,7 +85,6 @@ std::vector<index::Neighbor> QclusterEngine::Feedback(
     // Cluster merging (Algorithm 3).
     QCLUSTER_TRACE_SPAN(span, "feedback.merge");
     span.AddAttr("clusters_before", clusters_.size());
-    QCLUSTER_TIMED("feedback.merge");
     MergeOptions m;
     m.alpha = options_.alpha;
     m.max_clusters = options_.max_clusters;
@@ -108,13 +101,11 @@ std::vector<index::Neighbor> QclusterEngine::Feedback(
   QCLUSTER_TRACE_SPAN(span, "feedback.knn_query");
   span.AddAttr("k", options_.k);
   span.AddAttr("clusters", clusters_.size());
-  QCLUSTER_TIMED("feedback.knn_query");
   return RunQuery(CurrentDistance());
 }
 
 void QclusterEngine::UpdateVarianceFloor() {
   QCLUSTER_TRACE_SPAN(span, "feedback.variance_floor");
-  QCLUSTER_TIMED("feedback.variance_floor");
   floor_ = options_.min_variance;
   if (options_.adaptive_floor_fraction <= 0.0 || clusters_.empty()) return;
   // Mean diagonal of the pooled within-cluster covariance (Eq. 7 without

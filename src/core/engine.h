@@ -64,8 +64,8 @@ struct QclusterOptions {
 /// cluster merging (Algorithm 3), and disjunctive multipoint re-query
 /// (Eq. 5). Usage:
 ///
-///   QclusterEngine engine(&features, &tree, options);
-///   auto result = engine.InitialQuery(features[q]);
+///   QclusterEngine engine(&db.features(), &tree, options);
+///   auto result = engine.InitialQuery(db.features()[q]);
 ///   for (int it = 0; it < 5; ++it) {
 ///     std::vector<RelevantItem> marked = user_judgement(result);
 ///     result = engine.Feedback(marked);
@@ -76,7 +76,7 @@ class QclusterEngine final : public RetrievalMethod {
   /// options.use_query_cache is set, refined queries are warm-started from
   /// the previous iteration's candidates via the engine's WarmStart cache,
   /// whichever index serves them.
-  QclusterEngine(const std::vector<linalg::Vector>* database,
+  QclusterEngine(const linalg::FlatBlock* database,
                  const index::KnnIndex* knn, const QclusterOptions& options);
 
   std::string name() const override { return "qcluster"; }
@@ -115,18 +115,17 @@ class QclusterEngine final : public RetrievalMethod {
   double effective_min_variance() const { return floor_; }
 
   /// The session-resident cross-round candidate cache (empty before the
-  /// first round or with use_query_cache off). Exposed for tests and for
-  /// RetrievalSession's cache introspection.
+  /// first round or with use_query_cache off). Exposed for tests.
   const index::WarmStart& warm_start() const { return warm_; }
 
  private:
   std::vector<index::Neighbor> RunQuery(const index::DistanceFunction& dist);
   void UpdateVarianceFloor();
-  /// Trace id for a directly-driven round: 0 when a surrounding context is
-  /// already active, otherwise the engine's lazily allocated own id.
+  /// The trace id this query sequence records under, allocated lazily
+  /// while tracing is on.
   std::uint64_t EnsureTraceId();
 
-  const std::vector<linalg::Vector>* database_;
+  const linalg::FlatBlock* database_;
   const index::KnnIndex* knn_;
   QclusterOptions options_;
 
@@ -134,14 +133,13 @@ class QclusterEngine final : public RetrievalMethod {
   std::unordered_set<int> seen_ids_;
   /// Cross-round candidate cache (see index::WarmStart): round t's
   /// survivors seed round t+1's certified θ₀ pruning bound. One per
-  /// engine, i.e. one per retrieval session; RetrievalSession serializes
-  /// all engine access under its mutex.
+  /// engine, i.e. one per retrieval session.
   index::WarmStart warm_;
   index::SearchStats last_stats_;
   int iteration_ = 0;
   double floor_ = 0.0;
-  /// Trace id the engine's rounds record under when no surrounding session
-  /// has established one; allocated lazily, cleared by Reset.
+  /// Trace id the engine's rounds record under; allocated lazily, cleared
+  /// by Reset.
   std::uint64_t trace_id_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "linalg/vector.h"
 
@@ -91,9 +92,10 @@ Status ValidateDisjunctiveAggregate(const double* d2, const double* weights,
         "disjunctive aggregate: total weight " +
         std::to_string(total_weight) + " <= 0 violates Eq. 5");
   }
-  double min_d2 = d2[0];
-  double max_d2 = d2[0];
+  double min_d2 = std::numeric_limits<double>::infinity();
+  double max_d2 = -std::numeric_limits<double>::infinity();
   bool any_zero = false;
+  bool any_nan = false;
   bool all_finite = true;
   for (std::size_t i = 0; i < n; ++i) {
     if (!(weights[i] > 0.0)) {
@@ -101,20 +103,19 @@ Status ValidateDisjunctiveAggregate(const double* d2, const double* weights,
           "disjunctive aggregate: cluster weight " +
           std::to_string(weights[i]) + " <= 0 violates Eq. 5");
     }
-    if (std::isnan(d2[i]) || d2[i] < 0.0) {
+    if (d2[i] < 0.0) {
       return Status::FailedPrecondition(
           "disjunctive aggregate: per-cluster d² " + std::to_string(d2[i]) +
-          " negative or NaN violates Eq. 4/5 non-negativity");
+          " negative violates Eq. 4/5 non-negativity");
+    }
+    if (std::isnan(d2[i])) {
+      any_nan = true;
+      continue;
     }
     min_d2 = std::min(min_d2, d2[i]);
     max_d2 = std::max(max_d2, d2[i]);
-    any_zero = any_zero || d2[i] <= 0.0;
+    any_zero = any_zero || d2[i] == 0.0;
     all_finite = all_finite && std::isfinite(d2[i]);
-  }
-  if (std::isnan(result) || result < 0.0) {
-    return Status::FailedPrecondition(
-        "disjunctive aggregate: result " + std::to_string(result) +
-        " negative or NaN violates Eq. 5 non-negativity");
   }
   if (any_zero) {
     if (result != 0.0) {
@@ -123,6 +124,21 @@ Status ValidateDisjunctiveAggregate(const double* d2, const double* weights,
           "zero fuzzy-OR aggregate (Eq. 5), got " + std::to_string(result));
     }
     return Status::OK();
+  }
+  // NaN input (a NaN feature row) is defined behavior: the aggregate
+  // propagates it and NeighborOrder sorts it after every number.
+  if (any_nan) {
+    if (!std::isnan(result)) {
+      return Status::FailedPrecondition(
+          "disjunctive aggregate: NaN per-cluster distance must yield a NaN "
+          "aggregate (Eq. 5), got " + std::to_string(result));
+    }
+    return Status::OK();
+  }
+  if (std::isnan(result) || result < 0.0) {
+    return Status::FailedPrecondition(
+        "disjunctive aggregate: result " + std::to_string(result) +
+        " negative or NaN violates Eq. 5 non-negativity");
   }
   // Weighted harmonic-style mean: min d²ᵢ <= result <= max d²ᵢ. Skipped
   // when some input is infinite (a pruned-away cluster bound) — the mean is

@@ -122,7 +122,10 @@ Status ValidateMergeClosure(const stats::WeightedStats& a,
 /// Eq. 5: the disjunctive aggregate is a weighted harmonic-style mean of
 /// non-negative per-cluster distances, so it must be non-negative, zero iff
 /// some per-cluster distance is zero, and bounded by the extreme d²ᵢ —
-/// monotone non-negative aggregation.
+/// monotone non-negative aggregation. A NaN d²ᵢ (from a NaN feature row)
+/// is accepted and must make the result NaN unless some d²ᵢ is zero, which
+/// still yields 0; a negative d²ᵢ, or a NaN result from NaN-free inputs,
+/// is a violation.
 Status ValidateDisjunctiveAggregate(const double* d2, const double* weights,
                                     std::size_t n, double total_weight,
                                     double result);

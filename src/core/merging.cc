@@ -92,7 +92,6 @@ MergeReport MergeClusters(std::vector<Cluster>& clusters,
   QCLUSTER_CHECK(0.0 < options.alpha_relax && options.alpha_relax < 1.0);
   QCLUSTER_TRACE_SPAN(span, "merge.pass");
   span.AddAttr("clusters_in", clusters.size());
-  QCLUSTER_TIMED("merge.pass");
 
   MergeReport report;
   double alpha = options.alpha;

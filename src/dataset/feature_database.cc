@@ -100,7 +100,10 @@ FeatureDatabase FeatureDatabase::FromRawFeatures(std::vector<Vector> raw,
   Standardize(raw);
   Result<Pca> pca = Pca::Fit(raw);
   QCLUSTER_CHECK_OK(pca.status());
-  std::vector<Vector> reduced = pca.value().TransformAll(raw, reduced_dim);
+  linalg::FlatBlock reduced(raw.size(), reduced_dim);
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    pca.value().TransformInto(raw[i], reduced_dim, reduced.mutable_row(i));
+  }
   return FeatureDatabase(std::move(reduced), std::move(categories),
                          std::move(themes), std::move(pca).value());
 }

@@ -42,38 +42,33 @@ class FeatureDatabase {
       std::vector<int> themes, int reduced_dim);
 
   int size() const { return static_cast<int>(features_.size()); }
-  int dim() const {
-    return features_.empty() ? 0 : static_cast<int>(features_.front().size());
-  }
+  int dim() const { return features_.dim(); }
 
-  /// PCA-reduced feature vectors, aligned with the collection's image ids.
-  const std::vector<linalg::Vector>& features() const { return features_; }
+  /// PCA-reduced feature vectors, one row per image id: the database's one
+  /// store of its points, read in place by every index, metric and method.
+  const linalg::FlatBlock& features() const { return features_; }
 
-  /// The same features as one contiguous row-major block — the SoA layout
-  /// the batched distance kernels scan. Stays valid for the database's
-  /// lifetime; hand it to LinearScanIndex(FlatView) for a zero-copy index.
+  /// The rows of features() as a view — what LinearScanIndex and
+  /// DistanceBatch take.
   // qlint: snapshot(valid for the database's lifetime; storage is immutable)
-  linalg::FlatView flat_view() const { return flat_.view(); }
+  linalg::FlatView flat_view() const { return features_.view(); }
 
   const std::vector<int>& categories() const { return categories_; }
   const std::vector<int>& themes() const { return themes_; }
   const linalg::Pca& pca() const { return pca_; }
 
  private:
-  FeatureDatabase(std::vector<linalg::Vector> features,
-                  std::vector<int> categories, std::vector<int> themes,
-                  linalg::Pca pca)
+  FeatureDatabase(linalg::FlatBlock features, std::vector<int> categories,
+                  std::vector<int> themes, linalg::Pca pca)
       : features_(std::move(features)),
         categories_(std::move(categories)),
         themes_(std::move(themes)),
-        pca_(std::move(pca)),
-        flat_(linalg::FlatBlock::FromPoints(features_)) {}
+        pca_(std::move(pca)) {}
 
-  std::vector<linalg::Vector> features_;
+  linalg::FlatBlock features_;
   std::vector<int> categories_;
   std::vector<int> themes_;
   linalg::Pca pca_;
-  linalg::FlatBlock flat_;  ///< Contiguous packing of features_.
 };
 
 }  // namespace qcluster::dataset

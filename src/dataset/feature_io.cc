@@ -1,5 +1,6 @@
 #include "dataset/feature_io.h"
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -41,11 +42,10 @@ Status SaveFeatureSet(const FeatureSet& set, const std::string& path) {
       !WriteU32(f.get(), n) || !WriteU32(f.get(), dim)) {
     return Status::Internal("short write on header: " + path);
   }
-  for (const linalg::Vector& v : set.features) {
-    QCLUSTER_CHECK(v.size() == dim);
-    if (std::fwrite(v.data(), sizeof(double), v.size(), f.get()) != v.size()) {
-      return Status::Internal("short write on features: " + path);
-    }
+  const std::size_t values = std::size_t{n} * dim;
+  if (values > 0 && std::fwrite(set.features.row(0), sizeof(double),
+                                values, f.get()) != values) {
+    return Status::Internal("short write on features: " + path);
   }
   if (n > 0 &&
       (std::fwrite(set.categories.data(), sizeof(int), n, f.get()) != n ||
@@ -90,13 +90,16 @@ Result<FeatureSet> LoadFeatureSet(const std::string& path) {
     return Status::InvalidArgument("header claims more data than " + path +
                                    " holds");
   }
+  if (dim > static_cast<std::uint32_t>(INT_MAX)) {
+    return Status::InvalidArgument("dimension out of range in " + path);
+  }
 
   FeatureSet set;
-  set.features.resize(n, linalg::Vector(dim));
-  for (linalg::Vector& v : set.features) {
-    if (std::fread(v.data(), sizeof(double), dim, f.get()) != dim) {
-      return Status::InvalidArgument("truncated features in " + path);
-    }
+  set.features = linalg::FlatBlock(n, static_cast<int>(dim));
+  const std::size_t values = std::size_t{n} * dim;
+  if (values > 0 && std::fread(set.features.mutable_row(0), sizeof(double),
+                               values, f.get()) != values) {
+    return Status::InvalidArgument("truncated features in " + path);
   }
   set.categories.resize(n);
   set.themes.resize(n);

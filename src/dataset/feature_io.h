@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "linalg/vector.h"
+#include "linalg/flat_view.h"
 
 namespace qcluster::dataset {
 
@@ -14,14 +14,12 @@ namespace qcluster::dataset {
 /// feature extraction over large collections runs once and is shared across
 /// benchmark binaries.
 struct FeatureSet {
-  std::vector<linalg::Vector> features;
+  linalg::FlatBlock features;  ///< One row per image.
   std::vector<int> categories;
   std::vector<int> themes;
 
   int size() const { return static_cast<int>(features.size()); }
-  int dim() const {
-    return features.empty() ? 0 : static_cast<int>(features.front().size());
-  }
+  int dim() const { return features.dim(); }
 };
 
 /// Writes `set` to `path` in the library's binary format (magic + version,
@@ -30,7 +28,8 @@ struct FeatureSet {
                                     const std::string& path);
 
 /// Reads a FeatureSet written by SaveFeatureSet. Fails with kNotFound when
-/// the file cannot be opened and kInvalidArgument on format mismatch.
+/// the file cannot be opened and kInvalidArgument on format mismatch or a
+/// header whose sizes the file cannot hold.
 [[nodiscard]] Result<FeatureSet> LoadFeatureSet(const std::string& path);
 
 }  // namespace qcluster::dataset

@@ -32,7 +32,7 @@ IterationResult MeasureRound(const std::vector<index::Neighbor>& result,
 }  // namespace
 
 SessionResult SimulateSession(core::RetrievalMethod& method,
-                              const std::vector<linalg::Vector>& database,
+                              const linalg::FlatBlock& database,
                               const OracleUser& oracle,
                               const std::vector<int>& categories,
                               const std::vector<int>& themes, int query_id,

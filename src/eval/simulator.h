@@ -37,7 +37,7 @@ struct SessionResult {
 /// refines. Results are padded with sentinel misses when a round returns
 /// fewer than k images, so curves stay comparable.
 SessionResult SimulateSession(core::RetrievalMethod& method,
-                              const std::vector<linalg::Vector>& database,
+                              const linalg::FlatBlock& database,
                               const OracleUser& oracle,
                               const std::vector<int>& categories,
                               const std::vector<int>& themes, int query_id,

@@ -12,9 +12,7 @@
 
 namespace qcluster::index {
 
-using linalg::Vector;
-
-BrTree::BrTree(const std::vector<Vector>* points, const Options& options)
+BrTree::BrTree(const linalg::FlatBlock* points, const Options& options)
     : points_(points) {
   QCLUSTER_CHECK(points != nullptr);
   QCLUSTER_CHECK(options.leaf_size >= 1);
@@ -27,12 +25,12 @@ BrTree::BrTree(const std::vector<Vector>* points, const Options& options)
 
 int BrTree::Build(int begin, int end, int leaf_size) {
   QCLUSTER_CHECK(begin < end);
-  const int dim = static_cast<int>(points_->front().size());
+  const int dim = points_->dim();
 
   Rect rect = Rect::Empty(dim);
   for (int i = begin; i < end; ++i) {
-    rect.Expand((*points_)[static_cast<std::size_t>(
-        ids_[static_cast<std::size_t>(i)])]);
+    rect.Expand(points_->row(
+        static_cast<std::size_t>(ids_[static_cast<std::size_t>(i)])));
   }
 
   const int node_index = static_cast<int>(nodes_.size());
@@ -57,15 +55,18 @@ int BrTree::Build(int begin, int end, int leaf_size) {
       split_dim = d;
     }
   }
+  // The coordinate is ordered like a neighbor distance (NeighborOrder): NaN
+  // after every number and ties by id, a strict weak order on any input as
+  // std::nth_element requires.
   const int mid = begin + (end - begin) / 2;
-  std::nth_element(
-      ids_.begin() + begin, ids_.begin() + mid, ids_.begin() + end,
-      [this, split_dim](int a, int b) {
-        return (*points_)[static_cast<std::size_t>(a)]
-                   [static_cast<std::size_t>(split_dim)] <
-               (*points_)[static_cast<std::size_t>(b)]
-                   [static_cast<std::size_t>(split_dim)];
-      });
+  const auto key = [this, split_dim](int id) {
+    return Neighbor{id, points_->row(static_cast<std::size_t>(id))
+                            [static_cast<std::size_t>(split_dim)]};
+  };
+  std::nth_element(ids_.begin() + begin, ids_.begin() + mid,
+                   ids_.begin() + end, [&key](int a, int b) {
+                     return NeighborOrder{}(key(a), key(b));
+                   });
 
   const int left = Build(begin, mid, leaf_size);
   const int right = Build(mid, end, leaf_size);
@@ -88,7 +89,7 @@ std::vector<Neighbor> BrTree::SearchWarm(const DistanceFunction& dist, int k,
   // a time. The seed is only usable when ≥ k candidates are cached; the
   // cached-leaf skip likewise requires every cached candidate to have been
   // offered, so both gate on seed validity together.
-  const WarmStart::Seed seed = warm.Reseed(dist, k, *points_);
+  const WarmStart::Seed seed = warm.Reseed(dist, k, points_->view());
   std::vector<Neighbor> touched;
   std::unordered_set<int> touched_leaves;
   SearchStats call_stats;
@@ -121,7 +122,6 @@ std::vector<Neighbor> BrTree::SearchImpl(
   span.AddAttr("index", "br_tree");
   span.AddAttr("k", k);
   span.AddAttr("warm", seed != nullptr ? 1 : 0);
-  QCLUSTER_TIMED("index.br_tree.search");
   SearchStats local;
 
   // Max-heap of the best k seen so far; top is the current k-th distance.
@@ -194,7 +194,7 @@ std::vector<Neighbor> BrTree::SearchImpl(
         const int id = ids_[static_cast<std::size_t>(i)];
         if (!warm_ids.empty() && warm_ids.contains(id)) continue;
         const double d =
-            dist.Distance((*points_)[static_cast<std::size_t>(id)]);
+            dist.DistanceRow(points_->row(static_cast<std::size_t>(id)));
         offer(id, d);
         ++local.distance_evaluations;
         if (touched != nullptr) touched->push_back(Neighbor{id, d});

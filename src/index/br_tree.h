@@ -34,11 +34,12 @@ class BrTree final : public KnnIndex {
     int leaf_size = 32;  ///< Maximum points per leaf.
   };
 
-  /// Bulk-loads the tree over `points` (kept alive by the caller).
-  BrTree(const std::vector<linalg::Vector>* points, const Options& options);
+  /// Bulk-loads the tree over the rows of `points` (kept alive and
+  /// unchanged by the caller).
+  BrTree(const linalg::FlatBlock* points, const Options& options);
 
   /// Bulk-loads with default options.
-  explicit BrTree(const std::vector<linalg::Vector>* points)
+  explicit BrTree(const linalg::FlatBlock* points)
       : BrTree(points, Options{}) {}
 
   int size() const override { return static_cast<int>(points_->size()); }
@@ -81,7 +82,7 @@ class BrTree final : public KnnIndex {
                                    std::unordered_set<int>* touched_leaves,
                                    SearchStats* stats) const;
 
-  const std::vector<linalg::Vector>* points_;
+  const linalg::FlatBlock* points_;
   std::vector<int> ids_;       ///< Point ids, permuted so leaves are ranges.
   std::vector<Node> nodes_;
   int root_ = -1;

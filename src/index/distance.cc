@@ -14,9 +14,8 @@ using linalg::FlatView;
 using linalg::Matrix;
 using linalg::Vector;
 
-void Rect::Expand(const Vector& x) {
-  QCLUSTER_CHECK(x.size() == lo.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
+void Rect::Expand(const double* x) {
+  for (std::size_t i = 0; i < lo.size(); ++i) {
     lo[i] = std::min(lo[i], x[i]);
     hi[i] = std::max(hi[i], x[i]);
   }
@@ -37,13 +36,9 @@ double Rect::SquaredEuclideanDistance(const Vector& x) const {
       nullptr, x.data(), lo.data(), hi.data(), static_cast<int>(x.size()));
 }
 
-double DistanceFunction::DistanceRow(const double* x) const {
-  // Fallback for subclasses that only implement Distance: stage the row in
-  // a thread-local Vector so repeated calls never allocate once the scratch
-  // reaches dim() capacity.
-  thread_local Vector scratch;
-  scratch.assign(x, x + dim());
-  return Distance(scratch);
+double DistanceFunction::Distance(const Vector& x) const {
+  QCLUSTER_CHECK(static_cast<int>(x.size()) == dim());
+  return DistanceRow(x.data());
 }
 
 void DistanceFunction::DistanceBatch(const FlatView& view, double* out) const {
@@ -101,11 +96,6 @@ double EuclideanDistance::DistanceRow(const double* x) const {
   return linalg::simd::Kernels().squared_l2_row(query_.data(), x, dim());
 }
 
-double EuclideanDistance::Distance(const Vector& x) const {
-  QCLUSTER_CHECK(x.size() == query_.size());
-  return DistanceRow(x.data());
-}
-
 void EuclideanDistance::DistanceBatch(const FlatView& view,
                                       double* out) const {
   QCLUSTER_CHECK(view.dim == dim());
@@ -137,11 +127,6 @@ WeightedEuclideanDistance::WeightedEuclideanDistance(Vector query,
 double WeightedEuclideanDistance::DistanceRow(const double* x) const {
   return linalg::simd::Kernels().weighted_sq_row(weights_.data(), query_.data(),
                                                  x, dim());
-}
-
-double WeightedEuclideanDistance::Distance(const Vector& x) const {
-  QCLUSTER_CHECK(x.size() == query_.size());
-  return DistanceRow(x.data());
 }
 
 void WeightedEuclideanDistance::DistanceBatch(const FlatView& view,
@@ -204,11 +189,6 @@ double MahalanobisDistance::DistanceRow(const double* x) const {
   }
   return kernels.mahalanobis_row(inverse_covariance_.data(), a_q_.data(), q_aq_,
                                  x, dim());
-}
-
-double MahalanobisDistance::Distance(const Vector& x) const {
-  QCLUSTER_CHECK(x.size() == query_.size());
-  return DistanceRow(x.data());
 }
 
 void MahalanobisDistance::DistanceBatch(const FlatView& view,

@@ -16,8 +16,8 @@ struct Rect {
 
   int dim() const { return static_cast<int>(lo.size()); }
 
-  /// Grows the rectangle to contain `x`.
-  void Expand(const linalg::Vector& x);
+  /// Grows the rectangle to contain the dim()-length row `x`.
+  void Expand(const double* x);
 
   /// A rectangle containing nothing (lo = +inf, hi = -inf), ready to Expand.
   static Rect Empty(int dim);
@@ -65,7 +65,7 @@ struct QuadraticDecomposition {
 /// the metric as an opaque callable with an optional rectangle lower bound
 /// for pruning.
 ///
-/// `Distance` values only need to rank consistently; all implementations in
+/// Distance values only need to rank consistently; all implementations in
 /// this library return squared quadratic forms.
 class DistanceFunction {
  public:
@@ -74,21 +74,18 @@ class DistanceFunction {
   /// Feature-space dimensionality this function expects.
   virtual int dim() const = 0;
 
-  /// Dissimilarity between the (implicit) query and the point `x`.
-  virtual double Distance(const linalg::Vector& x) const = 0;
+  /// Dissimilarity between the (implicit) query and a raw row of dim()
+  /// doubles — the one per-point entry: tree leaves score block rows with
+  /// it in place, and the batch default loops over it.
+  virtual double DistanceRow(const double* x) const = 0;
 
-  /// Distance to a raw row of dim() doubles — the per-row entry point batch
-  /// scoring and tree searches use, with no Vector materialization. The
-  /// default copies the row into a thread-local scratch Vector and calls
-  /// Distance, so subclasses that only implement Distance stay correct (and
-  /// allocation-free after the scratch warms up); in-tree metrics override
-  /// it with a direct kernel call.
-  virtual double DistanceRow(const double* x) const;
+  /// DistanceRow on a Vector, after checking that its size is dim().
+  double Distance(const linalg::Vector& x) const;
 
   /// Scores every row of `view` into out[0..view.n). `view.dim` must equal
   /// dim() and `out` must hold view.n doubles.
   ///
-  /// Contract: DistanceBatch(view, out)[i] must equal Distance(row i)
+  /// Contract: DistanceBatch(view, out)[i] must equal DistanceRow(row i)
   /// *bit for bit* — implementations route both entry points through one
   /// shared kernel (linalg/simd.h, whose canonical reduction order also
   /// makes results identical across dispatch tiers) — so batched (linear
@@ -116,7 +113,6 @@ class EuclideanDistance final : public DistanceFunction {
   explicit EuclideanDistance(linalg::Vector query);
 
   int dim() const override { return static_cast<int>(query_.size()); }
-  double Distance(const linalg::Vector& x) const override;
   double DistanceRow(const double* x) const override;
   void DistanceBatch(const linalg::FlatView& view,
                      double* out) const override;
@@ -134,7 +130,6 @@ class WeightedEuclideanDistance final : public DistanceFunction {
   WeightedEuclideanDistance(linalg::Vector query, linalg::Vector weights);
 
   int dim() const override { return static_cast<int>(query_.size()); }
-  double Distance(const linalg::Vector& x) const override;
   double DistanceRow(const double* x) const override;
   void DistanceBatch(const linalg::FlatView& view,
                      double* out) const override;
@@ -165,7 +160,6 @@ class MahalanobisDistance final : public DistanceFunction {
   MahalanobisDistance(linalg::Vector query, linalg::Matrix inverse_covariance);
 
   int dim() const override { return static_cast<int>(query_.size()); }
-  double Distance(const linalg::Vector& x) const override;
   double DistanceRow(const double* x) const override;
   void DistanceBatch(const linalg::FlatView& view,
                      double* out) const override;

@@ -98,41 +98,6 @@ WarmStart::Seed WarmStart::Reseed(const DistanceFunction& dist, int k,
                         /*reused=*/false);
 }
 
-WarmStart::Seed WarmStart::Reseed(const DistanceFunction& dist, int k,
-                                  const std::vector<linalg::Vector>& rows) const {
-  if (k <= 0 || static_cast<int>(ids_.size()) < k) return Seed{};
-  if (rows.empty()) return Seed{};
-  if (KeyMatches(dist)) {
-    std::vector<Neighbor> scored;
-    scored.reserve(ids_.size());
-    for (std::size_t i = 0; i < ids_.size(); ++i) {
-      scored.push_back(Neighbor{ids_[i], distances_[i]});
-    }
-    return SeedFromScores(k, std::move(scored), 0, /*reused=*/true);
-  }
-  // Pack the pointer-chased cached rows once, then score them with a single
-  // DistanceBatch call — the same kernel the cold scan uses.
-  const int dim = static_cast<int>(rows.front().size());
-  thread_local linalg::AlignedBuffer packed;
-  packed.resize(ids_.size() * static_cast<std::size_t>(dim));
-  for (std::size_t i = 0; i < ids_.size(); ++i) {
-    const linalg::Vector& src = rows[static_cast<std::size_t>(ids_[i])];
-    std::copy(src.begin(), src.end(), packed.data() + i * dim);
-  }
-  thread_local std::vector<double> scores;
-  scores.resize(ids_.size());
-  dist.DistanceBatch(linalg::FlatView{packed.data(), ids_.size(), dim},
-                     scores.data());
-  std::vector<Neighbor> scored;
-  scored.reserve(ids_.size());
-  for (std::size_t i = 0; i < ids_.size(); ++i) {
-    scored.push_back(Neighbor{ids_[i], scores[i]});
-  }
-  return SeedFromScores(k, std::move(scored),
-                        static_cast<long long>(ids_.size()),
-                        /*reused=*/false);
-}
-
 void FinishWarmSearch(const char* index_name, const WarmStart::Seed& seed,
                       const std::vector<Neighbor>& result, double pruned_frac) {
   if (!seed.valid() || !MetricsEnabled()) return;

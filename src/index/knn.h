@@ -77,8 +77,8 @@ void FinishSearch(const char* index_name, const SearchStats& delta,
 /// distance can never be served by construction; at worst the cache pays
 /// |ids| fresh evaluations.
 ///
-/// Thread safety: externally synchronized. The engine owns one WarmStart
-/// per session and RetrievalSession guards the engine with its mutex; the
+/// Thread safety: externally synchronized. Each QclusterEngine owns one
+/// WarmStart, so concurrent sessions (one engine each) never share one; the
 /// re-scoring scratch inside Reseed is thread_local.
 class WarmStart {
  public:
@@ -116,8 +116,6 @@ class WarmStart {
   /// the same database the ids were recorded against.
   Seed Reseed(const DistanceFunction& dist, int k,
               const linalg::FlatView& rows) const;
-  Seed Reseed(const DistanceFunction& dist, int k,
-              const std::vector<linalg::Vector>& rows) const;
 
   /// BrTree-private payload: leaf pages whose every entry is already in
   /// ids(), safe to skip when the seed re-offers all cached candidates.

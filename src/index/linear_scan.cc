@@ -41,14 +41,6 @@ std::vector<Neighbor> BoundedTopK::TakeSorted() && {
   return std::move(heap_);
 }
 
-LinearScanIndex::LinearScanIndex(const std::vector<linalg::Vector>* points,
-                                 ThreadPool* pool)
-    : pool_(pool) {
-  QCLUSTER_CHECK(points != nullptr);
-  owned_ = linalg::FlatBlock::FromPoints(*points);
-  view_ = owned_.view();
-}
-
 LinearScanIndex::LinearScanIndex(linalg::FlatView view, ThreadPool* pool)
     : view_(view), pool_(pool) {}
 
@@ -81,7 +73,6 @@ std::vector<Neighbor> LinearScanIndex::SearchImpl(
   span.AddAttr("k", k);
   span.AddAttr("n", view_.n);
   span.AddAttr("warm", seed != nullptr ? 1 : 0);
-  QCLUSTER_TIMED("index.linear_scan.search");
 
   const std::size_t n = view_.n;
   // θ₀ from the warm seed: an exact upper bound on the final k-th distance.

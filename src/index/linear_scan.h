@@ -20,15 +20,10 @@ namespace qcluster::index {
 /// by id), so `QCLUSTER_THREADS=1` reproduces a parallel run bit for bit.
 class LinearScanIndex final : public KnnIndex {
  public:
-  /// Indexes `points` by packing a contiguous copy; the caller's vectors
-  /// are not referenced after construction. `pool` is the scan pool to use
-  /// (nullptr = the process-global ThreadPool::Global()).
-  explicit LinearScanIndex(const std::vector<linalg::Vector>* points,
-                           ThreadPool* pool = nullptr);
-
-  /// Zero-copy variant over an external contiguous block (e.g.
-  /// FeatureDatabase::flat_view()); the block owner keeps it alive and
-  /// unchanged for the lifetime of the index.
+  /// Indexes the rows of `view` in place (e.g.
+  /// FeatureDatabase::flat_view()); the block owner keeps them alive and
+  /// unchanged for the lifetime of the index. `pool` is the scan pool to
+  /// use (nullptr = the process-global ThreadPool::Global()).
   explicit LinearScanIndex(linalg::FlatView view, ThreadPool* pool = nullptr);
 
   int size() const override { return static_cast<int>(view_.n); }
@@ -52,7 +47,6 @@ class LinearScanIndex final : public KnnIndex {
                                    long long* rejected_out,
                                    SearchStats* stats) const;
 
-  linalg::FlatBlock owned_;  ///< Packed copy when built from vectors.
   linalg::FlatView view_;
   ThreadPool* const pool_;   ///< nullptr = ThreadPool::Global().
 };

@@ -70,13 +70,18 @@ struct FlatView {
   }
 };
 
-/// An owning contiguous feature block. Packs pointer-chased
-/// `std::vector<Vector>` storage into one flat allocation once, so every
-/// subsequent scan runs over cache-friendly rows. The base pointer is
-/// 64-byte aligned (see AlignedAllocator above).
+/// An owning contiguous block of `size()` points of dimension `dim()`, row
+/// after row: the one store of a database's points. Every index, metric
+/// and feedback method reads its rows in place, and a full scan is one
+/// linear sweep. The base pointer is 64-byte aligned (see AlignedAllocator
+/// above).
 class FlatBlock {
  public:
   FlatBlock() = default;
+
+  /// `n` zero rows of dimension `dim`, to be filled through mutable_row.
+  FlatBlock(std::size_t n, int dim)
+      : data_(n * static_cast<std::size_t>(dim)), n_(n), dim_(dim) {}
 
   /// Copies `points` (all of equal dimension) into one contiguous buffer.
   /// An empty input yields an empty block.
@@ -98,6 +103,22 @@ class FlatBlock {
   std::size_t size() const { return n_; }
   int dim() const { return dim_; }
   bool empty() const { return n_ == 0; }
+
+  /// The dim() doubles of row `i`.
+  const double* row(std::size_t i) const {
+    return data_.data() + i * static_cast<std::size_t>(dim_);
+  }
+  double* mutable_row(std::size_t i) {
+    return data_.data() + i * static_cast<std::size_t>(dim_);
+  }
+
+  /// A copy of row `i`, for callers that keep a point past the block.
+  Vector operator[](std::size_t i) const {
+    return Vector(row(i), row(i) + dim_);
+  }
+
+  /// Same shape and every coordinate equal (NaN is unequal to itself).
+  friend bool operator==(const FlatBlock& a, const FlatBlock& b) = default;
 
  private:
   AlignedBuffer data_;

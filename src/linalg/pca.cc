@@ -67,18 +67,23 @@ double Pca::VarianceRatio(int k) const {
 }
 
 Vector Pca::Transform(const Vector& x, int k) const {
+  QCLUSTER_CHECK(0 < k);
+  Vector z(static_cast<std::size_t>(k), 0.0);
+  TransformInto(x, k, z.data());
+  return z;
+}
+
+void Pca::TransformInto(const Vector& x, int k, double* out) const {
   QCLUSTER_CHECK(static_cast<int>(x.size()) == input_dim());
   QCLUSTER_CHECK(0 < k && k <= input_dim());
-  Vector centered = Sub(x, mean_);
-  Vector z(static_cast<std::size_t>(k), 0.0);
+  const Vector centered = Sub(x, mean_);
   for (int c = 0; c < k; ++c) {
     double sum = 0.0;
     for (int r = 0; r < input_dim(); ++r) {
       sum += eigen_.vectors(r, c) * centered[static_cast<std::size_t>(r)];
     }
-    z[static_cast<std::size_t>(c)] = sum;
+    out[c] = sum;
   }
-  return z;
 }
 
 std::vector<Vector> Pca::TransformAll(const std::vector<Vector>& rows,

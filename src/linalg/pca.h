@@ -40,6 +40,10 @@ class Pca {
   /// Projects `x` onto the first `k` principal components.
   Vector Transform(const Vector& x, int k) const;
 
+  /// Transform, writing the k coordinates to out[0..k) (e.g. a row of a
+  /// FlatBlock).
+  void TransformInto(const Vector& x, int k, double* out) const;
+
   /// Projects every row of `rows` onto the first `k` components.
   std::vector<Vector> TransformAll(const std::vector<Vector>& rows,
                                    int k) const;

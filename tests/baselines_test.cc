@@ -16,27 +16,28 @@ using core::RelevantItem;
 using linalg::Vector;
 
 struct TwoModeWorld {
-  std::vector<Vector> points;
+  linalg::FlatBlock points;
   std::vector<int> mode_a_ids, mode_b_ids;
 
   explicit TwoModeWorld(Rng& rng) {
+    std::vector<Vector> rows;
     for (int i = 0; i < 25; ++i) {
-      mode_a_ids.push_back(static_cast<int>(points.size()));
-      points.push_back({0.3 * rng.Gaussian(), 0.3 * rng.Gaussian()});
-      mode_b_ids.push_back(static_cast<int>(points.size()));
-      points.push_back(
-          {8.0 + 0.3 * rng.Gaussian(), 8.0 + 0.3 * rng.Gaussian()});
+      mode_a_ids.push_back(static_cast<int>(rows.size()));
+      rows.push_back({0.3 * rng.Gaussian(), 0.3 * rng.Gaussian()});
+      mode_b_ids.push_back(static_cast<int>(rows.size()));
+      rows.push_back({8.0 + 0.3 * rng.Gaussian(), 8.0 + 0.3 * rng.Gaussian()});
     }
     for (int i = 0; i < 300; ++i) {
-      points.push_back({rng.Uniform(-8.0, 16.0), rng.Uniform(-8.0, 16.0)});
+      rows.push_back({rng.Uniform(-8.0, 16.0), rng.Uniform(-8.0, 16.0)});
     }
+    points = linalg::FlatBlock::FromPoints(rows);
   }
 };
 
 TEST(QpmTest, QueryPointMovesToWeightedCentroid) {
   Rng rng(161);
   const TwoModeWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QpmOptions opt;
   opt.k = 20;
   opt.rocchio_alpha = 0.0;  // Pure centroid variant for an exact check.
@@ -56,8 +57,8 @@ TEST(QpmTest, QueryPointMovesToWeightedCentroid) {
 TEST(QpmTest, RocchioAnchorsQueryNearOriginal) {
   // With the classic coefficients (alpha 1, beta 0.75) one feedback round
   // moves the query only beta/(alpha+beta) of the way to the centroid.
-  const std::vector<Vector> points{{7.0, 0.0}, {7.0, 0.0}};
-  const index::LinearScanIndex idx(&points);
+  const auto points = linalg::FlatBlock::FromPoints({{7.0, 0.0}, {7.0, 0.0}});
+  const index::LinearScanIndex idx(points.view());
   QpmOptions opt;
   opt.k = 2;
   QueryPointMovement qpm(&points, &idx, opt);
@@ -69,8 +70,8 @@ TEST(QpmTest, RocchioAnchorsQueryNearOriginal) {
 }
 
 TEST(QpmTest, RepeatedFeedbackConvergesToCentroid) {
-  const std::vector<Vector> points{{7.0, 0.0}, {7.0, 0.0}};
-  const index::LinearScanIndex idx(&points);
+  const auto points = linalg::FlatBlock::FromPoints({{7.0, 0.0}, {7.0, 0.0}});
+  const index::LinearScanIndex idx(points.view());
   QpmOptions opt;
   opt.k = 2;
   QueryPointMovement qpm(&points, &idx, opt);
@@ -83,9 +84,9 @@ TEST(QpmTest, RepeatedFeedbackConvergesToCentroid) {
 
 TEST(QpmTest, WeightsInverseToSpread) {
   // Relevant points spread widely in x, tightly in y: weight_y > weight_x.
-  const std::vector<Vector> points{{-5.0, 0.0}, {5.0, 0.0}, {0.0, 0.1},
-                                   {0.0, -0.1}};
-  const index::LinearScanIndex idx(&points);
+  const auto points = linalg::FlatBlock::FromPoints(
+      {{-5.0, 0.0}, {5.0, 0.0}, {0.0, 0.1}, {0.0, -0.1}});
+  const index::LinearScanIndex idx(points.view());
   QpmOptions opt;
   opt.k = 4;
   QueryPointMovement qpm(&points, &idx, opt);
@@ -99,7 +100,7 @@ TEST(QpmTest, SingleContourMissesSecondMode) {
   // modes and retrieves background there.
   Rng rng(162);
   const TwoModeWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QpmOptions opt;
   opt.k = 30;
   opt.rocchio_alpha = 0.0;  // Pure centroid variant: the midpoint is exact.
@@ -118,7 +119,7 @@ TEST(QpmTest, SingleContourMissesSecondMode) {
 TEST(QpmTest, ResetClearsState) {
   Rng rng(163);
   const TwoModeWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QueryPointMovement qpm(&world.points, &idx, QpmOptions{});
   qpm.InitialQuery({0.0, 0.0});
   qpm.Feedback({{0, 1.0}});
@@ -130,7 +131,7 @@ TEST(QpmTest, ResetClearsState) {
 TEST(QexTest, BuildsRequestedRepresentatives) {
   Rng rng(164);
   const TwoModeWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QexOptions opt;
   opt.k = 30;
   opt.num_representatives = 3;
@@ -166,8 +167,8 @@ TEST(QexDistanceTest, MinDistanceIsLowerBound) {
   const QexDistance d(clusters, 0.5);
   for (int t = 0; t < 100; ++t) {
     index::Rect r = index::Rect::Empty(2);
-    r.Expand(rng.GaussianVector(2));
-    r.Expand(rng.GaussianVector(2));
+    r.Expand(rng.GaussianVector(2).data());
+    r.Expand(rng.GaussianVector(2).data());
     const double bound = d.MinDistance(r);
     for (int s = 0; s < 10; ++s) {
       const Vector p{rng.Uniform(r.lo[0], r.hi[0]),
@@ -200,8 +201,8 @@ TEST(FalconDistanceTest, MinDistanceIsLowerBound) {
   const FalconDistance d({{-1.0, -1.0}, {2.0, 2.0}}, -5.0);
   for (int t = 0; t < 100; ++t) {
     index::Rect r = index::Rect::Empty(2);
-    r.Expand(rng.GaussianVector(2));
-    r.Expand(rng.GaussianVector(2));
+    r.Expand(rng.GaussianVector(2).data());
+    r.Expand(rng.GaussianVector(2).data());
     const double bound = d.MinDistance(r);
     for (int s = 0; s < 10; ++s) {
       const Vector p{rng.Uniform(r.lo[0], r.hi[0]),
@@ -214,7 +215,7 @@ TEST(FalconDistanceTest, MinDistanceIsLowerBound) {
 TEST(FalconTest, GoodSetAccumulatesDistinctIds) {
   Rng rng(167);
   const TwoModeWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   Falcon falcon(&world.points, &idx, FalconOptions{});
   falcon.InitialQuery(world.points[0]);
   falcon.Feedback({{0, 1.0}, {1, 1.0}});
@@ -227,7 +228,7 @@ TEST(FalconTest, GoodSetAccumulatesDistinctIds) {
 TEST(FalconTest, RetrievesBothModes) {
   Rng rng(168);
   const TwoModeWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   FalconOptions opt;
   opt.k = 50;
   Falcon falcon(&world.points, &idx, opt);

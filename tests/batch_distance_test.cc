@@ -90,6 +90,17 @@ TEST(FlatViewTest, PacksRowMajor) {
   EXPECT_EQ(slice.row(0)[0], 3.0);
 }
 
+TEST(FlatViewTest, BlockRowsFillInPlaceAndCompareByValue) {
+  FlatBlock block(2, 3);
+  EXPECT_EQ(block.size(), 2u);
+  EXPECT_EQ(block.dim(), 3);
+  block.mutable_row(1)[2] = 7.0;
+  EXPECT_EQ(block.row(1)[2], 7.0);
+  EXPECT_EQ(block[1], (Vector{0.0, 0.0, 7.0}));
+  EXPECT_EQ(block, FlatBlock::FromPoints({{0.0, 0.0, 0.0}, {0.0, 0.0, 7.0}}));
+  EXPECT_FALSE(block == FlatBlock::FromPoints({{0.0, 0.0, 0.0}}));
+}
+
 TEST(FlatViewTest, EmptyBlock) {
   const FlatBlock block = FlatBlock::FromPoints({});
   EXPECT_TRUE(block.empty());
@@ -153,13 +164,13 @@ TEST(BatchParityTest, DisjunctiveFullScheme) {
 }
 
 TEST(BatchParityTest, DefaultBatchImplementation) {
-  // A DistanceFunction that only implements the scalar virtuals must still
+  // A DistanceFunction that only implements the per-row virtual must still
   // get a correct batch path from the base class.
   class L1Distance final : public DistanceFunction {
    public:
     explicit L1Distance(Vector q) : q_(std::move(q)) {}
     int dim() const override { return static_cast<int>(q_.size()); }
-    double Distance(const Vector& x) const override {
+    double DistanceRow(const double* x) const override {
       double sum = 0.0;
       for (std::size_t i = 0; i < q_.size(); ++i) {
         sum += std::abs(x[i] - q_[i]);
@@ -176,14 +187,13 @@ TEST(BatchParityTest, DefaultBatchImplementation) {
 }
 
 TEST(BatchParityTest, DefaultBatchDoesNotAllocatePerRow) {
-  // The base-class fallback stages each row in a thread-local scratch
-  // vector: after one warm-up call, batch scoring a subclass that only
-  // implements Distance must be allocation-free.
+  // The base-class batch loops over DistanceRow on the rows in place:
+  // scoring a subclass that only implements DistanceRow allocates nothing.
   class L1Distance final : public DistanceFunction {
    public:
     explicit L1Distance(Vector q) : q_(std::move(q)) {}
     int dim() const override { return static_cast<int>(q_.size()); }
-    double Distance(const Vector& x) const override {
+    double DistanceRow(const double* x) const override {
       double sum = 0.0;
       for (std::size_t i = 0; i < q_.size(); ++i) {
         sum += std::abs(x[i] - q_[i]);
@@ -198,7 +208,7 @@ TEST(BatchParityTest, DefaultBatchDoesNotAllocatePerRow) {
   const L1Distance dist(rng.GaussianVector(6));
   const FlatBlock block = FlatBlock::FromPoints(RandomPoints(256, 6, rng));
   std::vector<double> out(block.size());
-  dist.DistanceBatch(block.view(), out.data());  // Warm the scratch.
+  dist.DistanceBatch(block.view(), out.data());  // Warm up.
   const long long before = g_alloc_count.load(std::memory_order_relaxed);
   dist.DistanceBatch(block.view(), out.data());
   const long long after = g_alloc_count.load(std::memory_order_relaxed);
@@ -230,8 +240,8 @@ TEST(MahalanobisConstructionTest, DiagonalMinDistanceIsExactBound) {
   const MahalanobisDistance d({0.0, 0.0},
                               Matrix::Diagonal(Vector{4.0, 0.25}));
   Rect r = Rect::Empty(2);
-  r.Expand({1.0, 0.0});
-  r.Expand({2.0, 0.0});
+  r.Expand(Vector{1.0, 0.0}.data());
+  r.Expand(Vector{2.0, 0.0}.data());
   // Offset 1 along dim 0 only: bound = 4 * 1^2.
   EXPECT_DOUBLE_EQ(d.MinDistance(r), 4.0);
   EXPECT_DOUBLE_EQ(d.Distance({1.0, 0.0}), 4.0);
@@ -243,8 +253,8 @@ TEST(MahalanobisConstructionTest, FullMatrixBoundStaysValid) {
   const MahalanobisDistance d({0.0, 0.0}, a);
   for (int t = 0; t < 100; ++t) {
     Rect r = Rect::Empty(2);
-    r.Expand(rng.GaussianVector(2));
-    r.Expand(rng.GaussianVector(2));
+    r.Expand(rng.GaussianVector(2).data());
+    r.Expand(rng.GaussianVector(2).data());
     const double bound = d.MinDistance(r);
     for (int s = 0; s < 10; ++s) {
       const Vector p{rng.Uniform(r.lo[0], r.hi[0]),

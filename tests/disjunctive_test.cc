@@ -66,7 +66,8 @@ TEST(DisjunctiveDistanceTest, Example3RetrievesBothBalls) {
 
   const DisjunctiveDistance d(TwoUnitClusters(), CovarianceScheme::kDiagonal,
                               1.0);
-  const index::LinearScanIndex idx(&points);
+  const auto block = linalg::FlatBlock::FromPoints(points);
+  const index::LinearScanIndex idx(block.view());
   const auto result = idx.Search(d, ground_truth);
 
   // The retrieved set must consist of points close to either center: check
@@ -111,8 +112,8 @@ TEST(DisjunctiveDistanceTest, MinDistanceIsValidLowerBound) {
   const DisjunctiveDistance d(clusters, CovarianceScheme::kDiagonal, 0.5);
   for (int t = 0; t < 100; ++t) {
     index::Rect r = index::Rect::Empty(2);
-    r.Expand(rng.GaussianVector(2));
-    r.Expand(rng.GaussianVector(2));
+    r.Expand(rng.GaussianVector(2).data());
+    r.Expand(rng.GaussianVector(2).data());
     const double bound = d.MinDistance(r);
     for (int s = 0; s < 20; ++s) {
       const Vector p{rng.Uniform(r.lo[0], r.hi[0]),

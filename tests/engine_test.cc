@@ -22,21 +22,22 @@ using linalg::Vector;
 /// background between them is dense enough that a single convex contour
 /// wastes most of its volume on noise.
 struct BimodalWorld {
-  std::vector<Vector> points;
+  linalg::FlatBlock points;
   std::vector<int> relevant_ids;  // Ground truth of the target concept.
 
   explicit BimodalWorld(Rng& rng, int relevant_per_mode = 30,
                         int background = 140) {
+    std::vector<Vector> rows;
     for (int i = 0; i < relevant_per_mode; ++i) {
-      relevant_ids.push_back(static_cast<int>(points.size()));
-      points.push_back({0.3 * rng.Gaussian(), 0.3 * rng.Gaussian()});
-      relevant_ids.push_back(static_cast<int>(points.size()));
-      points.push_back(
-          {3.0 + 0.3 * rng.Gaussian(), 3.0 + 0.3 * rng.Gaussian()});
+      relevant_ids.push_back(static_cast<int>(rows.size()));
+      rows.push_back({0.3 * rng.Gaussian(), 0.3 * rng.Gaussian()});
+      relevant_ids.push_back(static_cast<int>(rows.size()));
+      rows.push_back({3.0 + 0.3 * rng.Gaussian(), 3.0 + 0.3 * rng.Gaussian()});
     }
     for (int i = 0; i < background; ++i) {
-      points.push_back({rng.Uniform(-5.0, 9.0), rng.Uniform(-5.0, 9.0)});
+      rows.push_back({rng.Uniform(-5.0, 9.0), rng.Uniform(-5.0, 9.0)});
     }
+    points = linalg::FlatBlock::FromPoints(rows);
   }
 
   bool IsRelevant(int id) const {
@@ -56,7 +57,7 @@ QclusterOptions SmallOptions() {
 TEST(QclusterEngineTest, InitialQueryIsEuclideanKnn) {
   Rng rng(141);
   const BimodalWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QclusterEngine engine(&world.points, &idx, SmallOptions());
   const auto result = engine.InitialQuery({0.0, 0.0});
   ASSERT_EQ(result.size(), 80u);
@@ -71,7 +72,7 @@ TEST(QclusterEngineTest, InitialQueryIsEuclideanKnn) {
 TEST(QclusterEngineTest, FeedbackBuildsClusters) {
   Rng rng(142);
   const BimodalWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QclusterEngine engine(&world.points, &idx, SmallOptions());
   auto result = engine.InitialQuery(world.points[0]);
 
@@ -91,7 +92,7 @@ TEST(QclusterEngineTest, FeedbackPopulatesPhaseTimers) {
   SetMetricsEnabled(true);
   Rng rng(142);
   const BimodalWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QclusterEngine engine(&world.points, &idx, SmallOptions());
   auto result = engine.InitialQuery(world.points[0]);
   std::vector<RelevantItem> marked;
@@ -135,7 +136,7 @@ TEST(QclusterEngineTest, FeedbackPopulatesPhaseTimers) {
 TEST(QclusterEngineTest, RecallImprovesOverIterations) {
   Rng rng(143);
   const BimodalWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QclusterEngine engine(&world.points, &idx, SmallOptions());
 
   auto result = engine.InitialQuery(world.points[0]);
@@ -165,7 +166,7 @@ TEST(QclusterEngineTest, RecallImprovesOverIterations) {
 TEST(QclusterEngineTest, FindsBothModes) {
   Rng rng(144);
   const BimodalWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QclusterEngine engine(&world.points, &idx, SmallOptions());
   auto result = engine.InitialQuery(world.points[0]);
   for (int it = 0; it < 3; ++it) {
@@ -190,7 +191,7 @@ TEST(QclusterEngineTest, FindsBothModes) {
 TEST(QclusterEngineTest, DuplicateFeedbackIgnored) {
   Rng rng(145);
   const BimodalWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QclusterEngine engine(&world.points, &idx, SmallOptions());
   engine.InitialQuery(world.points[0]);
   engine.Feedback({{0, 1.0}, {1, 1.0}});
@@ -208,7 +209,7 @@ TEST(QclusterEngineTest, DuplicateFeedbackIgnored) {
 TEST(QclusterEngineTest, ResetClearsState) {
   Rng rng(146);
   const BimodalWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QclusterEngine engine(&world.points, &idx, SmallOptions());
   engine.InitialQuery(world.points[0]);
   engine.Feedback({{0, 1.0}});
@@ -220,7 +221,7 @@ TEST(QclusterEngineTest, ResetClearsState) {
 TEST(QclusterEngineTest, InitialQueryResetsPreviousSession) {
   Rng rng(147);
   const BimodalWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QclusterEngine engine(&world.points, &idx, SmallOptions());
   engine.InitialQuery(world.points[0]);
   engine.Feedback({{0, 1.0}});
@@ -232,7 +233,7 @@ TEST(QclusterEngineTest, InitialQueryResetsPreviousSession) {
 TEST(QclusterEngineTest, FeedbackWithoutRelevantDies) {
   Rng rng(148);
   const BimodalWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QclusterEngine engine(&world.points, &idx, SmallOptions());
   engine.InitialQuery(world.points[0]);
   EXPECT_DEATH(engine.Feedback({}), "relevant");
@@ -241,7 +242,7 @@ TEST(QclusterEngineTest, FeedbackWithoutRelevantDies) {
 TEST(QclusterEngineTest, BrTreeAndLinearScanAgree) {
   Rng rng(149);
   const BimodalWorld world(rng);
-  const index::LinearScanIndex scan(&world.points);
+  const index::LinearScanIndex scan(world.points.view());
   const index::BrTree tree(&world.points);
   QclusterOptions opt = SmallOptions();
   QclusterEngine engine_scan(&world.points, &scan, opt);
@@ -263,7 +264,7 @@ TEST(QclusterEngineTest, BrTreeAndLinearScanAgree) {
 TEST(QclusterEngineTest, NameIsQcluster) {
   Rng rng(150);
   const BimodalWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   QclusterEngine engine(&world.points, &idx, SmallOptions());
   EXPECT_EQ(engine.name(), "qcluster");
 }

@@ -110,22 +110,23 @@ TEST(OracleTest, RelevancePredicateAndCategorySize) {
 
 /// A small world where category 0 is bimodal in feature space.
 struct SimWorld {
-  std::vector<Vector> points;
+  linalg::FlatBlock points;
   std::vector<int> categories;
   std::vector<int> themes;
 
   explicit SimWorld(Rng& rng) {
+    std::vector<Vector> rows;
     for (int i = 0; i < 20; ++i) {
-      points.push_back({0.3 * rng.Gaussian(), 0.3 * rng.Gaussian()});
+      rows.push_back({0.3 * rng.Gaussian(), 0.3 * rng.Gaussian()});
       categories.push_back(0);
-      points.push_back(
-          {2.5 + 0.3 * rng.Gaussian(), 2.5 + 0.3 * rng.Gaussian()});
+      rows.push_back({2.5 + 0.3 * rng.Gaussian(), 2.5 + 0.3 * rng.Gaussian()});
       categories.push_back(0);
     }
     for (int i = 0; i < 120; ++i) {
-      points.push_back({rng.Uniform(-5.0, 9.0), rng.Uniform(-5.0, 9.0)});
+      rows.push_back({rng.Uniform(-5.0, 9.0), rng.Uniform(-5.0, 9.0)});
       categories.push_back(1 + static_cast<int>(rng.UniformInt(4)));
     }
+    points = linalg::FlatBlock::FromPoints(rows);
     themes.assign(categories.size(), 0);
     for (std::size_t i = 0; i < categories.size(); ++i) {
       themes[i] = categories[i] / 2;
@@ -136,7 +137,7 @@ struct SimWorld {
 TEST(SimulatorTest, SessionImprovesQclusterRecall) {
   Rng rng(171);
   const SimWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   core::QclusterOptions opt;
   opt.k = 50;
   core::QclusterEngine engine(&world.points, &idx, opt);
@@ -161,7 +162,7 @@ TEST(SimulatorTest, QclusterBeatsQpmOnBimodalCategory) {
   // movement on complex (multi-modal) queries.
   Rng rng(172);
   const SimWorld world(rng);
-  const index::LinearScanIndex idx(&world.points);
+  const index::LinearScanIndex idx(world.points.view());
   OracleOptions oracle_opt;
   oracle_opt.same_theme_score = 0.0;
   OracleUser oracle(&world.categories, &world.themes, oracle_opt);

@@ -19,15 +19,15 @@ namespace {
 using core::Cluster;
 using linalg::Vector;
 
-std::vector<Vector> RandomPoints(int n, int dim, Rng& rng) {
+linalg::FlatBlock RandomPoints(int n, int dim, Rng& rng) {
   std::vector<Vector> pts;
   for (int i = 0; i < n; ++i) pts.push_back(rng.GaussianVector(dim));
-  return pts;
+  return linalg::FlatBlock::FromPoints(pts);
 }
 
 TEST(QueryCacheTest, WarmSearchSkipsCachedLeafReads) {
   Rng rng(241);
-  const std::vector<Vector> pts = RandomPoints(4000, 3, rng);
+  const linalg::FlatBlock pts = RandomPoints(4000, 3, rng);
   const index::BrTree tree(&pts);
 
   index::WarmStart warm;
@@ -47,7 +47,7 @@ TEST(QueryCacheTest, WarmSearchSkipsCachedLeafReads) {
 
 TEST(QueryCacheTest, RefinedQueryStaysExactWithFewReads) {
   Rng rng(242);
-  const std::vector<Vector> pts = RandomPoints(4000, 3, rng);
+  const linalg::FlatBlock pts = RandomPoints(4000, 3, rng);
   const index::BrTree tree(&pts);
 
   index::WarmStart warm;
@@ -67,7 +67,7 @@ TEST(QueryCacheTest, RefinedQueryStaysExactWithFewReads) {
 
 TEST(QueryCacheTest, CacheAccumulatesAcrossIterations) {
   Rng rng(243);
-  const std::vector<Vector> pts = RandomPoints(2000, 2, rng);
+  const linalg::FlatBlock pts = RandomPoints(2000, 2, rng);
   const index::BrTree tree(&pts);
   index::WarmStart warm;
   std::size_t previous = 0;

@@ -83,7 +83,7 @@ std::vector<RoundHits> RunAllMethods(const dataset::FeatureDatabase& db,
                                      const index::KnnIndex* knn) {
   const std::vector<int> queries = Rng(0xBEEF).SampleWithoutReplacement(
       kCategories * kImagesPerCategory, kQueries);
-  const std::vector<linalg::Vector>* features = &db.features();
+  const linalg::FlatBlock* features = &db.features();
   core::QclusterOptions qopt;
   qopt.k = kK;
   core::QclusterEngine qcluster(features, knn, qopt);

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -14,19 +16,20 @@
 namespace qcluster::index {
 namespace {
 
+using linalg::FlatBlock;
 using linalg::Vector;
 
-std::vector<Vector> RandomPoints(int n, int dim, Rng& rng) {
+FlatBlock RandomPoints(int n, int dim, Rng& rng) {
   std::vector<Vector> pts;
   pts.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) pts.push_back(rng.GaussianVector(dim));
-  return pts;
+  return FlatBlock::FromPoints(pts);
 }
 
 TEST(RectTest, ExpandAndDistance) {
   Rect r = Rect::Empty(2);
-  r.Expand({0.0, 0.0});
-  r.Expand({2.0, 4.0});
+  r.Expand(Vector{0.0, 0.0}.data());
+  r.Expand(Vector{2.0, 4.0}.data());
   EXPECT_DOUBLE_EQ(r.SquaredEuclideanDistance({1.0, 2.0}), 0.0);   // Inside.
   EXPECT_DOUBLE_EQ(r.SquaredEuclideanDistance({3.0, 4.0}), 1.0);   // Right.
   EXPECT_DOUBLE_EQ(r.SquaredEuclideanDistance({-1.0, 5.0}), 2.0);  // Corner.
@@ -36,8 +39,8 @@ TEST(EuclideanDistanceTest, ValuesAndBounds) {
   const EuclideanDistance d({0.0, 0.0});
   EXPECT_DOUBLE_EQ(d.Distance({3.0, 4.0}), 25.0);
   Rect r = Rect::Empty(2);
-  r.Expand({1.0, 0.0});
-  r.Expand({2.0, 1.0});
+  r.Expand(Vector{1.0, 0.0}.data());
+  r.Expand(Vector{2.0, 1.0}.data());
   EXPECT_DOUBLE_EQ(d.MinDistance(r), 1.0);
 }
 
@@ -45,8 +48,8 @@ TEST(WeightedEuclideanDistanceTest, WeightsApply) {
   const WeightedEuclideanDistance d({0.0, 0.0}, {1.0, 10.0});
   EXPECT_DOUBLE_EQ(d.Distance({1.0, 1.0}), 11.0);
   Rect r = Rect::Empty(2);
-  r.Expand({0.0, 2.0});
-  r.Expand({0.0, 3.0});
+  r.Expand(Vector{0.0, 2.0}.data());
+  r.Expand(Vector{0.0, 3.0}.data());
   EXPECT_DOUBLE_EQ(d.MinDistance(r), 40.0);
 }
 
@@ -63,8 +66,8 @@ TEST(MahalanobisDistanceTest, RectBoundIsLowerBound) {
   const MahalanobisDistance d({0.0, 0.0}, a);
   for (int t = 0; t < 200; ++t) {
     Rect r = Rect::Empty(2);
-    r.Expand(rng.GaussianVector(2));
-    r.Expand(rng.GaussianVector(2));
+    r.Expand(rng.GaussianVector(2).data());
+    r.Expand(rng.GaussianVector(2).data());
     const double bound = d.MinDistance(r);
     // Sample points inside the rect: distance must exceed the bound.
     for (int s = 0; s < 10; ++s) {
@@ -76,8 +79,9 @@ TEST(MahalanobisDistanceTest, RectBoundIsLowerBound) {
 }
 
 TEST(LinearScanTest, FindsExactNeighbors) {
-  const std::vector<Vector> pts{{0, 0}, {1, 0}, {5, 5}, {0.5, 0}};
-  const LinearScanIndex idx(&pts);
+  const FlatBlock pts =
+      FlatBlock::FromPoints({{0, 0}, {1, 0}, {5, 5}, {0.5, 0}});
+  const LinearScanIndex idx(pts.view());
   const EuclideanDistance d({0.0, 0.0});
   const std::vector<Neighbor> result = idx.Search(d, 2);
   ASSERT_EQ(result.size(), 2u);
@@ -86,15 +90,15 @@ TEST(LinearScanTest, FindsExactNeighbors) {
 }
 
 TEST(LinearScanTest, KLargerThanDatabase) {
-  const std::vector<Vector> pts{{0.0}, {1.0}};
-  const LinearScanIndex idx(&pts);
+  const FlatBlock pts = FlatBlock::FromPoints({{0.0}, {1.0}});
+  const LinearScanIndex idx(pts.view());
   EXPECT_EQ(idx.Search(EuclideanDistance({0.0}), 10).size(), 2u);
 }
 
 TEST(LinearScanTest, CountsDistanceEvaluations) {
   Rng rng(92);
-  const std::vector<Vector> pts = RandomPoints(100, 3, rng);
-  const LinearScanIndex idx(&pts);
+  const FlatBlock pts = RandomPoints(100, 3, rng);
+  const LinearScanIndex idx(pts.view());
   SearchStats stats;
   // Searched only for its cost accounting; the result set is exercised above.
   DiscardResult(idx.Search(EuclideanDistance({0, 0, 0}), 5, &stats));
@@ -119,6 +123,7 @@ TEST(NeighborOrderTest, NanRowNeverDisplacesFiniteNeighbors) {
     for (double& x : p) x = rng.Uniform();
   }
   pts[0][1] = std::numeric_limits<double>::quiet_NaN();
+  const FlatBlock block = FlatBlock::FromPoints(pts);
   const EuclideanDistance d({0.5, 0.5, 0.5});
   constexpr int kK = 8;
 
@@ -136,9 +141,9 @@ TEST(NeighborOrderTest, NanRowNeverDisplacesFiniteNeighbors) {
 
   ThreadPool serial(1);
   ThreadPool parallel(4);
-  EXPECT_EQ(LinearScanIndex(&pts, &serial).Search(d, kK), expected);
-  EXPECT_EQ(LinearScanIndex(&pts, &parallel).Search(d, kK), expected);
-  EXPECT_EQ(BrTree(&pts).Search(d, kK), expected);
+  EXPECT_EQ(LinearScanIndex(block.view(), &serial).Search(d, kK), expected);
+  EXPECT_EQ(LinearScanIndex(block.view(), &parallel).Search(d, kK), expected);
+  EXPECT_EQ(BrTree(&block).Search(d, kK), expected);
 }
 
 TEST(BrTreeTest, NanAtTheKthSlotDoesNotStopTheDescent) {
@@ -154,9 +159,10 @@ TEST(BrTreeTest, NanAtTheKthSlotDoesNotStopTheDescent) {
     pts.push_back({x, 0.0, 0.0});
   }
   pts[0][2] = std::numeric_limits<double>::quiet_NaN();
+  const FlatBlock block = FlatBlock::FromPoints(pts);
   BrTree::Options opt;
   opt.leaf_size = 4;
-  const BrTree tree(&pts, opt);
+  const BrTree tree(&block, opt);
   const auto result = tree.Search(EuclideanDistance({0.0, 0.0, 0.0}), 4);
   ASSERT_EQ(result.size(), 4u);
   EXPECT_EQ(result[0].id, 1);
@@ -165,12 +171,53 @@ TEST(BrTreeTest, NanAtTheKthSlotDoesNotStopTheDescent) {
   EXPECT_EQ(result[3].id, 8);
 }
 
+TEST(BrTreeTest, NanInTheSplitDimensionMatchesSerialScanBitForBit) {
+  // About 20% of the widest dimension's coordinates are NaN, so the bulk
+  // load's median splits compare NaN on every level. The tree must still
+  // return exactly the serial scan's ids and distance bits at every k,
+  // NaN-distance rows included when k reaches them (Neighbor's == is false
+  // on NaN, so the comparison is by bits).
+  const auto same_bits = [](const std::vector<Neighbor>& a,
+                            const std::vector<Neighbor>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].id != b[i].id ||
+          std::memcmp(&a[i].distance, &b[i].distance, sizeof(double)) != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  ThreadPool serial(1);
+  constexpr int kN = 600;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    std::vector<Vector> pts;
+    for (int i = 0; i < kN; ++i) {
+      Vector p = rng.GaussianVector(3);
+      p[0] *= 10.0;  // The widest dimension, split first.
+      if (rng.Uniform() < 0.2) p[0] = std::numeric_limits<double>::quiet_NaN();
+      pts.push_back(std::move(p));
+    }
+    const FlatBlock block = FlatBlock::FromPoints(pts);
+    const BrTree tree(&block);
+    const LinearScanIndex scan(block.view(), &serial);
+    for (int q = 0; q < 5; ++q) {
+      const EuclideanDistance d(rng.GaussianVector(3));
+      for (int k : {1, 7, 100, kN}) {
+        EXPECT_TRUE(same_bits(tree.Search(d, k), scan.Search(d, k)))
+            << "seed=" << seed << " query=" << q << " k=" << k;
+      }
+    }
+  }
+}
+
 TEST(BrTreeTest, MatchesLinearScanEuclidean) {
   Rng rng(93);
   for (int n : {1, 10, 100, 500}) {
-    const std::vector<Vector> pts = RandomPoints(n, 3, rng);
+    const FlatBlock pts = RandomPoints(n, 3, rng);
     const BrTree tree(&pts);
-    const LinearScanIndex scan(&pts);
+    const LinearScanIndex scan(pts.view());
     for (int q = 0; q < 10; ++q) {
       const EuclideanDistance d(rng.GaussianVector(3));
       EXPECT_EQ(tree.Search(d, 7), scan.Search(d, 7)) << "n=" << n;
@@ -180,9 +227,9 @@ TEST(BrTreeTest, MatchesLinearScanEuclidean) {
 
 TEST(BrTreeTest, MatchesLinearScanWeighted) {
   Rng rng(94);
-  const std::vector<Vector> pts = RandomPoints(300, 4, rng);
+  const FlatBlock pts = RandomPoints(300, 4, rng);
   const BrTree tree(&pts);
-  const LinearScanIndex scan(&pts);
+  const LinearScanIndex scan(pts.view());
   for (int q = 0; q < 10; ++q) {
     Vector w(4);
     for (double& x : w) x = rng.Uniform(0.1, 5.0);
@@ -193,9 +240,9 @@ TEST(BrTreeTest, MatchesLinearScanWeighted) {
 
 TEST(BrTreeTest, MatchesLinearScanMahalanobis) {
   Rng rng(95);
-  const std::vector<Vector> pts = RandomPoints(300, 3, rng);
+  const FlatBlock pts = RandomPoints(300, 3, rng);
   const BrTree tree(&pts);
-  const LinearScanIndex scan(&pts);
+  const LinearScanIndex scan(pts.view());
   const linalg::Matrix a{{2.0, 0.3, 0.0}, {0.3, 1.0, 0.1}, {0.0, 0.1, 0.5}};
   for (int q = 0; q < 10; ++q) {
     const MahalanobisDistance d(rng.GaussianVector(3), a);
@@ -205,7 +252,7 @@ TEST(BrTreeTest, MatchesLinearScanMahalanobis) {
 
 TEST(BrTreeTest, PruningReducesWork) {
   Rng rng(96);
-  const std::vector<Vector> pts = RandomPoints(5000, 3, rng);
+  const FlatBlock pts = RandomPoints(5000, 3, rng);
   const BrTree tree(&pts);
   SearchStats stats;
   // Searched only for its cost accounting; parity with the scan is covered
@@ -217,7 +264,7 @@ TEST(BrTreeTest, PruningReducesWork) {
 
 TEST(BrTreeTest, CachedSearchSameResultsLessWork) {
   Rng rng(97);
-  const std::vector<Vector> pts = RandomPoints(5000, 3, rng);
+  const FlatBlock pts = RandomPoints(5000, 3, rng);
   const BrTree tree(&pts);
 
   WarmStart warm_state;
@@ -235,25 +282,25 @@ TEST(BrTreeTest, CachedSearchSameResultsLessWork) {
 }
 
 TEST(BrTreeTest, EmptyDatabase) {
-  const std::vector<Vector> pts;
+  const FlatBlock pts;
   const BrTree tree(&pts);
   EXPECT_TRUE(tree.Search(EuclideanDistance({0.0}), 3).empty());
 }
 
 TEST(BrTreeTest, LeafSizeOneStillCorrect) {
   Rng rng(98);
-  const std::vector<Vector> pts = RandomPoints(64, 2, rng);
+  const FlatBlock pts = RandomPoints(64, 2, rng);
   BrTree::Options opt;
   opt.leaf_size = 1;
   const BrTree tree(&pts, opt);
-  const LinearScanIndex scan(&pts);
+  const LinearScanIndex scan(pts.view());
   const EuclideanDistance d({0.0, 0.0});
   EXPECT_EQ(tree.Search(d, 5), scan.Search(d, 5));
   EXPECT_GT(tree.node_count(), 64);
 }
 
 TEST(BrTreeTest, DuplicatePointsHandled) {
-  const std::vector<Vector> pts{{1, 1}, {1, 1}, {1, 1}, {2, 2}};
+  const FlatBlock pts = FlatBlock::FromPoints({{1, 1}, {1, 1}, {1, 1}, {2, 2}});
   const BrTree tree(&pts);
   const auto result = tree.Search(EuclideanDistance({1, 1}), 3);
   ASSERT_EQ(result.size(), 3u);

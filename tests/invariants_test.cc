@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -146,6 +147,33 @@ TEST(ValidateDisjunctiveAggregateTest, RejectsOutOfBoundsAndNegativeInputs) {
   const Status s = ValidateDisjunctiveAggregate(neg, w, 2, 2.0, 1.0);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("Eq. 4/5"), std::string::npos);
+}
+
+TEST(ValidateDisjunctiveAggregateTest, NanDistanceMeansNanAggregate) {
+  // What DisjunctiveDistance computes for a NaN feature row: a NaN d²
+  // poisons the harmonic sum, unless a zero d² already decided it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double w[] = {1.0, 1.0};
+  const double poisoned[] = {nan, 4.0};
+  EXPECT_TRUE(ValidateDisjunctiveAggregate(poisoned, w, 2, 2.0, nan).ok());
+  EXPECT_TRUE(ValidateDisjunctiveAggregate(poisoned, w, 2, 2.0, -nan).ok());
+  const double decided[] = {nan, 0.0};
+  EXPECT_TRUE(ValidateDisjunctiveAggregate(decided, w, 2, 2.0, 0.0).ok());
+}
+
+TEST(ValidateDisjunctiveAggregateTest, RejectsNanWhereTheInputsAllowNone) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double w[] = {1.0, 1.0};
+  // A finite result from a NaN d², and a NaN one beside a zero d².
+  const double poisoned[] = {4.0, nan};
+  EXPECT_FALSE(ValidateDisjunctiveAggregate(poisoned, w, 2, 2.0, 1.6).ok());
+  const double decided[] = {0.0, nan};
+  EXPECT_FALSE(ValidateDisjunctiveAggregate(decided, w, 2, 2.0, nan).ok());
+  // A NaN result from NaN-free inputs, and a negative d² beside a NaN.
+  const double clean[] = {1.0, 4.0};
+  EXPECT_FALSE(ValidateDisjunctiveAggregate(clean, w, 2, 2.0, nan).ok());
+  const double negative[] = {nan, -1.0};
+  EXPECT_FALSE(ValidateDisjunctiveAggregate(negative, w, 2, 2.0, nan).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ using linalg::Vector;
 
 TEST(MindReaderTest, QueryPointIsWeightedCentroid) {
   const std::vector<Vector> points{{0.0, 0.0}, {4.0, 0.0}, {9.0, 9.0}};
-  const index::LinearScanIndex idx(&points);
-  MindReader mr(&points, &idx, MindReaderOptions{});
+  const auto block = linalg::FlatBlock::FromPoints(points);
+  const index::LinearScanIndex idx(block.view());
+  MindReader mr(&block, &idx, MindReaderOptions{});
   mr.InitialQuery({0.0, 0.0});
   mr.Feedback({{0, 1.0}, {1, 3.0}});
   EXPECT_NEAR(mr.query_point()[0], 3.0, 1e-12);
@@ -39,10 +40,11 @@ TEST(MindReaderTest, MetricCapturesCorrelatedSpread) {
   // Two probes at the same Euclidean distance from the centroid.
   points.push_back({2.0, 2.0});    // Along the correlated direction.
   points.push_back({2.0, -2.0});   // Across it.
-  const index::LinearScanIndex idx(&points);
+  const auto block = linalg::FlatBlock::FromPoints(points);
+  const index::LinearScanIndex idx(block.view());
   MindReaderOptions opt;
   opt.k = 5;
-  MindReader mr(&points, &idx, opt);
+  MindReader mr(&block, &idx, opt);
   mr.InitialQuery(points[0]);
   mr.Feedback(marked);
 
@@ -63,10 +65,11 @@ TEST(MindReaderTest, RetrievesAlongCorrelation) {
   points.push_back({3.0, 3.0});
   const int across = static_cast<int>(points.size());
   points.push_back({2.0, -2.0});  // Euclidean-closer to the centroid!
-  const index::LinearScanIndex idx(&points);
+  const auto block = linalg::FlatBlock::FromPoints(points);
+  const index::LinearScanIndex idx(block.view());
   MindReaderOptions opt;
   opt.k = static_cast<int>(points.size());
-  MindReader mr(&points, &idx, opt);
+  MindReader mr(&block, &idx, opt);
   mr.InitialQuery(points[0]);
   const auto result = mr.Feedback(marked);
   // The along-diagonal point must rank above the across point.
@@ -82,8 +85,9 @@ TEST(MindReaderTest, RetrievesAlongCorrelation) {
 
 TEST(MindReaderTest, ResetAndDuplicateHandling) {
   const std::vector<Vector> points{{0.0}, {1.0}, {2.0}};
-  const index::LinearScanIndex idx(&points);
-  MindReader mr(&points, &idx, MindReaderOptions{});
+  const auto block = linalg::FlatBlock::FromPoints(points);
+  const index::LinearScanIndex idx(block.view());
+  MindReader mr(&block, &idx, MindReaderOptions{});
   mr.InitialQuery({0.0});
   mr.Feedback({{0, 1.0}, {1, 1.0}});
   const Vector q1 = mr.query_point();

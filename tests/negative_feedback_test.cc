@@ -19,16 +19,17 @@ TEST(NegativeFeedbackTest, QueryMovesAwayFromNegatives) {
   // Relevant at x=+4, non-relevant at x=-4: with negatives the query ends
   // farther right than without.
   const std::vector<Vector> points{{4.0, 0.0}, {-4.0, 0.0}};
-  const index::LinearScanIndex idx(&points);
+  const auto block = linalg::FlatBlock::FromPoints(points);
+  const index::LinearScanIndex idx(block.view());
   QpmOptions opt;
   opt.k = 2;
 
-  QueryPointMovement plain(&points, &idx, opt);
+  QueryPointMovement plain(&block, &idx, opt);
   plain.InitialQuery({0.0, 0.0});
   plain.Feedback({{0, 1.0}});
   const double plain_x = plain.query_point()[0];
 
-  QueryPointMovement with_neg(&points, &idx, opt);
+  QueryPointMovement with_neg(&block, &idx, opt);
   with_neg.InitialQuery({0.0, 0.0});
   with_neg.FeedbackWithNegatives({{0, 1.0}}, {1});
   EXPECT_GT(with_neg.query_point()[0], plain_x);
@@ -38,11 +39,12 @@ TEST(NegativeFeedbackTest, EmptyNegativesMatchesPlainFeedback) {
   Rng rng(281);
   std::vector<Vector> points;
   for (int i = 0; i < 30; ++i) points.push_back(rng.GaussianVector(2));
-  const index::LinearScanIndex idx(&points);
+  const auto block = linalg::FlatBlock::FromPoints(points);
+  const index::LinearScanIndex idx(block.view());
   QpmOptions opt;
   opt.k = 10;
-  QueryPointMovement a(&points, &idx, opt);
-  QueryPointMovement b(&points, &idx, opt);
+  QueryPointMovement a(&block, &idx, opt);
+  QueryPointMovement b(&block, &idx, opt);
   a.InitialQuery(points[0]);
   b.InitialQuery(points[0]);
   const auto ra = a.Feedback({{1, 1.0}, {2, 2.0}});
@@ -53,12 +55,13 @@ TEST(NegativeFeedbackTest, EmptyNegativesMatchesPlainFeedback) {
 
 TEST(NegativeFeedbackTest, GammaZeroIgnoresNegatives) {
   const std::vector<Vector> points{{4.0, 0.0}, {-4.0, 0.0}};
-  const index::LinearScanIndex idx(&points);
+  const auto block = linalg::FlatBlock::FromPoints(points);
+  const index::LinearScanIndex idx(block.view());
   QpmOptions opt;
   opt.k = 2;
   opt.rocchio_gamma = 0.0;
-  QueryPointMovement a(&points, &idx, opt);
-  QueryPointMovement b(&points, &idx, opt);
+  QueryPointMovement a(&block, &idx, opt);
+  QueryPointMovement b(&block, &idx, opt);
   a.InitialQuery({0.0, 0.0});
   b.InitialQuery({0.0, 0.0});
   a.Feedback({{0, 1.0}});

@@ -52,8 +52,9 @@ TEST_P(SeededPropertyTest, AllIndexesAgreeOnDisjunctiveQueries) {
   std::vector<Vector> pts;
   const int n = 100 + static_cast<int>(rng.UniformInt(400));
   for (int i = 0; i < n; ++i) pts.push_back(rng.GaussianVector(3));
-  const index::LinearScanIndex scan(&pts);
-  const index::BrTree tree(&pts);
+  const auto block = linalg::FlatBlock::FromPoints(pts);
+  const index::LinearScanIndex scan(block.view());
+  const index::BrTree tree(&block);
 
   std::vector<Cluster> clusters;
   const int g = 1 + static_cast<int>(rng.UniformInt(4));
@@ -124,12 +125,13 @@ TEST_P(SeededPropertyTest, EngineSessionsAreDeterministic) {
   Rng rng(GetParam() + 4);
   std::vector<Vector> pts;
   for (int i = 0; i < 300; ++i) pts.push_back(rng.GaussianVector(2));
-  const index::BrTree tree(&pts);
+  const auto block = linalg::FlatBlock::FromPoints(pts);
+  const index::BrTree tree(&block);
   core::QclusterOptions opt;
   opt.k = 40;
 
   auto run = [&] {
-    core::QclusterEngine engine(&pts, &tree, opt);
+    core::QclusterEngine engine(&block, &tree, opt);
     auto result = engine.InitialQuery(pts[0]);
     for (int it = 0; it < 2; ++it) {
       std::vector<core::RelevantItem> marked;

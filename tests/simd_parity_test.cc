@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/cluster.h"
@@ -124,8 +125,8 @@ std::vector<double> Signature(const DistanceFunction& dist,
   dist.DistanceBatch(block.view(), sig.data());
   for (const Vector& p : pts) sig.push_back(dist.Distance(p));
   Rect rect = Rect::Empty(dist.dim());
-  rect.Expand(pts.front());
-  rect.Expand(pts.back());
+  rect.Expand(pts.front().data());
+  rect.Expand(pts.back().data());
   sig.push_back(dist.MinDistance(rect));
   return sig;
 }
@@ -155,6 +156,10 @@ TEST_F(SimdParityTest, AllMetricsAllDimsByteIdentical) {
 }
 
 TEST_F(SimdParityTest, NonFiniteAndSubnormalInputsByteIdentical) {
+  // NaN rows are defined input: under QCLUSTER_AUDIT=1 (Debug) scoring
+  // them must not report an invariant violation.
+  const long long violations_before =
+      MetricsRegistry::Global().CounterValue("audit.violations");
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kSub = std::numeric_limits<double>::denorm_min();
@@ -184,6 +189,8 @@ TEST_F(SimdParityTest, NonFiniteAndSubnormalInputsByteIdentical) {
       }
     }
   }
+  EXPECT_EQ(MetricsRegistry::Global().CounterValue("audit.violations"),
+            violations_before);
 }
 
 TEST_F(SimdParityTest, NanDistancePropagates) {
@@ -211,18 +218,19 @@ TEST_F(SimdParityTest, TieHeavyTopKIdenticalAcrossTiersAndThreads) {
   }
   // Odd count: the last row goes through the batch-tail row-kernel path.
   pts.push_back(rng.GaussianVector(dim));
+  const FlatBlock block = FlatBlock::FromPoints(pts);
   const auto metrics = AllMetrics(dim, rng);
   for (std::size_t m = 0; m < metrics.size(); ++m) {
     ASSERT_TRUE(linalg::simd::SetTier(Tier::kScalar));
     ThreadPool single(1);
-    const LinearScanIndex reference_index(&pts, &single);
+    const LinearScanIndex reference_index(block.view(), &single);
     const std::vector<Neighbor> reference =
         reference_index.Search(*metrics[m], 25);
     for (Tier tier : AvailableTiers()) {
       for (int threads : {1, 4}) {
         ASSERT_TRUE(linalg::simd::SetTier(tier));
         ThreadPool pool(threads);
-        const LinearScanIndex index(&pts, &pool);
+        const LinearScanIndex index(block.view(), &pool);
         const std::vector<Neighbor> got = index.Search(*metrics[m], 25);
         ASSERT_EQ(got.size(), reference.size());
         for (std::size_t i = 0; i < got.size(); ++i) {

@@ -131,10 +131,11 @@ core::DisjunctiveDistance MakeDisjunctive(const std::vector<Vector>& pts) {
 TEST(ParallelScanDeterminismTest, LinearScanIdenticalAcrossThreadCounts) {
   Rng rng(511);
   const std::vector<Vector> pts = TiedPoints(6000, 3, rng);
+  const linalg::FlatBlock block = linalg::FlatBlock::FromPoints(pts);
   ThreadPool serial(1);
   ThreadPool parallel(8);
-  const LinearScanIndex scan1(&pts, &serial);
-  const LinearScanIndex scan8(&pts, &parallel);
+  const LinearScanIndex scan1(block.view(), &serial);
+  const LinearScanIndex scan8(block.view(), &parallel);
   const auto disjunctive = MakeDisjunctive(pts);
   for (int q = 0; q < 5; ++q) {
     const EuclideanDistance euclid(rng.GaussianVector(3));
@@ -149,8 +150,9 @@ TEST(ParallelScanDeterminismTest, ParallelMatchesSequentialReference) {
   Rng rng(513);
   std::vector<Vector> pts;
   for (int i = 0; i < 5000; ++i) pts.push_back(rng.GaussianVector(4));
+  const linalg::FlatBlock block = linalg::FlatBlock::FromPoints(pts);
   ThreadPool parallel(6);
-  const LinearScanIndex scan(&pts, &parallel);
+  const LinearScanIndex scan(block.view(), &parallel);
   const EuclideanDistance d(rng.GaussianVector(4));
   std::vector<Neighbor> reference;
   reference.reserve(pts.size());
@@ -161,13 +163,17 @@ TEST(ParallelScanDeterminismTest, ParallelMatchesSequentialReference) {
 }
 
 TEST(LinearScanFlatViewTest, ZeroCopyConstructorMatchesPacked) {
+  // An index over a window of a larger block reads those rows in place and
+  // answers exactly like one over a packed copy of just them.
   Rng rng(514);
   std::vector<Vector> pts;
-  for (int i = 0; i < 3000; ++i) pts.push_back(rng.GaussianVector(3));
+  for (int i = 0; i < 3500; ++i) pts.push_back(rng.GaussianVector(3));
   const linalg::FlatBlock block = linalg::FlatBlock::FromPoints(pts);
+  const linalg::FlatBlock copy = linalg::FlatBlock::FromPoints(
+      std::vector<Vector>(pts.begin() + 500, pts.end()));
   ThreadPool pool(3);
-  const LinearScanIndex packed(&pts, &pool);
-  const LinearScanIndex zero_copy(block.view(), &pool);
+  const LinearScanIndex packed(copy.view(), &pool);
+  const LinearScanIndex zero_copy(block.view().Slice(500, 3500), &pool);
   EXPECT_EQ(zero_copy.size(), 3000);
   const EuclideanDistance d(rng.GaussianVector(3));
   EXPECT_EQ(packed.Search(d, 10), zero_copy.Search(d, 10));

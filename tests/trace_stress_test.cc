@@ -11,7 +11,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/session.h"
+#include "core/engine.h"
 #include "index/br_tree.h"
 
 namespace qcluster::trace {
@@ -71,23 +71,24 @@ TEST(TraceStressTest, ConcurrentRecordingAndDraining) {
 }
 
 /// Full sessions tracing concurrently: each thread drives its own
-/// RetrievalSession (which allocates its own trace id) over a shared index
-/// whose ParallelFor shards record worker spans, while tracing flips on the
-/// whole time and one thread polls round summaries.
+/// QclusterEngine (which allocates its own trace id) over a shared index
+/// while tracing is on the whole time and one thread polls round
+/// summaries.
 TEST(TraceStressTest, ConcurrentSessionsTraceSimultaneously) {
   SetTracingEnabled(true);
   TraceRecorder::Global().Reset();
 
   Rng rng(775);
-  std::vector<linalg::Vector> points;
+  std::vector<linalg::Vector> rows;
   for (int i = 0; i < 40; ++i) {
-    points.push_back(linalg::Scale(rng.GaussianVector(2), 0.4));
-    points.push_back(
+    rows.push_back(linalg::Scale(rng.GaussianVector(2), 0.4));
+    rows.push_back(
         linalg::Add(linalg::Scale(rng.GaussianVector(2), 0.4), {3.0, 3.0}));
   }
   for (int i = 0; i < 160; ++i) {
-    points.push_back({rng.Uniform(-4.0, 7.0), rng.Uniform(-4.0, 7.0)});
+    rows.push_back({rng.Uniform(-4.0, 7.0), rng.Uniform(-4.0, 7.0)});
   }
+  const linalg::FlatBlock points = linalg::FlatBlock::FromPoints(rows);
   const index::BrTree tree(&points);
 
   constexpr int kSessions = 4;
@@ -99,10 +100,10 @@ TEST(TraceStressTest, ConcurrentSessionsTraceSimultaneously) {
     threads.emplace_back([&points, &tree, t] {
       core::QclusterOptions opt;
       opt.k = 40;
-      core::RetrievalSession session(&points, &tree, opt);
-      session.Start(points[static_cast<std::size_t>(t)]);
+      core::QclusterEngine engine(&points, &tree, opt);
+      engine.InitialQuery(points[static_cast<std::size_t>(t)]);
       for (int round = 0; round < kRounds; ++round) {
-        session.Feedback({{2 * t, 1.0}, {2 * t + 2, 1.0}});
+        engine.Feedback({{2 * t, 1.0}, {2 * t + 2, 1.0}});
       }
     });
   }
@@ -125,7 +126,7 @@ TEST(TraceStressTest, ConcurrentSessionsTraceSimultaneously) {
   const std::vector<SpanRecord> spans = TraceRecorder::Global().Snapshot();
   std::vector<std::uint64_t> round_traces;
   for (const SpanRecord& rec : spans) {
-    if (std::string("session.round") == rec.name) {
+    if (std::string("feedback.total") == rec.name) {
       round_traces.push_back(rec.trace_id);
     }
   }

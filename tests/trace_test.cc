@@ -12,7 +12,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/session.h"
+#include "core/engine.h"
 #include "index/br_tree.h"
 
 // Counts every allocation that goes through global operator new, so the
@@ -238,6 +238,7 @@ TEST_F(TraceTest, RingOverflowDropsOldestAndCountsWithoutBlocking) {
 
 TEST_F(TraceTest, DisabledSpansAllocateNothing) {
   SetTracingEnabled(false);
+  SetMetricsEnabled(false);
   TraceRecorder::Global().Reset();
   // Warm the code paths once so lazy one-time setup (thread-local buffer
   // registration while enabled earlier, gtest bookkeeping) is out of the
@@ -257,6 +258,28 @@ TEST_F(TraceTest, DisabledSpansAllocateNothing) {
   const long long after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "disabled tracing must not allocate";
   EXPECT_TRUE(TraceRecorder::Global().Snapshot().empty());
+}
+
+TEST_F(TraceTest, SpanFeedsItsHistogramWithTheTracedDuration) {
+  // With tracing and metrics both on, one pair of clock reads serves both:
+  // the histogram holds exactly the recorded span's duration.
+  MetricsRegistry::Global().Reset();
+  SetMetricsEnabled(true);
+  const std::uint64_t trace_id = NewTraceId();
+  {
+    ScopedTraceContext round(trace_id, 0);
+    ScopedSpan span("test.timed");
+  }
+  SetMetricsEnabled(false);
+  const std::vector<SpanRecord> spans =
+      TraceRecorder::Global().SpansForRound(trace_id, 0);
+  ASSERT_EQ(spans.size(), 1u);
+  const auto snap = MetricsRegistry::Global().HistogramSnapshot("test.timed");
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->count, 1);
+  EXPECT_EQ(snap->sum,
+            static_cast<double>(spans[0].end_ns - spans[0].begin_ns) * 1e-9);
+  MetricsRegistry::Global().Reset();
 }
 
 TEST_F(TraceTest, AttrsBeyondCapacityAreSilentlyDropped) {
@@ -343,49 +366,47 @@ TEST_F(TraceTest, SlowRoundDumpsSpanTreeToStderr) {
   EXPECT_NE(err.find("test.slow_phase"), std::string::npos);
 }
 
-/// End-to-end: a full session feedback round produces the span tree the
-/// observability docs promise — session.round → feedback.total →
+/// End-to-end: a feedback round of an engine-driven session produces the
+/// span tree the observability docs promise — feedback.total →
 /// {classify, merge, knn_query} → index internals — all on one trace id.
 TEST_F(TraceTest, SessionFeedbackRoundProducesNestedSpanTree) {
   Rng rng(991);
-  std::vector<linalg::Vector> points;
+  std::vector<linalg::Vector> rows;
   for (int i = 0; i < 40; ++i) {
-    points.push_back(linalg::Scale(rng.GaussianVector(2), 0.4));
-    points.push_back(
+    rows.push_back(linalg::Scale(rng.GaussianVector(2), 0.4));
+    rows.push_back(
         linalg::Add(linalg::Scale(rng.GaussianVector(2), 0.4), {3.0, 3.0}));
   }
   for (int i = 0; i < 120; ++i) {
-    points.push_back({rng.Uniform(-4.0, 7.0), rng.Uniform(-4.0, 7.0)});
+    rows.push_back({rng.Uniform(-4.0, 7.0), rng.Uniform(-4.0, 7.0)});
   }
+  const linalg::FlatBlock points = linalg::FlatBlock::FromPoints(rows);
   const index::BrTree tree(&points);
   core::QclusterOptions opt;
   opt.k = 50;
-  core::RetrievalSession session(&points, &tree, opt);
-  session.Start(points[0]);
-  session.Feedback({{0, 1.0}, {2, 1.0}, {4, 1.0}});
+  core::QclusterEngine engine(&points, &tree, opt);
+  engine.InitialQuery(points[0]);
+  engine.Feedback({{0, 1.0}, {2, 1.0}, {4, 1.0}});
 
   const std::vector<SpanRecord> all = TraceRecorder::Global().Snapshot();
-  const SpanRecord* round = FindSpan(all, "session.round");
-  ASSERT_NE(round, nullptr);
-  const std::uint64_t trace_id = round->trace_id;
+  const SpanRecord* total = FindSpan(all, "feedback.total");
+  ASSERT_NE(total, nullptr);
+  const std::uint64_t trace_id = total->trace_id;
   EXPECT_NE(trace_id, 0u);
-  EXPECT_EQ(round->round, 1);
-  EXPECT_EQ(round->parent_id, 0u);
+  EXPECT_EQ(total->round, 1);
+  EXPECT_EQ(total->parent_id, 0u);
 
   const std::vector<SpanRecord> spans =
       TraceRecorder::Global().SpansForRound(trace_id, 1);
-  const SpanRecord* total = FindSpan(spans, "feedback.total");
   const SpanRecord* classify = FindSpan(spans, "feedback.classify");
   const SpanRecord* merge = FindSpan(spans, "feedback.merge");
   const SpanRecord* knn = FindSpan(spans, "feedback.knn_query");
   const SpanRecord* index_span = FindSpan(spans, "index.br_tree.search");
-  ASSERT_NE(total, nullptr);
   ASSERT_NE(classify, nullptr);
   ASSERT_NE(merge, nullptr);
   ASSERT_NE(knn, nullptr);
   ASSERT_NE(index_span, nullptr);
 
-  EXPECT_EQ(total->parent_id, round->span_id);
   EXPECT_EQ(classify->parent_id, total->span_id);
   EXPECT_EQ(merge->parent_id, total->span_id);
   EXPECT_EQ(knn->parent_id, total->span_id);
@@ -397,7 +418,7 @@ TEST_F(TraceTest, SessionFeedbackRoundProducesNestedSpanTree) {
   // Round 0 (the initial query) recorded under the same trace.
   const std::vector<SpanRecord> start =
       TraceRecorder::Global().SpansForRound(trace_id, 0);
-  EXPECT_NE(FindSpan(start, "session.start"), nullptr);
+  EXPECT_NE(FindSpan(start, "engine.initial_query"), nullptr);
 }
 
 }  // namespace

@@ -48,18 +48,18 @@ constexpr int kK = 25;
 /// unique point stored three times, so the k-th distance is almost always
 /// shared by several candidates and the (distance, id) tiebreak is load-
 /// bearing in every search.
-const std::vector<Vector>& TieHeavyPoints() {
+const linalg::FlatBlock& TieHeavyPoints() {
   static const auto* pts = [] {
     Rng rng(811);
-    auto* out = new std::vector<Vector>();
+    std::vector<Vector> rows;
     for (int i = 0; i < 150; ++i) {
       Vector p(kDim);
       for (double& x : p) x = 0.5 * std::round(rng.Uniform(-4.0, 4.0) * 2.0);
-      out->push_back(p);
-      out->push_back(p);  // Exact duplicates: guaranteed distance ties.
-      out->push_back(p);
+      rows.push_back(p);
+      rows.push_back(p);  // Exact duplicates: guaranteed distance ties.
+      rows.push_back(p);
     }
-    return out;
+    return new linalg::FlatBlock(linalg::FlatBlock::FromPoints(rows));
   }();
   return *pts;
 }
@@ -71,7 +71,6 @@ class OpaqueMetric final : public DistanceFunction {
  public:
   explicit OpaqueMetric(const DistanceFunction* base) : base_(base) {}
   int dim() const override { return base_->dim(); }
-  double Distance(const Vector& x) const override { return base_->Distance(x); }
   double DistanceRow(const double* x) const override {
     return base_->DistanceRow(x);
   }
@@ -193,7 +192,7 @@ void ExpectWarmMatchesCold(
 
 TEST(WarmStartUnitTest, IdenticalKeyReusesWithoutRescoring) {
   const auto& pts = TieHeavyPoints();
-  const index::LinearScanIndex scan(&pts);
+  const index::LinearScanIndex scan(pts.view());
   const index::EuclideanDistance dist(pts[0]);
   index::WarmStart warm;
   DiscardResult(scan.SearchWarm(dist, kK, warm));
@@ -202,7 +201,7 @@ TEST(WarmStartUnitTest, IdenticalKeyReusesWithoutRescoring) {
   // The same metric rebuilt from the same query: decompositions are equal
   // bit for bit, so the seed reuses the stored distances untouched.
   const index::EuclideanDistance same(pts[0]);
-  const index::WarmStart::Seed seed = warm.Reseed(same, kK, pts);
+  const index::WarmStart::Seed seed = warm.Reseed(same, kK, pts.view());
   ASSERT_TRUE(seed.valid());
   EXPECT_TRUE(seed.reused);
   EXPECT_EQ(seed.evaluations, 0);
@@ -213,7 +212,7 @@ TEST(WarmStartUnitTest, IdenticalKeyReusesWithoutRescoring) {
 
 TEST(WarmStartUnitTest, CovarianceUpdateInvalidatesAndRescores) {
   const auto& pts = TieHeavyPoints();
-  const index::LinearScanIndex scan(&pts);
+  const index::LinearScanIndex scan(pts.view());
   const DisjunctiveDistance before = MakeDisjunctive(0, 18);
   index::WarmStart warm;
   DiscardResult(scan.SearchWarm(before, kK, warm));
@@ -222,7 +221,7 @@ TEST(WarmStartUnitTest, CovarianceUpdateInvalidatesAndRescores) {
   // stored key no longer matches, and the seed must re-score every cached
   // candidate under the *new* metric.
   const DisjunctiveDistance after = MakeDisjunctive(0, 19);
-  const index::WarmStart::Seed seed = warm.Reseed(after, kK, pts);
+  const index::WarmStart::Seed seed = warm.Reseed(after, kK, pts.view());
   ASSERT_TRUE(seed.valid());
   EXPECT_FALSE(seed.reused);
   EXPECT_EQ(seed.evaluations, warm.size());
@@ -233,7 +232,7 @@ TEST(WarmStartUnitTest, CovarianceUpdateInvalidatesAndRescores) {
 
 TEST(WarmStartUnitTest, OpaqueMetricStoresNoKey) {
   const auto& pts = TieHeavyPoints();
-  const index::LinearScanIndex scan(&pts);
+  const index::LinearScanIndex scan(pts.view());
   const index::EuclideanDistance base(pts[0]);
   const OpaqueMetric opaque(&base);
   index::WarmStart warm;
@@ -243,7 +242,7 @@ TEST(WarmStartUnitTest, OpaqueMetricStoresNoKey) {
 
   // Even the *same* opaque metric cannot match: with no key stored, reuse
   // is impossible and every reseed re-scores — stale seeds cannot exist.
-  const index::WarmStart::Seed seed = warm.Reseed(opaque, kK, pts);
+  const index::WarmStart::Seed seed = warm.Reseed(opaque, kK, pts.view());
   ASSERT_TRUE(seed.valid());
   EXPECT_FALSE(seed.reused);
   EXPECT_EQ(seed.evaluations, warm.size());
@@ -251,27 +250,27 @@ TEST(WarmStartUnitTest, OpaqueMetricStoresNoKey) {
 
 TEST(WarmStartUnitTest, TooFewCachedCandidatesYieldsInvalidSeed) {
   const auto& pts = TieHeavyPoints();
-  const index::LinearScanIndex scan(&pts);
+  const index::LinearScanIndex scan(pts.view());
   const index::EuclideanDistance dist(pts[0]);
   index::WarmStart warm;
   DiscardResult(scan.SearchWarm(dist, 5, warm));
   ASSERT_EQ(warm.size(), 5);
   // Fewer than k cached candidates cannot certify a k-th-distance bound.
-  EXPECT_FALSE(warm.Reseed(dist, kK, pts).valid());
+  EXPECT_FALSE(warm.Reseed(dist, kK, pts.view()).valid());
   // And an empty cache seeds nothing at all.
   warm.Clear();
   EXPECT_TRUE(warm.empty());
-  EXPECT_FALSE(warm.Reseed(dist, 1, pts).valid());
+  EXPECT_FALSE(warm.Reseed(dist, 1, pts.view()).valid());
 }
 
 TEST(WarmStartUnitTest, ThetaUpperBoundsTrueKthDistance) {
   const auto& pts = TieHeavyPoints();
-  const index::LinearScanIndex scan(&pts);
+  const index::LinearScanIndex scan(pts.view());
   const auto rounds = MetricRounds("disjunctive");
   index::WarmStart warm;
   DiscardResult(scan.SearchWarm(*rounds[0], kK, warm));
   for (std::size_t t = 1; t < rounds.size(); ++t) {
-    const index::WarmStart::Seed seed = warm.Reseed(*rounds[t], kK, pts);
+    const index::WarmStart::Seed seed = warm.Reseed(*rounds[t], kK, pts.view());
     ASSERT_TRUE(seed.valid()) << t;
     const auto cold = scan.Search(*rounds[t], kK);
     // The certificate: a k-th smallest over a >= k subset of the database
@@ -286,7 +285,7 @@ TEST(WarmExactnessTest, EveryIndexEveryMetricEveryThreadCount) {
   ThreadPool pool(4);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     const std::string threads = p == nullptr ? "t1" : "t4";
-    const index::LinearScanIndex scan(&pts, p);
+    const index::LinearScanIndex scan(pts.view(), p);
     const index::BrTree tree(&pts);
 
     for (const std::string& family : Families()) {
@@ -311,7 +310,7 @@ TEST(WarmExactnessTest, OpaqueMetricRoundsStayExactEverywhere) {
     bases.push_back(std::make_unique<index::EuclideanDistance>(q));
     rounds.push_back(std::make_unique<OpaqueMetric>(bases.back().get()));
   }
-  const index::LinearScanIndex scan(&pts);
+  const index::LinearScanIndex scan(pts.view());
   const index::BrTree tree(&pts);
   ExpectWarmMatchesCold(scan, rounds, "scan/opaque");
   ExpectWarmMatchesCold(tree, rounds, "br_tree/opaque", &scan);
@@ -325,7 +324,7 @@ class WarmSimdTest : public ::testing::Test {
 
 TEST_F(WarmSimdTest, TiersAgreeWithScalarColdRounds) {
   const auto& pts = TieHeavyPoints();
-  const index::LinearScanIndex scan(&pts);
+  const index::LinearScanIndex scan(pts.view());
 
   // Scalar-tier cold results are the cross-tier reference.
   ASSERT_TRUE(linalg::simd::SetTier(Tier::kScalar));

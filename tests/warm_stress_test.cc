@@ -1,12 +1,13 @@
-// Concurrent-session stress for the cross-round candidate cache: two
-// RetrievalSessions share one FeatureDatabase and one index but carry
-// *independent* WarmStart caches (one per engine, guarded by the session
-// mutex), so feedback rounds driven from parallel threads must produce
-// exactly the results of the same rounds replayed single-threaded. Run
-// under TSan this also proves the warm path adds no data race: the shared
-// index is immutable, and all cache mutation happens under each session's
-// own lock.
+// Concurrent-session stress for the cross-round candidate cache: several
+// QclusterEngines, one per session and thread, share one FeatureDatabase
+// and one index but carry *independent* WarmStart caches, so feedback
+// rounds driven from parallel threads must produce exactly the results of
+// the same rounds replayed single-threaded. Run under TSan this also
+// proves the warm path adds no data race: the shared database and index
+// are immutable, and each cache is touched only by its own engine's
+// thread.
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,7 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/session.h"
+#include "core/engine.h"
 #include "dataset/feature_database.h"
 #include "index/linear_scan.h"
 
@@ -63,10 +64,10 @@ QclusterOptions StressOptions() {
 /// only on this session's own results, so a single-threaded replay must
 /// reproduce it exactly.
 std::vector<std::vector<index::Neighbor>> DriveSession(
-    RetrievalSession& session, int category) {
+    QclusterEngine& engine, int category) {
   const dataset::FeatureDatabase& db = SharedDatabase();
   std::vector<std::vector<index::Neighbor>> per_round;
-  auto result = session.Start(
+  auto result = engine.InitialQuery(
       db.features()[static_cast<std::size_t>(category * kPerCluster)]);
   per_round.push_back(result);
   for (int round = 0; round < kRounds; ++round) {
@@ -75,7 +76,7 @@ std::vector<std::vector<index::Neighbor>> DriveSession(
       if (n.id / kPerCluster == category) marked.push_back({n.id, 1.0});
     }
     if (marked.empty()) marked.push_back({category * kPerCluster, 1.0});
-    result = session.Feedback(marked);
+    result = engine.Feedback(marked);
     per_round.push_back(result);
   }
   return per_round;
@@ -83,12 +84,12 @@ std::vector<std::vector<index::Neighbor>> DriveSession(
 
 TEST(WarmStressTest, ConcurrentSessionsMatchSequentialReplay) {
   const dataset::FeatureDatabase& db = SharedDatabase();
-  const index::LinearScanIndex index(&db.features());
+  const index::LinearScanIndex index(db.flat_view());
   const QclusterOptions opt = StressOptions();
 
   // Two sessions over the same database and index, driven concurrently.
-  RetrievalSession session_a(&db.features(), &index, opt);
-  RetrievalSession session_b(&db.features(), &index, opt);
+  QclusterEngine session_a(&db.features(), &index, opt);
+  QclusterEngine session_b(&db.features(), &index, opt);
   std::vector<std::vector<index::Neighbor>> rounds_a;
   std::vector<std::vector<index::Neighbor>> rounds_b;
   {
@@ -98,12 +99,12 @@ TEST(WarmStressTest, ConcurrentSessionsMatchSequentialReplay) {
     tb.join();
   }
   // Each session's cache warmed independently.
-  EXPECT_GE(session_a.warm_candidates(), opt.k);
-  EXPECT_GE(session_b.warm_candidates(), opt.k);
+  EXPECT_GE(session_a.warm_start().size(), opt.k);
+  EXPECT_GE(session_b.warm_start().size(), opt.k);
 
   // The same two sessions replayed one after the other — identical rounds.
-  RetrievalSession replay_a(&db.features(), &index, opt);
-  RetrievalSession replay_b(&db.features(), &index, opt);
+  QclusterEngine replay_a(&db.features(), &index, opt);
+  QclusterEngine replay_b(&db.features(), &index, opt);
   EXPECT_EQ(rounds_a, DriveSession(replay_a, 0));
   EXPECT_EQ(rounds_b, DriveSession(replay_b, 2));
 
@@ -114,15 +115,15 @@ TEST(WarmStressTest, ConcurrentSessionsMatchSequentialReplay) {
 
 TEST(WarmStressTest, ManySessionsHammerOneIndex) {
   const dataset::FeatureDatabase& db = SharedDatabase();
-  const index::LinearScanIndex index(&db.features());
+  const index::LinearScanIndex index(db.flat_view());
   const QclusterOptions opt = StressOptions();
 
   constexpr int kSessions = 8;
-  std::vector<std::unique_ptr<RetrievalSession>> sessions;
+  std::vector<std::unique_ptr<QclusterEngine>> sessions;
   std::vector<std::vector<std::vector<index::Neighbor>>> rounds(kSessions);
   for (int s = 0; s < kSessions; ++s) {
     sessions.push_back(
-        std::make_unique<RetrievalSession>(&db.features(), &index, opt));
+        std::make_unique<QclusterEngine>(&db.features(), &index, opt));
   }
   {
     std::vector<std::thread> threads;
@@ -137,7 +138,7 @@ TEST(WarmStressTest, ManySessionsHammerOneIndex) {
   // Sessions targeting the same category must agree round for round with
   // each other and with a sequential replay — the caches never cross.
   for (int s = 0; s < kSessions; ++s) {
-    RetrievalSession replay(&db.features(), &index, opt);
+    QclusterEngine replay(&db.features(), &index, opt);
     EXPECT_EQ(rounds[static_cast<std::size_t>(s)],
               DriveSession(replay, s % kClusters))
         << "session " << s;
