@@ -7,7 +7,9 @@ under ``bench/baselines/`` and the matching fresh export, the fresh value
 must not fall below ``baseline * (1 - tolerance)``. Exits non-zero on any
 regression so CI fails the bench job. Any histogram in a fresh export that
 counts samples above its top bucket (``overflow > 0``) also fails the gate:
-its percentiles are capped and no longer describe what was recorded.
+its percentiles are capped and no longer describe what was recorded. So does
+any histogram that was handed NaN samples (``nan > 0``): the export keeps
+them out of its statistics, but something upstream measured garbage.
 
 The default tolerance is deliberately wide (50%): CI runners and developer
 machines differ by far more than any single optimization, so the gate only
@@ -40,24 +42,29 @@ def load_metrics(path):
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     out = {}
+    # A non-finite number exports as null; it has no value to compare.
     for name, value in doc.get("gauges", {}).items():
-        if THROUGHPUT_MARKER in name:
+        if THROUGHPUT_MARKER in name and value is not None:
             out[name] = float(value)
     for name, snap in doc.get("histograms", {}).items():
-        if THROUGHPUT_MARKER in name and snap.get("count", 0) > 0:
+        if (
+            THROUGHPUT_MARKER in name
+            and snap.get("count", 0) > 0
+            and snap.get("p50") is not None
+        ):
             out[name] = float(snap["p50"])
     return out
 
 
-def overflowing_histograms(path):
-    """Returns [(name, overflow)] for the histograms in one dump that
-    recorded samples above their top bucket."""
+def flagged_histograms(path, field):
+    """Returns [(name, count)] for the histograms in one dump whose `field`
+    (``overflow`` or ``nan``) counted any sample."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     return [
-        (name, snap["overflow"])
+        (name, snap[field])
         for name, snap in sorted(doc.get("histograms", {}).items())
-        if snap.get("overflow", 0) > 0
+        if snap.get(field, 0) > 0
     ]
 
 
@@ -143,11 +150,16 @@ def main():
     total_regressions = []
     total_unbaselined = []
     total_overflow = []
+    total_nan = []
     checked = 0
     for fresh in fresh_files:
         total_overflow.extend(
             (fresh.name, name, count)
-            for name, count in overflowing_histograms(fresh)
+            for name, count in flagged_histograms(fresh, "overflow")
+        )
+        total_nan.extend(
+            (fresh.name, name, count)
+            for name, count in flagged_histograms(fresh, "nan")
         )
         baseline = baseline_dir / fresh.name
         if not baseline.is_file():
@@ -173,6 +185,14 @@ def main():
         )
         for file_name, name, count in total_overflow:
             print(f"  {file_name}:{name}: overflow {count}", file=sys.stderr)
+        failed = True
+    if total_nan:
+        print(
+            f"\nFAIL: {len(total_nan)} histogram(s) recorded NaN samples:",
+            file=sys.stderr,
+        )
+        for file_name, name, count in total_nan:
+            print(f"  {file_name}:{name}: nan {count}", file=sys.stderr)
         failed = True
     if checked == 0:
         print(

@@ -13,13 +13,15 @@
 //
 // Commands:
 //   build <categories> <images_per_category> [color|texture]
+//                             at most 100,000 images in all
 //   save <path>               cache the current feature set to disk
 //   load <path>               restore a cached feature set
 //   method <qcluster|qpm|qex|falcon|mindreader>
 //   query <image_id>          initial query-by-example
 //   mark auto                 oracle marks relevant in current result, feedback
-//   mark <id>:<score> ...     manual marks, feedback (score defaults to 1;
-//                             a bad id or score prints an error instead)
+//   mark <id>:<score> ...     manual marks, feedback (score defaults to 1,
+//                             range [1e-6, 1e6]; a bad id or score prints
+//                             an error instead)
 //   show [n]                  print top-n of the current result
 //   clusters                  print Qcluster's current clusters
 //   metrics                   precision/recall of the current result
@@ -37,7 +39,7 @@
 //                             feedback round slower than N ms to stderr
 
 #include <charconv>
-#include <cmath>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -127,10 +129,55 @@ void AdoptFeatureSet(CliState& state,
   state.query_id = -1;
 }
 
+/// Parses the whole of `text` as a T; false on any leftover or bad input.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Reads the next token of `args`, if there is one, as an integer in
+/// [lo, hi] into `*value` (left at its default when the token is absent).
+/// User input, so a bad token prints an `error:` line naming `what` and
+/// returns false instead of reaching a CHECK.
+bool ReadInt(std::istringstream& args, const char* what, long long lo,
+             long long hi, int* value) {
+  std::string token;
+  if (!(args >> token)) return true;
+  long long parsed = 0;
+  if (!ParseWhole(token, &parsed) || parsed < lo || parsed > hi) {
+    std::printf("error: %s '%s' must be an integer in [%lld, %lld]\n", what,
+                token.c_str(), lo, hi);
+    return false;
+  }
+  *value = static_cast<int>(parsed);
+  return true;
+}
+
+/// Upper bound on `build`'s image count: over 3x the paper's 30,000, and
+/// small enough that a typo cannot exhaust memory.
+constexpr long long kMaxBuildImages = 100000;
+
 void CmdBuild(CliState& state, std::istringstream& args) {
   int categories = 20, images = 40;
   std::string feature = "color";
-  args >> categories >> images >> feature;
+  if (!ReadInt(args, "build categories", 1, kMaxBuildImages, &categories) ||
+      !ReadInt(args, "build images_per_category", 1, kMaxBuildImages,
+               &images)) {
+    return;
+  }
+  if (static_cast<long long>(categories) * images > kMaxBuildImages) {
+    std::printf("error: build of %d x %d images exceeds %lld\n", categories,
+                images, kMaxBuildImages);
+    return;
+  }
+  args >> feature;
+  if (feature != "color" && feature != "texture") {
+    std::printf("error: build feature '%s' must be color or texture\n",
+                feature.c_str());
+    return;
+  }
   qcluster::dataset::ImageCollectionOptions opt;
   opt.num_categories = categories;
   opt.images_per_category = images;
@@ -191,9 +238,10 @@ bool RequireDb(const CliState& state) {
 void CmdQuery(CliState& state, std::istringstream& args) {
   if (!RequireDb(state)) return;
   int id = -1;
-  args >> id;
-  if (id < 0 || id >= state.db->size()) {
-    std::printf("error: query id out of range [0, %d)\n", state.db->size());
+  if (!ReadInt(args, "query id", 0, state.db->size() - 1, &id)) return;
+  if (id < 0) {
+    std::printf("error: query needs an image id in [0, %d)\n",
+                state.db->size());
     return;
   }
   state.query_id = id;
@@ -204,18 +252,16 @@ void CmdQuery(CliState& state, std::istringstream& args) {
               static_cast<int>(state.result.size()));
 }
 
-/// Parses the whole of `text` as a T; false on any leftover or bad input.
-template <typename T>
-bool ParseWhole(const std::string& text, T* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
+/// Bounds on a manual mark's score. The paper's scores are 1 and 3; the
+/// range keeps sums and reciprocals of a round's scores finite (QPM's
+/// re-weighting turns a denormal or near-DBL_MAX total into NaN weights).
+constexpr double kMinScore = 1e-6;
+constexpr double kMaxScore = 1e6;
 
 /// Parses one `<id>[:<score>]` mark. User input, so it is checked here
 /// rather than left to the engine's programmer-error CHECKs: the id must be
-/// an integer in [0, n) and the score finite and > 0. On failure prints an
-/// `error:` line and returns false.
+/// an integer in [0, n) and the score a number in [kMinScore, kMaxScore].
+/// On failure prints an `error:` line and returns false.
 bool ParseMark(const std::string& token, int n,
                qcluster::core::RelevantItem* item) {
   const std::size_t colon = token.find(':');
@@ -228,9 +274,9 @@ bool ParseMark(const std::string& token, int n,
   item->score = 1.0;
   if (colon != std::string::npos &&
       (!ParseWhole(token.substr(colon + 1), &item->score) ||
-       !std::isfinite(item->score) || item->score <= 0.0)) {
-    std::printf("error: mark '%s': score must be a finite number > 0\n",
-                token.c_str());
+       !(kMinScore <= item->score && item->score <= kMaxScore))) {
+    std::printf("error: mark '%s': score must be a number in [%g, %g]\n",
+                token.c_str(), kMinScore, kMaxScore);
     return false;
   }
   return true;
@@ -273,7 +319,7 @@ void CmdMark(CliState& state, std::istringstream& args) {
 void CmdShow(CliState& state, std::istringstream& args) {
   if (!RequireDb(state)) return;
   int n = 10;
-  args >> n;
+  if (!ReadInt(args, "show count", 0, INT_MAX, &n)) return;
   const int limit = std::min<int>(n, static_cast<int>(state.result.size()));
   std::printf("%-6s %-8s %-10s %-10s\n", "rank", "id", "category", "distance");
   for (int i = 0; i < limit; ++i) {

@@ -98,9 +98,8 @@ std::vector<index::Neighbor> QueryExpansion::Feedback(
   // Re-cluster the full relevant set from scratch each iteration — the
   // costlier scheme [13] uses, contrasted with Qcluster's incremental
   // classification.
-  core::HierarchicalOptions h;
-  h.target_clusters = options_.num_representatives;
-  clusters_ = core::HierarchicalCluster(relevant_points_, relevant_scores_, h);
+  clusters_ = core::HierarchicalCluster(relevant_points_, relevant_scores_,
+                                       options_.num_representatives);
 
   last_stats_ = index::SearchStats{};
   const QexDistance dist(clusters_, options_.min_variance);

@@ -8,13 +8,20 @@ namespace qcluster::baselines {
 
 using linalg::Vector;
 
+namespace {
+
+/// Standard-deviation floor of the re-weighting: keeps the weight finite on
+/// dimensions where every relevant value coincides.
+constexpr double kMinStddev = 1e-3;
+
+}  // namespace
+
 QueryPointMovement::QueryPointMovement(const linalg::FlatBlock* database,
                                        const index::KnnIndex* knn,
                                        const QpmOptions& options)
     : database_(database), knn_(knn), options_(options) {
   QCLUSTER_CHECK(database != nullptr && knn != nullptr);
   QCLUSTER_CHECK(options.k > 0);
-  QCLUSTER_CHECK(options.min_stddev > 0.0);
 }
 
 std::vector<index::Neighbor> QueryPointMovement::InitialQuery(
@@ -27,12 +34,6 @@ std::vector<index::Neighbor> QueryPointMovement::InitialQuery(
 
 std::vector<index::Neighbor> QueryPointMovement::Feedback(
     const std::vector<core::RelevantItem>& marked) {
-  return FeedbackWithNegatives(marked, {});
-}
-
-std::vector<index::Neighbor> QueryPointMovement::FeedbackWithNegatives(
-    const std::vector<core::RelevantItem>& marked,
-    const std::vector<int>& non_relevant_ids) {
   for (const core::RelevantItem& item : marked) {
     QCLUSTER_CHECK(0 <= item.id &&
                    item.id < static_cast<int>(database_->size()));
@@ -56,27 +57,11 @@ std::vector<index::Neighbor> QueryPointMovement::FeedbackWithNegatives(
   }
   centroid = linalg::Scale(centroid, 1.0 / total_score);
 
-  // Negative centroid (Rocchio's γ term), when the caller supplied
-  // non-relevant images.
-  Vector negative(dim, 0.0);
-  double gamma = 0.0;
-  if (!non_relevant_ids.empty() && options_.rocchio_gamma > 0.0) {
-    for (int id : non_relevant_ids) {
-      QCLUSTER_CHECK(0 <= id && id < static_cast<int>(database_->size()));
-      linalg::Axpy(1.0, (*database_)[static_cast<std::size_t>(id)], negative);
-    }
-    negative = linalg::Scale(
-        negative, 1.0 / static_cast<double>(non_relevant_ids.size()));
-    gamma = options_.rocchio_gamma;
-  }
-
-  const double blend_total =
-      options_.rocchio_alpha + options_.rocchio_beta - gamma;
+  const double blend_total = options_.rocchio_alpha + options_.rocchio_beta;
   QCLUSTER_CHECK(blend_total > 0.0);
-  Vector blended =
+  const Vector blended =
       linalg::Add(linalg::Scale(query_point_, options_.rocchio_alpha),
                   linalg::Scale(centroid, options_.rocchio_beta));
-  linalg::Axpy(-gamma, negative, blended);
   query_point_ = linalg::Scale(blended, 1.0 / blend_total);
 
   // Re-weighting: weight_j = 1 / sigma_j of the relevant values along each
@@ -94,7 +79,7 @@ std::vector<index::Neighbor> QueryPointMovement::FeedbackWithNegatives(
   double weight_sum = 0.0;
   for (std::size_t j = 0; j < dim; ++j) {
     const double sigma =
-        std::max(std::sqrt(variance[j] / total_score), options_.min_stddev);
+        std::max(std::sqrt(variance[j] / total_score), kMinStddev);
     weights_[j] = 1.0 / sigma;
     weight_sum += weights_[j];
   }

@@ -12,9 +12,6 @@ namespace qcluster::baselines {
 /// Options for the query-point-movement baseline.
 struct QpmOptions {
   int k = 100;
-  /// Standard-deviation floor for the re-weighting (avoids infinite weights
-  /// on dimensions where all relevant values coincide).
-  double min_stddev = 1e-3;
   /// Rocchio blending coefficients [14]: each iteration the query point
   /// moves to (alpha·q + beta·r̄) / (alpha + beta) where r̄ is the
   /// score-weighted centroid of the relevant set. The classic values keep
@@ -24,9 +21,6 @@ struct QpmOptions {
   /// aggressive variant).
   double rocchio_alpha = 1.0;
   double rocchio_beta = 0.75;
-  /// Weight of the negative (non-relevant) centroid in the Rocchio update;
-  /// only used by FeedbackWithNegatives.
-  double rocchio_gamma = 0.25;
 };
 
 /// The query point movement approach of MARS [15] (Rocchio-style): the
@@ -48,15 +42,6 @@ class QueryPointMovement final : public core::RetrievalMethod {
       const linalg::Vector& query) override;
   std::vector<index::Neighbor> Feedback(
       const std::vector<core::RelevantItem>& marked) override;
-
-  /// Full Rocchio update with negative feedback: the query moves toward
-  /// the relevant centroid and *away* from the centroid of the
-  /// non-relevant images (retrieved but not marked), weighted by
-  /// rocchio_gamma. `Feedback(marked)` is equivalent to an empty negative
-  /// set.
-  std::vector<index::Neighbor> FeedbackWithNegatives(
-      const std::vector<core::RelevantItem>& marked,
-      const std::vector<int>& non_relevant_ids);
 
   void Reset() override;
   const index::SearchStats& last_search_stats() const override {

@@ -1,0 +1,36 @@
+#include "common/json.h"
+
+#include <cmath>
+#include <cstdio>
+
+namespace qcluster {
+
+std::string FormatDouble(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
+std::string JsonNumber(double v) {
+  return std::isfinite(v) ? FormatDouble(v) : "null";
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+}  // namespace qcluster

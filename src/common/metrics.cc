@@ -12,38 +12,13 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/mutex.h"
 
 namespace qcluster {
 namespace {
 
 std::atomic<bool> g_metrics_enabled{false};
-
-/// Formats a double with enough digits to round-trip while keeping the
-/// JSON stable across runs of the same data.
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 void AtomicDoubleAdd(std::atomic<double>& target, double delta) {
   double expected = target.load(std::memory_order_relaxed);
@@ -77,25 +52,23 @@ double Histogram::BucketUpperEdge(int i) {
 
 int Histogram::BucketIndex(double value) {
   if (!(value > kMinValue)) return 0;  // Also catches NaN and negatives.
+  // Also catches +inf, whose log2 no int can hold.
+  if (value > kMaxValue) return kNumBuckets - 1;
   const int idx = static_cast<int>(
       std::ceil(std::log2(value / kMinValue) * kBucketsPerOctave)) - 1;
   return std::clamp(idx, 0, kNumBuckets - 1);
 }
 
 void Histogram::Record(double value) {
+  if (std::isnan(value)) {
+    // NaN has no bucket and would poison sum, min and max for good.
+    nan_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
   if (value > kMaxValue) overflow_.fetch_add(1, std::memory_order_relaxed);
-  const long long before = count_.fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
   AtomicDoubleAdd(sum_, value);
-  if (before == 0) {
-    // First sample: seed min/max so the CAS loops converge to it. Racy
-    // concurrent first samples still end up with correct extrema because
-    // both run the min and max loops below.
-    double zero = 0.0;
-    min_.compare_exchange_strong(zero, value, std::memory_order_relaxed);
-    zero = 0.0;
-    max_.compare_exchange_strong(zero, value, std::memory_order_relaxed);
-  }
   AtomicDoubleMin(min_, value);
   AtomicDoubleMax(max_, value);
 }
@@ -132,7 +105,14 @@ Histogram::Snapshot Histogram::snapshot() const {
   snap.sum = sum_.load(std::memory_order_relaxed);
   snap.min = min_.load(std::memory_order_relaxed);
   snap.max = max_.load(std::memory_order_relaxed);
+  if (snap.min > snap.max) {
+    // No sample yet (min and max still at +inf and -inf), or a snapshot
+    // torn before the first sample's extrema landed.
+    snap.min = 0.0;
+    snap.max = 0.0;
+  }
   snap.overflow = overflow_.load(std::memory_order_relaxed);
+  snap.nan = nan_.load(std::memory_order_relaxed);
   snap.p50 = Percentile(0.50, snap.count, snap.min, snap.max);
   snap.p95 = Percentile(0.95, snap.count, snap.min, snap.max);
   snap.p99 = Percentile(0.99, snap.count, snap.min, snap.max);
@@ -210,7 +190,7 @@ std::string MetricsRegistry::ToJson() const {
   out << ", \"counters\": {";
   bool first = true;
   for (const auto& [name, counter] : counters_) {
-    out << (first ? "" : ", ") << '"' << EscapeJson(name)
+    out << (first ? "" : ", ") << '"' << JsonEscape(name)
         << "\": " << counter->value();
     first = false;
   }
@@ -219,8 +199,8 @@ std::string MetricsRegistry::ToJson() const {
   out << ", \"gauges\": {";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
-    out << (first ? "" : ", ") << '"' << EscapeJson(name)
-        << "\": " << FormatDouble(gauge->value());
+    out << (first ? "" : ", ") << '"' << JsonEscape(name)
+        << "\": " << JsonNumber(gauge->value());
     first = false;
   }
   out << "}";
@@ -229,14 +209,15 @@ std::string MetricsRegistry::ToJson() const {
   first = true;
   for (const auto& [name, histogram] : histograms_) {
     const Histogram::Snapshot s = histogram->snapshot();
-    out << (first ? "" : ", ") << '"' << EscapeJson(name) << "\": {"
-        << "\"count\": " << s.count << ", \"sum\": " << FormatDouble(s.sum)
-        << ", \"min\": " << FormatDouble(s.min)
-        << ", \"max\": " << FormatDouble(s.max)
-        << ", \"p50\": " << FormatDouble(s.p50)
-        << ", \"p95\": " << FormatDouble(s.p95)
-        << ", \"p99\": " << FormatDouble(s.p99)
-        << ", \"overflow\": " << s.overflow << "}";
+    out << (first ? "" : ", ") << '"' << JsonEscape(name) << "\": {"
+        << "\"count\": " << s.count << ", \"sum\": " << JsonNumber(s.sum)
+        << ", \"min\": " << JsonNumber(s.min)
+        << ", \"max\": " << JsonNumber(s.max)
+        << ", \"p50\": " << JsonNumber(s.p50)
+        << ", \"p95\": " << JsonNumber(s.p95)
+        << ", \"p99\": " << JsonNumber(s.p99)
+        << ", \"overflow\": " << s.overflow << ", \"nan\": " << s.nan
+        << "}";
     first = false;
   }
   out << "}}";

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -80,6 +81,9 @@ class Histogram {
     double p95 = 0.0;
     double p99 = 0.0;
     long long overflow = 0;  ///< Samples above kMaxValue.
+    /// NaN samples: counted here only, never in the buckets, count, sum,
+    /// min or max.
+    long long nan = 0;
   };
   Snapshot snapshot() const;
 
@@ -94,13 +98,16 @@ class Histogram {
   // Deliberately lock-free (recording sits on the search hot path): the
   // counts are relaxed fetch_adds, and sum/min/max are maintained by the CAS
   // loops in metrics.cc. No GUARDED_BY applies — the atomics are their own
-  // synchronization; snapshot() tolerates torn cross-field views.
+  // synchronization; snapshot() tolerates torn cross-field views. min and
+  // max start at the identity of their loop (+inf, -inf), so the first
+  // sample needs no seeding and concurrent first samples cannot race.
   std::atomic<long long> buckets_[kNumBuckets] = {};
   std::atomic<long long> count_{0};
   std::atomic<long long> overflow_{0};
+  std::atomic<long long> nan_{0};
   std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Owner of every named metric. Metric objects are shared-owned: the
@@ -140,7 +147,10 @@ class MetricsRegistry {
   ///    "counters": {name: integer, ...},
   ///    "gauges": {name: number, ...},
   ///    "histograms": {name: {"count": n, "sum": s, "min": m, "max": M,
-  ///                          "p50": v, "p95": v, "p99": v}, ...}}
+  ///                          "p50": v, "p95": v, "p99": v,
+  ///                          "overflow": n, "nan": n}, ...}}
+  /// A non-finite number (a NaN gauge, an infinite sample's sum) is
+  /// written as null.
   std::string ToJson() const;
 
   /// Writes ToJson() (plus a trailing newline) to `path`.

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
@@ -41,31 +42,6 @@ ThreadState& State() {
   return state;
 }
 
-/// Same stable formatting the metrics JSON uses.
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 void AppendAttrValue(std::ostringstream& out, const AttrValue& v,
                      bool as_json) {
   switch (v.kind) {
@@ -73,11 +49,11 @@ void AppendAttrValue(std::ostringstream& out, const AttrValue& v,
       out << v.i;
       break;
     case AttrValue::Kind::kDouble:
-      out << FormatDouble(v.d);
+      out << (as_json ? JsonNumber(v.d) : FormatDouble(v.d));
       break;
     case AttrValue::Kind::kString:
       if (as_json) {
-        out << '"' << EscapeJson(v.s != nullptr ? v.s : "") << '"';
+        out << '"' << JsonEscape(v.s != nullptr ? v.s : "") << '"';
       } else {
         out << (v.s != nullptr ? v.s : "");
       }
@@ -434,19 +410,18 @@ std::string TraceRecorder::ToChromeTraceJson() {
     const SpanRecord& rec = spans[idx];
     out << (first ? "\n" : ",\n");
     first = false;
-    out << "{\"name\": \"" << EscapeJson(rec.name) << "\", "
+    out << "{\"name\": \"" << JsonEscape(rec.name) << "\", "
         << "\"cat\": \"qcluster\", \"ph\": \"X\", "
         << "\"ts\": "
-        << FormatDouble(static_cast<double>(rec.begin_ns - base) / 1e3)
+        << JsonNumber(static_cast<double>(rec.begin_ns - base) / 1e3)
         << ", \"dur\": "
-        << FormatDouble(static_cast<double>(rec.end_ns - rec.begin_ns) /
-                        1e3)
+        << JsonNumber(static_cast<double>(rec.end_ns - rec.begin_ns) / 1e3)
         << ", \"pid\": " << rec.trace_id
         << ", \"tid\": " << rec.thread_index << ", \"args\": {"
         << "\"span\": " << rec.span_id << ", \"parent\": " << rec.parent_id
         << ", \"round\": " << rec.round;
     for (int a = 0; a < rec.attr_count; ++a) {
-      out << ", \"" << EscapeJson(rec.attr_keys[a]) << "\": ";
+      out << ", \"" << JsonEscape(rec.attr_keys[a]) << "\": ";
       AppendAttrValue(out, rec.attr_values[a], /*as_json=*/true);
     }
     out << "}}";

@@ -1,7 +1,5 @@
 #include "core/disjunctive_distance.h"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -11,24 +9,6 @@
 namespace qcluster::core {
 
 using linalg::Vector;
-
-namespace {
-
-/// Gershgorin-disc lower bound on λ_min (clamped to >= 0): the cheap O(d²)
-/// fallback when the eigendecomposition fails, still a valid pruning bound.
-double GershgorinMinEigenvalueBound(const linalg::Matrix& m) {
-  double bound = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < m.rows(); ++r) {
-    double radius = 0.0;
-    for (int c = 0; c < m.cols(); ++c) {
-      if (c != r) radius += std::abs(m(r, c));
-    }
-    bound = std::min(bound, m(r, r) - radius);
-  }
-  return std::max(bound, 0.0);
-}
-
-}  // namespace
 
 DisjunctiveDistance::DisjunctiveDistance(const std::vector<Cluster>& clusters,
                                          stats::CovarianceScheme scheme,
@@ -73,29 +53,13 @@ DisjunctiveDistance::DisjunctiveDistance(const std::vector<Cluster>& clusters,
     // metrics (the adopted scheme), spectral fallback otherwise. Diagonal
     // metrics never pay the O(d³) eigendecomposition.
     const linalg::Matrix& inv = inverse_covs_.back();
-    bool diagonal = true;
-    for (int r = 0; r < dim_ && diagonal; ++r) {
-      for (int col = 0; col < dim_; ++col) {
-        if (r != col && inv(r, col) != 0.0) {
-          diagonal = false;
-          break;
-        }
-      }
-    }
-    if (diagonal) {
+    if (inv.IsDiagonal()) {
       diagonal_weights_.push_back(inv.Diag());
       min_eigenvalues_.push_back(0.0);
       continue;
     }
     diagonal_weights_.emplace_back();
-    double min_eig = 0.0;
-    Result<linalg::SymmetricEigen> eigen = linalg::EigenSymmetric(inv);
-    if (eigen.ok() && !eigen.value().values.empty()) {
-      min_eig = std::max(eigen.value().values.back(), 0.0);
-    } else {
-      min_eig = GershgorinMinEigenvalueBound(inv);
-    }
-    min_eigenvalues_.push_back(min_eig);
+    min_eigenvalues_.push_back(linalg::MinEigenvalueLowerBound(inv));
   }
 }
 

@@ -8,6 +8,17 @@ namespace qcluster::core {
 
 using linalg::Vector;
 
+namespace {
+
+/// Shrinkage fraction of the adaptive variance floor: each cluster's
+/// per-dimension variance is floored at this fraction of the mean pooled
+/// variance across all current clusters. Small clusters (few marked images)
+/// otherwise produce near-zero variances whose over-tight ellipsoids rank
+/// background between the modes above unmarked category members.
+constexpr double kAdaptiveFloorFraction = 0.1;
+
+}  // namespace
+
 QclusterEngine::QclusterEngine(const linalg::FlatBlock* database,
                                const index::KnnIndex* knn,
                                const QclusterOptions& options)
@@ -65,9 +76,8 @@ std::vector<index::Neighbor> QclusterEngine::Feedback(
     if (clusters_.empty()) {
       // First round: hierarchical clustering of the relevant set
       // (Algorithm 1 step 1).
-      HierarchicalOptions h;
-      h.target_clusters = options_.initial_clusters;
-      clusters_ = HierarchicalCluster(points, scores, h);
+      clusters_ =
+          HierarchicalCluster(points, scores, options_.initial_clusters);
     } else if (!points.empty()) {
       // Later rounds: adaptive classification (Algorithm 2), under the floor
       // established by the previous round's clusters.
@@ -107,7 +117,7 @@ std::vector<index::Neighbor> QclusterEngine::Feedback(
 void QclusterEngine::UpdateVarianceFloor() {
   QCLUSTER_TRACE_SPAN(span, "feedback.variance_floor");
   floor_ = options_.min_variance;
-  if (options_.adaptive_floor_fraction <= 0.0 || clusters_.empty()) return;
+  if (clusters_.empty()) return;
   // Mean diagonal of the pooled within-cluster covariance (Eq. 7 without
   // the per-cluster floor): the scale of "typical" relevant-image spread
   // that small clusters shrink toward.
@@ -118,7 +128,7 @@ void QclusterEngine::UpdateVarianceFloor() {
   double mean_diag = 0.0;
   for (int d = 0; d < pooled.rows(); ++d) mean_diag += pooled(d, d);
   mean_diag /= pooled.rows();
-  const double adaptive = options_.adaptive_floor_fraction * mean_diag;
+  const double adaptive = kAdaptiveFloorFraction * mean_diag;
   if (adaptive > floor_) floor_ = adaptive;
 }
 

@@ -31,13 +31,6 @@ struct QclusterOptions {
   stats::CovarianceScheme scheme = stats::CovarianceScheme::kDiagonal;
   /// Absolute variance floor protecting degenerate covariances.
   double min_variance = 1e-4;
-  /// Shrinkage fraction for the adaptive variance floor: each cluster's
-  /// per-dimension variance is floored at this fraction of the mean pooled
-  /// variance across all current clusters. Small clusters (few marked
-  /// images) otherwise produce near-zero variances whose over-tight
-  /// ellipsoids rank background between the modes above unmarked category
-  /// members. 0 disables the adaptation.
-  double adaptive_floor_fraction = 0.1;
   /// Use per-cluster covariances in the classification stage (QDA, Eq. 8's
   /// special case) instead of the paper's pooled simplification (Eq. 10).
   bool use_individual_covariances = false;

@@ -1,6 +1,6 @@
 #include "core/hierarchical.h"
 
-#include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 
@@ -8,41 +8,11 @@ namespace qcluster::core {
 
 using linalg::Vector;
 
-namespace {
-
-double LinkageDistance(const Cluster& a, const Cluster& b, Linkage linkage) {
-  switch (linkage) {
-    case Linkage::kCentroid:
-      return linalg::SquaredDistance(a.centroid(), b.centroid());
-    case Linkage::kSingle: {
-      double best = std::numeric_limits<double>::infinity();
-      for (const Vector& pa : a.points()) {
-        for (const Vector& pb : b.points()) {
-          best = std::min(best, linalg::SquaredDistance(pa, pb));
-        }
-      }
-      return best;
-    }
-    case Linkage::kComplete: {
-      double worst = 0.0;
-      for (const Vector& pa : a.points()) {
-        for (const Vector& pb : b.points()) {
-          worst = std::max(worst, linalg::SquaredDistance(pa, pb));
-        }
-      }
-      return worst;
-    }
-  }
-  return 0.0;
-}
-
-}  // namespace
-
 std::vector<Cluster> HierarchicalCluster(const std::vector<Vector>& points,
                                          const std::vector<double>& scores,
-                                         const HierarchicalOptions& options) {
+                                         int target_clusters) {
   QCLUSTER_CHECK(points.size() == scores.size());
-  QCLUSTER_CHECK(options.target_clusters >= 1);
+  QCLUSTER_CHECK(target_clusters >= 1);
 
   std::vector<Cluster> clusters;
   clusters.reserve(points.size());
@@ -50,15 +20,17 @@ std::vector<Cluster> HierarchicalCluster(const std::vector<Vector>& points,
     clusters.push_back(Cluster::FromPoint(points[i], scores[i]));
   }
 
-  while (static_cast<int>(clusters.size()) > options.target_clusters) {
+  while (static_cast<int>(clusters.size()) > target_clusters) {
     // O(g²) closest-pair scan per merge; relevant sets are small (≤ k).
-    int best_i = -1;
-    int best_j = -1;
+    // The first pair stands in when no distance is below +inf (NaN or
+    // overflowing features), so every pass still merges.
+    int best_i = 0;
+    int best_j = 1;
     double best_d = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < clusters.size(); ++i) {
       for (std::size_t j = i + 1; j < clusters.size(); ++j) {
-        const double d =
-            LinkageDistance(clusters[i], clusters[j], options.linkage);
+        const double d = linalg::SquaredDistance(clusters[i].centroid(),
+                                                 clusters[j].centroid());
         if (d < best_d) {
           best_d = d;
           best_i = static_cast<int>(i);
@@ -66,7 +38,6 @@ std::vector<Cluster> HierarchicalCluster(const std::vector<Vector>& points,
         }
       }
     }
-    if (best_d > options.max_merge_distance) break;
     clusters[static_cast<std::size_t>(best_i)] =
         Cluster::Merged(clusters[static_cast<std::size_t>(best_i)],
                         clusters[static_cast<std::size_t>(best_j)]);

@@ -1,39 +1,21 @@
 #ifndef QCLUSTER_CORE_HIERARCHICAL_H_
 #define QCLUSTER_CORE_HIERARCHICAL_H_
 
-#include <limits>
 #include <vector>
 
 #include "core/cluster.h"
 
 namespace qcluster::core {
 
-/// Linkage criteria for the initial agglomerative clustering (Sec. 4.1:
-/// "we use the hierarchical clustering algorithm that groups data into
-/// hyperspherical regions").
-enum class Linkage {
-  kCentroid,  ///< Euclidean distance between weighted centroids.
-  kSingle,    ///< Minimum pairwise member distance.
-  kComplete,  ///< Maximum pairwise member distance.
-};
-
-/// Parameters for the initial clustering of the first feedback round
-/// (Algorithm 1 step 1).
-struct HierarchicalOptions {
-  /// Stop once this many clusters remain.
-  int target_clusters = 3;
-  /// Additionally stop when the closest pair is farther than this
-  /// (squared Euclidean distance); infinity disables the rule.
-  double max_merge_distance = std::numeric_limits<double>::infinity();
-  Linkage linkage = Linkage::kCentroid;
-};
-
-/// Bottom-up agglomerative clustering: every point starts as a singleton
-/// cluster; the closest pair (under the linkage) merges until the stopping
-/// rule triggers. Scores weight the centroids exactly as in Eq. 2.
+/// The initial clustering of the first feedback round (Algorithm 1 step 1;
+/// Sec. 4.1: "we use the hierarchical clustering algorithm that groups data
+/// into hyperspherical regions"). Bottom-up agglomerative clustering: every
+/// point starts as a singleton cluster, and the pair with the closest
+/// centroids (squared Euclidean distance) merges until `target_clusters`
+/// remain. Scores weight the centroids exactly as in Eq. 2.
 std::vector<Cluster> HierarchicalCluster(
     const std::vector<linalg::Vector>& points,
-    const std::vector<double>& scores, const HierarchicalOptions& options);
+    const std::vector<double>& scores, int target_clusters);
 
 }  // namespace qcluster::core
 

@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "stats/box_m.h"
 #include "stats/distributions.h"
 #include "stats/hotelling.h"
 
@@ -46,17 +45,17 @@ MergeCandidate EvaluateMergePair(const std::vector<Cluster>& clusters, int i,
                      // Degenerate dof: fall back to the asymptotic χ² bound.
                      : stats::ChiSquaredUpperQuantile(alpha,
                                                       static_cast<double>(dim));
-  if (options.check_covariance_homogeneity) {
-    Result<stats::BoxMTest> box = stats::BoxMHomogeneityTest(
-        {&a.stats(), &b.stats()}, options.homogeneity_alpha);
-    // Clusters too small for the test are treated as compatible, matching
-    // the paper's small-sample assumption.
-    if (box.ok() && box.value().reject) candidate.heterogeneous = true;
-  }
   return candidate;
 }
 
 namespace {
+
+/// Multiplicative α relaxation applied while the count still exceeds
+/// max_clusters but every remaining pair rejects H0.
+constexpr double kAlphaRelax = 0.1;
+/// Lower bound on the relaxed α; below it the closest pair (smallest T²)
+/// merges unconditionally, so the pass always terminates.
+constexpr double kMinAlpha = 1e-9;
 
 /// Returns the candidate with the smallest T² among all pairs.
 MergeCandidate BestPair(const std::vector<Cluster>& clusters, double alpha,
@@ -89,7 +88,6 @@ MergeReport MergeClusters(std::vector<Cluster>& clusters,
                           const MergeOptions& options) {
   QCLUSTER_CHECK(options.max_clusters >= 1);
   QCLUSTER_CHECK(0.0 < options.alpha && options.alpha < 1.0);
-  QCLUSTER_CHECK(0.0 < options.alpha_relax && options.alpha_relax < 1.0);
   QCLUSTER_TRACE_SPAN(span, "merge.pass");
   span.AddAttr("clusters_in", clusters.size());
 
@@ -110,9 +108,9 @@ MergeReport MergeClusters(std::vector<Cluster>& clusters,
     // Over the cap with every pair rejecting H0: Algorithm 3 line 8 —
     // increase the critical distance by relaxing α; force the closest pair
     // once α bottoms out.
-    if (alpha > options.min_alpha) {
-      alpha *= options.alpha_relax;
-      if (alpha < options.min_alpha) alpha = options.min_alpha;
+    if (alpha > kMinAlpha) {
+      alpha *= kAlphaRelax;
+      if (alpha < kMinAlpha) alpha = kMinAlpha;
       report.final_alpha = alpha;
       continue;
     }

@@ -18,24 +18,11 @@ struct MergeOptions {
   /// (Algorithm 3 line 8, "increase critical distance c² using α"), until
   /// the cluster count is at most this.
   int max_clusters = 5;
-  /// Multiplicative α relaxation applied when the count still exceeds
-  /// max_clusters but every remaining pair rejects H0.
-  double alpha_relax = 0.1;
-  /// Lower bound on the relaxed α; below this, the closest pair (smallest
-  /// T²) merges unconditionally so the algorithm always terminates.
-  double min_alpha = 1e-9;
   /// Covariance handling for S_pooled^{-1} in T² (Eq. 15).
   stats::CovarianceScheme scheme = stats::CovarianceScheme::kDiagonal;
   /// Variance floor for degenerate pooled covariances (pairs of singleton
   /// clusters have zero scatter).
   double min_variance = 1e-4;
-  /// Extension: verify the T² test's equal-covariance assumption (Sec. 4.3)
-  /// with Box's M before merging. A pair whose covariances differ
-  /// significantly is not merged even when the means are indistinguishable
-  /// (unless the max_clusters cap forces it). Applies only when both
-  /// clusters are large enough for the test.
-  bool check_covariance_homogeneity = false;
-  double homogeneity_alpha = 0.01;
 };
 
 /// Outcome summary of one merging pass.
@@ -55,9 +42,7 @@ struct MergeCandidate {
   int j = 0;
   double t2 = 0.0;
   double c2 = 0.0;
-  /// Set when Box's M rejected covariance homogeneity for the pair.
-  bool heterogeneous = false;
-  bool mergeable() const { return !heterogeneous && t2 <= c2; }
+  bool mergeable() const { return t2 <= c2; }
 };
 
 /// Evaluates the merge test for a single pair at level `alpha`.

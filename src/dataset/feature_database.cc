@@ -75,8 +75,7 @@ FeatureDatabase FeatureDatabase::Build(const ImageCollection& collection,
         raw.push_back(image::ExtractTextureFeatures(img));
         break;
       case FeatureType::kColorHistogram:
-        raw.push_back(
-            image::ExtractColorHistogram(img, image::ColorHistogramOptions{}));
+        raw.push_back(image::ExtractColorHistogram(img));
         break;
     }
     categories.push_back(collection.category(id));

@@ -11,13 +11,22 @@ namespace qcluster::dataset {
 using image::Image;
 using image::Rgb;
 
+namespace {
+
+/// Each category mixes kMinSubstyles..kMaxSubstyles photometric modes (e.g.
+/// birds on light-green vs dark-blue backgrounds, Example 1). Substyles are
+/// what make a single category map to *disjoint* clusters in feature space
+/// — the complex-query structure the paper targets.
+constexpr int kMinSubstyles = 2;
+constexpr int kMaxSubstyles = 3;
+
+}  // namespace
+
 ImageCollection::ImageCollection(const ImageCollectionOptions& options)
     : options_(options) {
   QCLUSTER_CHECK(options.num_categories >= 1);
   QCLUSTER_CHECK(options.images_per_category >= 1);
   QCLUSTER_CHECK(options.width >= 8 && options.height >= 8);
-  QCLUSTER_CHECK(options.min_substyles >= 1);
-  QCLUSTER_CHECK(options.max_substyles >= options.min_substyles);
   QCLUSTER_CHECK(options.categories_per_theme >= 1);
 
   styles_.reserve(static_cast<std::size_t>(options.num_categories));
@@ -30,9 +39,8 @@ ImageCollection::ImageCollection(const ImageCollectionOptions& options)
     style.noise = 5 + static_cast<int>(rng.UniformInt(20));
 
     const int substyles =
-        options.min_substyles +
-        static_cast<int>(rng.UniformInt(static_cast<std::uint64_t>(
-            options.max_substyles - options.min_substyles + 1)));
+        kMinSubstyles + static_cast<int>(rng.UniformInt(
+                            kMaxSubstyles - kMinSubstyles + 1));
     const double base_hue = rng.Uniform(0.0, 360.0);
     const double object_hue = rng.Uniform(0.0, 360.0);
     for (int s = 0; s < substyles; ++s) {

@@ -26,12 +26,6 @@ struct ImageCollectionOptions {
   int images_per_category = 100;
   int width = 48;
   int height = 48;
-  /// Each category mixes min..max_substyles photometric modes (e.g. birds
-  /// on light-green vs dark-blue backgrounds, Example 1). Substyles are
-  /// what make a single category map to *disjoint* clusters in feature
-  /// space — the complex-query structure the paper targets.
-  int min_substyles = 2;
-  int max_substyles = 3;
   /// Categories are grouped into themes of this size; same-theme images are
   /// "related" (flowers vs plants) for the relevance oracle.
   int categories_per_theme = 5;

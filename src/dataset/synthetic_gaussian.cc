@@ -78,24 +78,6 @@ LabeledPoints GenerateGaussianClusters(const GaussianClustersOptions& options,
   return out;
 }
 
-ClusterPair GenerateClusterPair(int dim, int points_per_cluster,
-                                bool same_mean, double mean_offset, Rng& rng) {
-  QCLUSTER_CHECK(dim > 0);
-  QCLUSTER_CHECK(points_per_cluster >= 2);
-  ClusterPair out;
-  Vector mean_b(static_cast<std::size_t>(dim), 0.0);
-  if (!same_mean) {
-    mean_b = linalg::Scale(RandomUnitVector(dim, rng), mean_offset);
-  }
-  for (int i = 0; i < points_per_cluster; ++i) {
-    out.a.push_back(rng.GaussianVector(dim));
-    Vector b = rng.GaussianVector(dim);
-    linalg::Axpy(1.0, mean_b, b);
-    out.b.push_back(std::move(b));
-  }
-  return out;
-}
-
 std::vector<Vector> GenerateUniformCube(int n, int dim, double lo, double hi,
                                         Rng& rng) {
   QCLUSTER_CHECK(n >= 0 && dim > 0 && lo <= hi);

@@ -41,17 +41,6 @@ struct GaussianClustersOptions {
 LabeledPoints GenerateGaussianClusters(const GaussianClustersOptions& options,
                                        Rng& rng);
 
-/// Draws one pair of Gaussian samples for the Table 2-3 / Fig. 18-19
-/// experiments: two clusters of `points_per_cluster` points in `dim`
-/// dimensions; when `same_mean` is false the second mean is displaced by
-/// `mean_offset` along a random direction.
-struct ClusterPair {
-  std::vector<linalg::Vector> a;
-  std::vector<linalg::Vector> b;
-};
-ClusterPair GenerateClusterPair(int dim, int points_per_cluster,
-                                bool same_mean, double mean_offset, Rng& rng);
-
 /// Uniform points in the axis-aligned cube [lo, hi]^dim (Example 3 uses
 /// 10,000 points in [-2, 2]^3).
 std::vector<linalg::Vector> GenerateUniformCube(int n, int dim, double lo,

@@ -1,12 +1,18 @@
 #include "eval/oracle.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/rng.h"
 
 namespace qcluster::eval {
+
+namespace {
+
+/// Score given to images of the query's own category ("most relevant").
+constexpr double kSameCategoryScore = 3.0;
+
+}  // namespace
 
 OracleUser::OracleUser(const std::vector<int>* categories,
                        const std::vector<int>* themes,
@@ -14,7 +20,6 @@ OracleUser::OracleUser(const std::vector<int>* categories,
     : categories_(categories), themes_(themes), options_(options) {
   QCLUSTER_CHECK(categories != nullptr && themes != nullptr);
   QCLUSTER_CHECK(categories->size() == themes->size());
-  QCLUSTER_CHECK(options.same_category_score > 0.0);
   QCLUSTER_CHECK(options.same_theme_score >= 0.0);
 }
 
@@ -42,7 +47,7 @@ std::vector<core::RelevantItem> OracleUser::Judge(
     if (truly_relevant) {
       if (imperfect && noise.Uniform() < options_.miss_probability) continue;
       marked.push_back(core::RelevantItem{
-          n.id, cat == query_category ? options_.same_category_score
+          n.id, cat == query_category ? kSameCategoryScore
                                       : options_.same_theme_score});
     } else if (imperfect &&
                noise.Uniform() < options_.false_mark_probability) {
@@ -54,19 +59,6 @@ std::vector<core::RelevantItem> OracleUser::Judge(
     }
   }
   return marked;
-}
-
-OracleUser::Judgement OracleUser::JudgeWithNegatives(
-    const std::vector<index::Neighbor>& result, int query_category,
-    int query_theme) const {
-  Judgement out;
-  out.relevant = Judge(result, query_category, query_theme);
-  std::unordered_set<int> marked;
-  for (const core::RelevantItem& item : out.relevant) marked.insert(item.id);
-  for (const index::Neighbor& n : result) {
-    if (!marked.contains(n.id)) out.non_relevant.push_back(n.id);
-  }
-  return out;
 }
 
 bool OracleUser::IsRelevant(int id, int query_category) const {

@@ -10,8 +10,6 @@ namespace qcluster::eval {
 
 /// Relevance-judgement policy of the simulated user.
 struct OracleOptions {
-  /// Score given to images of the query's own category ("most relevant").
-  double same_category_score = 3.0;
   /// Score given to images of a related category — same theme ("relevant",
   /// e.g. flowers vs plants). 0 disables theme-level relevance.
   double same_theme_score = 1.0;
@@ -40,16 +38,6 @@ class OracleUser {
   std::vector<core::RelevantItem> Judge(
       const std::vector<index::Neighbor>& result, int query_category,
       int query_theme) const;
-
-  /// Full judgement including the implicit negative set: retrieved images
-  /// that are neither same-category nor same-theme. Used by methods that
-  /// exploit negative feedback (Rocchio's γ term).
-  struct Judgement {
-    std::vector<core::RelevantItem> relevant;
-    std::vector<int> non_relevant;
-  };
-  Judgement JudgeWithNegatives(const std::vector<index::Neighbor>& result,
-                               int query_category, int query_theme) const;
 
   /// Ground-truth relevance predicate used by precision/recall: same
   /// category only (the strictest reading, used for all reported metrics).

@@ -6,38 +6,32 @@
 
 namespace qcluster::image {
 
-linalg::Vector ExtractColorHistogram(const Image& img,
-                                     const ColorHistogramOptions& options) {
-  QCLUSTER_CHECK(options.hue_bins >= 1);
-  QCLUSTER_CHECK(options.saturation_bins >= 1);
-  QCLUSTER_CHECK(options.value_bins >= 1);
+namespace {
+
+constexpr int kHueBins = 8;
+constexpr int kSaturationBins = 3;
+constexpr int kValueBins = 3;
+
+}  // namespace
+
+linalg::Vector ExtractColorHistogram(const Image& img) {
   QCLUSTER_CHECK(!img.pixels().empty());
 
-  linalg::Vector histogram(static_cast<std::size_t>(options.dim()), 0.0);
+  linalg::Vector histogram(kHueBins * kSaturationBins * kValueBins, 0.0);
   for (const Rgb& px : img.pixels()) {
     double h, s, v;
     RgbToHsv(px, &h, &s, &v);
-    const int hb = std::min(static_cast<int>(h / 360.0 * options.hue_bins),
-                            options.hue_bins - 1);
-    const int sb = std::min(static_cast<int>(s * options.saturation_bins),
-                            options.saturation_bins - 1);
-    const int vb = std::min(static_cast<int>(v * options.value_bins),
-                            options.value_bins - 1);
-    const int bin =
-        (hb * options.saturation_bins + sb) * options.value_bins + vb;
+    const int hb = std::min(static_cast<int>(h / 360.0 * kHueBins),
+                            kHueBins - 1);
+    const int sb =
+        std::min(static_cast<int>(s * kSaturationBins), kSaturationBins - 1);
+    const int vb = std::min(static_cast<int>(v * kValueBins), kValueBins - 1);
+    const int bin = (hb * kSaturationBins + sb) * kValueBins + vb;
     histogram[static_cast<std::size_t>(bin)] += 1.0;
   }
   const double inv_n = 1.0 / static_cast<double>(img.pixels().size());
   for (double& b : histogram) b *= inv_n;
   return histogram;
-}
-
-double HistogramIntersection(const linalg::Vector& a,
-                             const linalg::Vector& b) {
-  QCLUSTER_CHECK(a.size() == b.size());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) sum += std::min(a[i], b[i]);
-  return sum;
 }
 
 }  // namespace qcluster::image

@@ -6,26 +6,12 @@
 
 namespace qcluster::image {
 
-/// Options for the HSV color histogram feature — the third classic CBIR
-/// color descriptor (QBIC/VisualSeek lineage [10, 18]), provided alongside
-/// the paper's color moments for experimentation.
-struct ColorHistogramOptions {
-  int hue_bins = 8;
-  int saturation_bins = 3;
-  int value_bins = 3;
-
-  int dim() const { return hue_bins * saturation_bins * value_bins; }
-};
-
-/// Extracts a normalized HSV histogram (entries sum to 1). Hue is binned
-/// circularly over [0, 360), saturation and value over [0, 1].
-linalg::Vector ExtractColorHistogram(const Image& img,
-                                     const ColorHistogramOptions& options);
-
-/// Histogram intersection similarity in [0, 1] of two normalized
-/// histograms (1 = identical). The conventional matching function for
-/// color histograms; `1 - intersection` is a metric-like dissimilarity.
-double HistogramIntersection(const linalg::Vector& a, const linalg::Vector& b);
+/// Extracts a normalized 8 × 3 × 3 HSV histogram (72 entries summing to 1)
+/// — the third classic CBIR color descriptor (QBIC/VisualSeek lineage
+/// [10, 18]), provided alongside the paper's color moments for
+/// experimentation. Hue is binned circularly over [0, 360), saturation and
+/// value over [0, 1].
+linalg::Vector ExtractColorHistogram(const Image& img);
 
 }  // namespace qcluster::image
 

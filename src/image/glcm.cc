@@ -158,23 +158,4 @@ Vector ExtractTextureFeatures(const Image& img, const GlcmOptions& options) {
   return GlcmFeatures(ComputeGlcm(img, options));
 }
 
-Matrix ComputeGlcmMultiDirection(const Image& img, int levels) {
-  // The four standard Haralick directions; each matrix is already
-  // symmetrized, so these cover all eight neighbors.
-  constexpr int kOffsets[4][2] = {{1, 0}, {1, 1}, {0, 1}, {-1, 1}};
-  Matrix sum(levels, levels, 0.0);
-  for (const auto& offset : kOffsets) {
-    GlcmOptions opt;
-    opt.levels = levels;
-    opt.dx = offset[0];
-    opt.dy = offset[1];
-    sum = sum.Add(ComputeGlcm(img, opt));
-  }
-  return sum.Scale(0.25);
-}
-
-Vector ExtractTextureFeaturesMultiDirection(const Image& img, int levels) {
-  return GlcmFeatures(ComputeGlcmMultiDirection(img, levels));
-}
-
 }  // namespace qcluster::image

@@ -43,15 +43,6 @@ linalg::Vector GlcmFeatures(const linalg::Matrix& glcm);
 linalg::Vector ExtractTextureFeatures(const Image& img,
                                       const GlcmOptions& options = {});
 
-/// Direction-averaged co-occurrence matrix: mean of the four standard
-/// Haralick offsets (0°, 45°, 90°, 135°), making the texture description
-/// rotation-insensitive for axis-permuted patterns.
-linalg::Matrix ComputeGlcmMultiDirection(const Image& img, int levels = 32);
-
-/// GlcmFeatures of the direction-averaged matrix.
-linalg::Vector ExtractTextureFeaturesMultiDirection(const Image& img,
-                                                    int levels = 32);
-
 }  // namespace qcluster::image
 
 #endif  // QCLUSTER_IMAGE_GLCM_H_

@@ -1,7 +1,6 @@
 #include "index/distance.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -55,38 +54,6 @@ bool DistanceFunction::Decompose(QuadraticDecomposition* out) const {
   (void)out;
   return false;
 }
-
-namespace {
-
-/// True iff every off-diagonal entry of the square matrix is exactly zero —
-/// the shape CovarianceScheme::kDiagonal (the paper's adopted scheme)
-/// always produces.
-bool IsDiagonalMatrix(const Matrix& m) {
-  for (int r = 0; r < m.rows(); ++r) {
-    for (int c = 0; c < m.cols(); ++c) {
-      if (r != c && m(r, c) != 0.0) return false;
-    }
-  }
-  return true;
-}
-
-/// Gershgorin-disc lower bound on λ_min of a symmetric matrix:
-/// min_r (a_rr − Σ_{c≠r} |a_rc|), clamped to >= 0 so it stays a valid PSD
-/// pruning bound. O(d²), the cheap fallback when the O(d³)
-/// eigendecomposition is skipped or fails.
-double GershgorinMinEigenvalueBound(const Matrix& m) {
-  double bound = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < m.rows(); ++r) {
-    double radius = 0.0;
-    for (int c = 0; c < m.cols(); ++c) {
-      if (c != r) radius += std::abs(m(r, c));
-    }
-    bound = std::min(bound, m(r, r) - radius);
-  }
-  return std::max(bound, 0.0);
-}
-
-}  // namespace
 
 EuclideanDistance::EuclideanDistance(Vector query) : query_(std::move(query)) {
   QCLUSTER_CHECK(!query_.empty());
@@ -160,25 +127,16 @@ MahalanobisDistance::MahalanobisDistance(Vector query,
       min_eigenvalue_(0.0) {
   QCLUSTER_CHECK(static_cast<int>(query_.size()) == inverse_covariance_.rows());
   QCLUSTER_CHECK(inverse_covariance_.rows() == inverse_covariance_.cols());
-  diagonal_ = IsDiagonalMatrix(inverse_covariance_);
+  diagonal_ = inverse_covariance_.IsDiagonal();
   a_q_ = inverse_covariance_.MatVec(query_);
   q_aq_ = linalg::Dot(query_, a_q_);
   if (diagonal_) {
-    // λ_min of a diagonal matrix is its smallest diagonal entry: no O(d³)
-    // eigendecomposition needed in the scheme the paper adopts.
+    // The scheme the paper adopts: exact per-dimension rectangle bounds, no
+    // O(d³) eigendecomposition.
     diagonal_weights_ = inverse_covariance_.Diag();
-    min_eigenvalue_ = std::max(
-        *std::min_element(diagonal_weights_.begin(), diagonal_weights_.end()),
-        0.0);
     return;
   }
-  Result<linalg::SymmetricEigen> eigen =
-      linalg::EigenSymmetric(inverse_covariance_);
-  if (eigen.ok() && !eigen.value().values.empty()) {
-    min_eigenvalue_ = std::max(eigen.value().values.back(), 0.0);
-  } else {
-    min_eigenvalue_ = GershgorinMinEigenvalueBound(inverse_covariance_);
-  }
+  min_eigenvalue_ = linalg::MinEigenvalueLowerBound(inverse_covariance_);
 }
 
 double MahalanobisDistance::DistanceRow(const double* x) const {

@@ -147,10 +147,10 @@ class WeightedEuclideanDistance final : public DistanceFunction {
 /// diagonal and λ_min(A) · d²_euclid(rect) — a valid lower bound for any
 /// PSD A — otherwise.
 ///
-/// Construction cost: a diagonal A (the scheme the paper adopts) reads
-/// λ_min straight off the diagonal; only a full matrix pays the O(d³)
-/// eigendecomposition, with a Gershgorin-disc lower bound as the fallback
-/// when the decomposition does not converge.
+/// Construction cost: a diagonal A (the scheme the paper adopts) needs no
+/// λ_min; only a full matrix pays the O(d³) eigendecomposition, with a
+/// Gershgorin-disc lower bound as the fallback when the decomposition does
+/// not converge (linalg::MinEigenvalueLowerBound).
 ///
 /// Scoring cost: the quadratic form is evaluated allocation-free as
 /// xᵀAx − 2·xᵀ(Aq) + qᵀAq with A·q and qᵀAq cached at construction (O(d)
@@ -173,7 +173,7 @@ class MahalanobisDistance final : public DistanceFunction {
   linalg::Vector diagonal_weights_;  ///< diag(A) when diagonal_.
   linalg::Vector a_q_;           ///< Cached A·q.
   double q_aq_;                  ///< Cached qᵀAq.
-  double min_eigenvalue_;
+  double min_eigenvalue_;        ///< λ_min(A) bound; full A only.
 };
 
 }  // namespace qcluster::index

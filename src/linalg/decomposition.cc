@@ -26,12 +26,6 @@ Vector CholeskyFactor::Solve(const Vector& b) const {
   return y;
 }
 
-double CholeskyFactor::LogDeterminant() const {
-  double sum = 0.0;
-  for (int i = 0; i < l.rows(); ++i) sum += std::log(l(i, i));
-  return 2.0 * sum;
-}
-
 Result<CholeskyFactor> Cholesky(const Matrix& a) {
   QCLUSTER_CHECK(a.rows() == a.cols());
   const int n = a.rows();
@@ -62,25 +56,6 @@ Result<CholeskyFactor> Cholesky(const Matrix& a) {
   return CholeskyFactor{std::move(l)};
 }
 
-Vector LuFactor::Solve(const Vector& b) const {
-  const int n = lu.rows();
-  QCLUSTER_CHECK(static_cast<int>(b.size()) == n);
-  Vector x(static_cast<std::size_t>(n));
-  // Apply permutation and forward substitution with unit-diagonal L.
-  for (int i = 0; i < n; ++i) {
-    double sum = b[static_cast<std::size_t>(piv[static_cast<std::size_t>(i)])];
-    for (int j = 0; j < i; ++j) sum -= lu(i, j) * x[static_cast<std::size_t>(j)];
-    x[static_cast<std::size_t>(i)] = sum;
-  }
-  // Back substitution with U.
-  for (int i = n - 1; i >= 0; --i) {
-    double sum = x[static_cast<std::size_t>(i)];
-    for (int j = i + 1; j < n; ++j) sum -= lu(i, j) * x[static_cast<std::size_t>(j)];
-    x[static_cast<std::size_t>(i)] = sum / lu(i, i);
-  }
-  return x;
-}
-
 double LuFactor::Determinant() const {
   double det = sign;
   for (int i = 0; i < lu.rows(); ++i) det *= lu(i, i);
@@ -92,8 +67,6 @@ Result<LuFactor> Lu(const Matrix& a) {
   const int n = a.rows();
   LuFactor f;
   f.lu = a;
-  f.piv.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) f.piv[static_cast<std::size_t>(i)] = i;
   f.sign = 1;
 
   for (int col = 0; col < n; ++col) {
@@ -114,8 +87,6 @@ Result<LuFactor> Lu(const Matrix& a) {
       for (int c = 0; c < n; ++c) {
         std::swap(f.lu(col, c), f.lu(pivot_row, c));
       }
-      std::swap(f.piv[static_cast<std::size_t>(col)],
-                f.piv[static_cast<std::size_t>(pivot_row)]);
       f.sign = -f.sign;
     }
     const double pivot = f.lu(col, col);
@@ -128,21 +99,6 @@ Result<LuFactor> Lu(const Matrix& a) {
     }
   }
   return f;
-}
-
-Result<Matrix> Inverse(const Matrix& a) {
-  Result<LuFactor> lu = Lu(a);
-  if (!lu.ok()) return lu.status();
-  const int n = a.rows();
-  Matrix inv(n, n);
-  Vector e(static_cast<std::size_t>(n), 0.0);
-  for (int c = 0; c < n; ++c) {
-    e[static_cast<std::size_t>(c)] = 1.0;
-    const Vector col = lu.value().Solve(e);
-    for (int r = 0; r < n; ++r) inv(r, c) = col[static_cast<std::size_t>(r)];
-    e[static_cast<std::size_t>(c)] = 0.0;
-  }
-  return inv;
 }
 
 Result<Matrix> InverseSpd(const Matrix& a) {
@@ -169,12 +125,6 @@ double Determinant(const Matrix& a) {
   Result<LuFactor> lu = Lu(a);
   if (!lu.ok()) return 0.0;
   return lu.value().Determinant();
-}
-
-Result<Vector> Solve(const Matrix& a, const Vector& b) {
-  Result<LuFactor> lu = Lu(a);
-  if (!lu.ok()) return lu.status();
-  return lu.value().Solve(b);
 }
 
 }  // namespace qcluster::linalg

@@ -13,9 +13,6 @@ struct CholeskyFactor {
 
   /// Solves L L^T x = b.
   Vector Solve(const Vector& b) const;
-
-  /// Returns the log-determinant of A, 2 * sum(log L_ii).
-  double LogDeterminant() const;
 };
 
 /// Computes the Cholesky factorization of a symmetric positive definite
@@ -25,12 +22,8 @@ Result<CholeskyFactor> Cholesky(const Matrix& a);
 
 /// LU factorization with partial pivoting: P A = L U packed in one matrix.
 struct LuFactor {
-  Matrix lu;             ///< L (unit diagonal, below) and U (on/above).
-  std::vector<int> piv;  ///< Row permutation.
-  int sign = 1;          ///< Permutation sign, for the determinant.
-
-  /// Solves A x = b using the factorization.
-  Vector Solve(const Vector& b) const;
+  Matrix lu;     ///< L (unit diagonal, below) and U (on/above).
+  int sign = 1;  ///< Sign of the row permutation P, for the determinant.
 
   /// Returns det(A).
   double Determinant() const;
@@ -40,9 +33,6 @@ struct LuFactor {
 /// kSingularMatrix when a pivot underflows.
 Result<LuFactor> Lu(const Matrix& a);
 
-/// Returns the inverse of a square matrix, or kSingularMatrix.
-Result<Matrix> Inverse(const Matrix& a);
-
 /// Returns the inverse of a symmetric positive definite matrix via Cholesky,
 /// or kSingularMatrix when the matrix is not numerically positive definite
 /// (including rank-deficient PSD matrices whose pivots are rounding residue —
@@ -51,9 +41,6 @@ Result<Matrix> InverseSpd(const Matrix& a);
 
 /// Returns the determinant of a square matrix (0 for singular input).
 double Determinant(const Matrix& a);
-
-/// Solves A x = b for square A, or kSingularMatrix.
-Result<Vector> Solve(const Matrix& a, const Vector& b);
 
 }  // namespace qcluster::linalg
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/check.h"
@@ -84,6 +85,22 @@ Result<SymmetricEigen> EigenSymmetric(const Matrix& a, int max_sweeps,
     }
   }
   return Status::NotConverged("Jacobi eigensolver exceeded sweep limit");
+}
+
+double MinEigenvalueLowerBound(const Matrix& a) {
+  Result<SymmetricEigen> eigen = EigenSymmetric(a);
+  if (eigen.ok() && !eigen.value().values.empty()) {
+    return std::max(eigen.value().values.back(), 0.0);
+  }
+  double bound = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < a.rows(); ++r) {
+    double radius = 0.0;
+    for (int c = 0; c < a.cols(); ++c) {
+      if (c != r) radius += std::abs(a(r, c));
+    }
+    bound = std::min(bound, a(r, r) - radius);
+  }
+  return std::max(bound, 0.0);
 }
 
 }  // namespace qcluster::linalg

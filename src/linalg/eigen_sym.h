@@ -23,6 +23,12 @@ Result<SymmetricEigen> EigenSymmetric(const Matrix& a,
                                       int max_sweeps = 64,
                                       double tol = 1e-12);
 
+/// A lower bound on λ_min of a symmetric matrix, clamped to >= 0 so it
+/// stays a valid pruning bound for a PSD quadratic form: the smallest
+/// eigenvalue when EigenSymmetric converges, else the O(d²) Gershgorin-disc
+/// bound min_r (a_rr − Σ_{c≠r} |a_rc|).
+double MinEigenvalueLowerBound(const Matrix& a);
+
 }  // namespace qcluster::linalg
 
 #endif  // QCLUSTER_LINALG_EIGEN_SYM_H_

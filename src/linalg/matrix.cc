@@ -170,6 +170,16 @@ bool Matrix::IsSymmetric(double tol) const {
   return true;
 }
 
+bool Matrix::IsDiagonal() const {
+  if (rows_ != cols_) return false;
+  for (int r = 0; r < rows_; ++r) {
+    for (int c = 0; c < cols_; ++c) {
+      if (r != c && (*this)(r, c) != 0.0) return false;
+    }
+  }
+  return true;
+}
+
 Matrix Matrix::LeadingColumns(int k) const {
   QCLUSTER_CHECK(0 <= k && k <= cols_);
   Matrix out(rows_, k);

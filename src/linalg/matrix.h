@@ -96,6 +96,10 @@ class Matrix {
   /// Returns true if the matrix is square and max |A - A^T| <= tol.
   bool IsSymmetric(double tol = 1e-9) const;
 
+  /// Returns true if the matrix is square and every off-diagonal entry is
+  /// exactly zero.
+  bool IsDiagonal() const;
+
   /// Returns the sub-matrix made of the first `k` columns.
   Matrix LeadingColumns(int k) const;
 

@@ -41,19 +41,6 @@ Result<Pca> Pca::Fit(const std::vector<Vector>& rows) {
   return Pca(std::move(mean), std::move(eigen).value());
 }
 
-int Pca::ComponentsForVarianceRatio(double epsilon) const {
-  QCLUSTER_CHECK(0.0 <= epsilon && epsilon < 1.0);
-  double total = 0.0;
-  for (double v : eigen_.values) total += std::max(v, 0.0);
-  if (total <= 0.0) return input_dim();
-  double acc = 0.0;
-  for (int k = 1; k <= input_dim(); ++k) {
-    acc += std::max(eigen_.values[static_cast<std::size_t>(k - 1)], 0.0);
-    if (acc / total >= 1.0 - epsilon) return k;
-  }
-  return input_dim();
-}
-
 double Pca::VarianceRatio(int k) const {
   QCLUSTER_CHECK(0 <= k && k <= input_dim());
   double total = 0.0;
@@ -92,19 +79,6 @@ std::vector<Vector> Pca::TransformAll(const std::vector<Vector>& rows,
   out.reserve(rows.size());
   for (const Vector& r : rows) out.push_back(Transform(r, k));
   return out;
-}
-
-Vector Pca::InverseTransform(const Vector& z) const {
-  const int k = static_cast<int>(z.size());
-  QCLUSTER_CHECK(0 < k && k <= input_dim());
-  Vector x = mean_;
-  for (int c = 0; c < k; ++c) {
-    const double zc = z[static_cast<std::size_t>(c)];
-    for (int r = 0; r < input_dim(); ++r) {
-      x[static_cast<std::size_t>(r)] += eigen_.vectors(r, c) * zc;
-    }
-  }
-  return x;
 }
 
 }  // namespace qcluster::linalg

@@ -29,11 +29,6 @@ class Pca {
   /// Eigenvector matrix G; column i is the i-th principal direction.
   const Matrix& components() const { return eigen_.vectors; }
 
-  /// Smallest k such that the first k components cover at least
-  /// `1 - epsilon` of the total variance (Sec. 4.4.4, ε <= 0.15). Returns
-  /// input_dim() when total variance is zero.
-  int ComponentsForVarianceRatio(double epsilon) const;
-
   /// Fraction of total variance covered by the first k components.
   double VarianceRatio(int k) const;
 
@@ -47,10 +42,6 @@ class Pca {
   /// Projects every row of `rows` onto the first `k` components.
   std::vector<Vector> TransformAll(const std::vector<Vector>& rows,
                                    int k) const;
-
-  /// Reconstructs an approximation of the original vector from a k-dim
-  /// projection: x ≈ mean + G_k z.
-  Vector InverseTransform(const Vector& z) const;
 
  private:
   Pca(Vector mean, SymmetricEigen eigen)

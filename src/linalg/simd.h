@@ -66,8 +66,9 @@ struct KernelTable {
   /// vᵀ A v for a row-major d×d matrix: Σ_r v[r]·dot(A_r, v), outer sum and
   /// inner dots both sequential.
   double (*quadratic_form_row)(const double* a, const double* v, int d);
-  /// xᵀAx − 2·xᵀ(Aq) + qᵀAq, clamped at 0 (the cached expanded Mahalanobis
-  /// form): xᵀAx as in quadratic_form_row, xᵀ(Aq) one sequential dot.
+  /// xᵀAx − 2·xᵀ(Aq) + qᵀAq with negatives and ±0 clamped to +0 and NaN
+  /// passed through (the cached expanded Mahalanobis form): xᵀAx as in
+  /// quadratic_form_row, xᵀ(Aq) one sequential dot.
   double (*mahalanobis_row)(const double* a, const double* aq, double q_aq,
                             const double* x, int d);
   /// Eq. 5 over full-dimension components. `scratch` must hold d doubles

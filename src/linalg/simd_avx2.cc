@@ -41,10 +41,10 @@ struct Avx2Policy {
   static V Div(V a, V b) { return _mm256_div_pd(a, b); }
 
   static V MaxZero(V v) {
-    // v > 0 ? v : +0 per lane (ordered quiet compare: NaN fails and lands
-    // on +0, matching the scalar ternary).
-    return _mm256_and_pd(_mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GT_OQ),
-                         v);
+    // v <= 0 ? +0 : v per lane (ordered quiet compare: NaN fails and passes
+    // through, matching the scalar ternary).
+    return _mm256_andnot_pd(
+        _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_LE_OQ), v);
   }
 
   static M FalseMask() { return _mm256_setzero_pd(); }

@@ -35,7 +35,7 @@
 //   static V Gather(const double* const* rows, int i);   // lane r=rows[r][i]
 //   static V Load(const double* p);            // lanes = p[0..kWidth-1]
 //   static V Add(V, V); Sub; Mul; Div;         // element-wise
-//   static V MaxZero(V v);                     // per lane: v > 0 ? v : +0
+//   static V MaxZero(V v);                     // per lane: v <= 0 ? +0 : v
 //   static M FalseMask();
 //   static M CmpLE(V a, V b);                  // per lane: a <= b (quiet)
 //   static M OrMask(M, M);
@@ -90,11 +90,12 @@ inline double MahalanobisRowRef(const double* a, const double* aq,
   // (x−q)ᵀA(x−q) = xᵀAx − 2·xᵀ(Aq) + qᵀAq with A·q cached by the caller.
   // The expansion can go epsilon-negative near the query through
   // cancellation; clamp so distances stay comparable with the non-negative
-  // rectangle bounds. NaN also fails the `> 0` test and clamps to +0.
+  // rectangle bounds. NaN fails the `<= 0` test and passes through, so a
+  // NaN row ranks after every number (index::NeighborOrder), not first.
   const double x_ax = QuadraticFormRowRef(a, x, d);
   const double x_aq = DotRowRef(x, aq, d);
   const double value = x_ax - 2.0 * x_aq + q_aq;
-  return value > 0.0 ? value : 0.0;
+  return value <= 0.0 ? 0.0 : value;
 }
 
 inline double ComponentDistanceRef(const QuadComponentView& c,

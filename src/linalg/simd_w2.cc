@@ -42,10 +42,10 @@ struct Sse2Policy {
   static V Div(V a, V b) { return _mm_div_pd(a, b); }
 
   static V MaxZero(V v) {
-    // v > 0 ? v : +0 per lane: the compare mask ANDs the positive lanes
-    // through and zeroes the rest, sending NaN and -0 to +0 exactly like
-    // the scalar ternary.
-    return _mm_and_pd(_mm_cmpgt_pd(v, _mm_setzero_pd()), v);
+    // v <= 0 ? +0 : v per lane: the compare mask clears the negative and
+    // ±0 lanes to +0 and keeps the rest, NaN included (an ordered compare
+    // fails on NaN), exactly like the scalar ternary.
+    return _mm_andnot_pd(_mm_cmple_pd(v, _mm_setzero_pd()), v);
   }
 
   static M FalseMask() { return _mm_setzero_pd(); }
@@ -95,10 +95,11 @@ struct NeonPolicy {
   static V Div(V a, V b) { return vdivq_f64(a, b); }
 
   static V MaxZero(V v) {
-    // Select-on-greater rather than vmaxq: NEON's max propagates NaN where
-    // the canonical semantics (and x86) send it to +0.
+    // v <= 0 ? +0 : v per lane, as a select rather than vmaxq: FMAX may
+    // replace a NaN with the default NaN, while the canonical semantics
+    // pass the lane through bit for bit (NaN fails the compare).
     const float64x2_t zero = vdupq_n_f64(0.0);
-    return vbslq_f64(vcgtq_f64(v, zero), v, zero);
+    return vbslq_f64(vcleq_f64(v, zero), zero, v);
   }
 
   static M FalseMask() { return vdupq_n_u64(0); }

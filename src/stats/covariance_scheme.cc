@@ -20,6 +20,13 @@ const char* CovarianceSchemeName(CovarianceScheme scheme) {
 
 namespace {
 
+/// Ridge added to a singular covariance before the second SPD attempt, as a
+/// fraction of its mean diagonal.
+constexpr double kRegularization = 1e-6;
+/// Smallest variance the diagonal scheme inverts, and the absolute part of
+/// the ridge.
+constexpr double kFloor = 1e-12;
+
 /// Column-wise SPD inversion returns a numerically asymmetric matrix when
 /// the input is ill-conditioned; downstream eigen analysis needs exact
 /// symmetry.
@@ -30,8 +37,7 @@ linalg::Matrix Symmetrized(const linalg::Matrix& m) {
 }  // namespace
 
 linalg::Matrix InvertCovariance(const linalg::Matrix& s,
-                                CovarianceScheme scheme,
-                                double regularization, double floor) {
+                                CovarianceScheme scheme) {
   QCLUSTER_CHECK(s.rows() == s.cols());
   // Eq. 7/10: classification quadratic forms need a symmetric PSD
   // covariance; a violated input here means an upstream scatter update or
@@ -43,7 +49,7 @@ linalg::Matrix InvertCovariance(const linalg::Matrix& s,
     for (int i = 0; i < p; ++i) {
       const double v = s(i, i);
       inv_diag[static_cast<std::size_t>(i)] =
-          1.0 / (v > floor ? v : floor);
+          1.0 / (v > kFloor ? v : kFloor);
     }
     return linalg::Matrix::Diagonal(inv_diag);
   }
@@ -61,12 +67,11 @@ linalg::Matrix InvertCovariance(const linalg::Matrix& s,
   for (int i = 0; i < p; ++i) mean_diag += s(i, i);
   mean_diag = p > 0 ? mean_diag / p : 0.0;
   linalg::Matrix ridged = s;
-  ridged.AddToDiagonal(regularization * (mean_diag > floor ? mean_diag : 1.0) +
-                       floor);
+  ridged.AddToDiagonal(
+      kRegularization * (mean_diag > kFloor ? mean_diag : 1.0) + kFloor);
   inv = linalg::InverseSpd(ridged);
   if (inv.ok()) return Symmetrized(inv.value());
-  return InvertCovariance(s, CovarianceScheme::kDiagonal, regularization,
-                          floor);
+  return InvertCovariance(s, CovarianceScheme::kDiagonal);
 }
 
 }  // namespace qcluster::stats

@@ -21,15 +21,13 @@ const char* CovarianceSchemeName(CovarianceScheme scheme);
 
 /// Computes S^{-1} under `scheme`.
 ///
-/// kDiagonal: returns diag(1 / max(S_ii, floor)).
+/// kDiagonal: returns diag(1 / max(S_ii, 1e-12)).
 /// kInverse: attempts an SPD inverse; when the matrix is numerically
 /// singular (fewer samples than dimensions — the singularity issue the paper
-/// discusses), a ridge `regularization * mean(diag)` is added first, and the
+/// discusses), a ridge of 1e-6 · mean(diag) is added first, and the
 /// diagonal scheme is the final fallback. The result is always usable.
 linalg::Matrix InvertCovariance(const linalg::Matrix& s,
-                                CovarianceScheme scheme,
-                                double regularization = 1e-6,
-                                double floor = 1e-12);
+                                CovarianceScheme scheme);
 
 }  // namespace qcluster::stats
 

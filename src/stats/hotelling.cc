@@ -46,19 +46,4 @@ Result<double> HotellingCriticalDistance(double m_total, int dim,
   return (m_total - 2.0) * p / dof2 * f;
 }
 
-Result<HotellingTest> TestEqualMeans(const WeightedStats& a,
-                                     const WeightedStats& b, double alpha,
-                                     CovarianceScheme scheme) {
-  const double m_total = a.weight() + b.weight();
-  Result<double> c2 = HotellingCriticalDistance(m_total, a.dim(), alpha);
-  if (!c2.ok()) return c2.status();
-  HotellingTest out;
-  out.t2 = HotellingT2(a, b, scheme);
-  out.c2 = c2.value();
-  out.reject = out.t2 > out.c2;
-  out.dof1 = a.dim();
-  out.dof2 = m_total - a.dim() - 1.0;
-  return out;
-}
-
 }  // namespace qcluster::stats

@@ -7,16 +7,6 @@
 
 namespace qcluster::stats {
 
-/// Outcome of the two-sample location test that drives cluster merging
-/// (Definition 3 and Eq. 16).
-struct HotellingTest {
-  double t2 = 0.0;       ///< Hotelling's T² statistic (Eq. 14).
-  double c2 = 0.0;       ///< Critical distance c² at the chosen alpha (Eq. 16).
-  bool reject = false;   ///< True when T² > c²: means differ, do not merge.
-  double dof1 = 0.0;     ///< Numerator degrees of freedom p.
-  double dof2 = 0.0;     ///< Denominator degrees of freedom m_i + m_j − p − 1.
-};
-
 /// Computes Hotelling's T² between the means of two summarized clusters:
 ///   T² = (m_i m_j / (m_i + m_j)) (x̄_i − x̄_j)' S_pooled^{-1} (x̄_i − x̄_j)
 /// with S_pooled from Eq. 15 and S_pooled^{-1} estimated under `scheme`.
@@ -35,13 +25,6 @@ double HotellingT2WithInverse(const WeightedStats& a, const WeightedStats& b,
 /// degenerates; the paper's experiments always satisfy the precondition).
 Result<double> HotellingCriticalDistance(double m_total, int dim,
                                          double alpha);
-
-/// Runs the full merge test of Algorithm 3 line 5: evaluates T² and c² and
-/// rejects H0 (equal means) when T² > c². Degrees-of-freedom failures are
-/// propagated.
-Result<HotellingTest> TestEqualMeans(const WeightedStats& a,
-                                     const WeightedStats& b, double alpha,
-                                     CovarianceScheme scheme);
 
 }  // namespace qcluster::stats
 

@@ -70,40 +70,6 @@ void WeightedStats::AddPoint(const Vector& x, double w) {
   ++n_;
 }
 
-void WeightedStats::RemovePoint(const Vector& x, double w) {
-  QCLUSTER_CHECK(static_cast<int>(x.size()) == dim());
-  QCLUSTER_CHECK(w > 0.0);
-  QCLUSTER_CHECK(n_ > 0);
-  // The tolerance scales with the held weight: a caller that re-derives w
-  // by summation carries rounding proportional to weight_, so near-total
-  // removal of a large weight can legitimately overshoot by far more than
-  // any fixed epsilon — while for small weights the relative bound is the
-  // tighter (correct) one.
-  QCLUSTER_CHECK_MSG(weight_ - w >= -1e-9 * weight_,
-                     "removing more weight than the summary holds");
-  const double new_weight = weight_ - w;
-  if (n_ == 1 || new_weight <= 0.0) {
-    // Removing the last point — or, through rounding, the numerically
-    // entire weight — returns to the empty state; dividing by the
-    // (possibly zero or negative) remainder would poison mean and scatter.
-    *this = WeightedStats(dim());
-    return;
-  }
-  // Exact inverse of the AddPoint update: with mean' the pre-removal mean
-  // and mean the post-removal one, scatter -= w (x − mean)(x − mean')'.
-  const Vector delta_old = linalg::Sub(x, mean_);  // x − mean'.
-  mean_ = linalg::Scale(
-      linalg::Sub(linalg::Scale(mean_, weight_), linalg::Scale(x, w)),
-      1.0 / new_weight);
-  const Vector delta_new = linalg::Sub(x, mean_);  // x − mean.
-  const Matrix update = linalg::OuterProduct(delta_new, delta_old)
-                            .Add(linalg::OuterProduct(delta_old, delta_new))
-                            .Scale(0.5 * w);
-  scatter_ = scatter_.Sub(update);
-  weight_ = new_weight;
-  --n_;
-}
-
 Matrix WeightedStats::Covariance() const {
   if (weight_ <= 1.0) return Matrix(dim(), dim(), 0.0);
   return scatter_.Scale(1.0 / (weight_ - 1.0));

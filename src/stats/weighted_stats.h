@@ -41,12 +41,6 @@ class WeightedStats {
   /// equivalent to rebuilding from all points).
   void AddPoint(const linalg::Vector& x, double w);
 
-  /// Removes a previously added point (exact downdate — the inverse of
-  /// AddPoint). Enables O(p²) leave-one-out evaluation instead of a full
-  /// rebuild. The caller must pass a point/weight pair that is actually in
-  /// the summary; removing the last point returns to the empty state.
-  void RemovePoint(const linalg::Vector& x, double w);
-
   int dim() const { return static_cast<int>(mean_.size()); }
   int n() const { return n_; }
   double weight() const { return weight_; }

@@ -29,9 +29,8 @@ TEST(CovarianceSchemeTest, DiagonalSchemeIgnoresOffDiagonal) {
 
 TEST(CovarianceSchemeTest, DiagonalSchemeFloorsTinyVariances) {
   const Matrix s{{0.0, 0.0}, {0.0, 1.0}};
-  const Matrix inv =
-      InvertCovariance(s, CovarianceScheme::kDiagonal, 1e-6, 1e-12);
-  EXPECT_DOUBLE_EQ(inv(0, 0), 1e12);  // 1 / floor.
+  const Matrix inv = InvertCovariance(s, CovarianceScheme::kDiagonal);
+  EXPECT_DOUBLE_EQ(inv(0, 0), 1e12);  // 1 / the 1e-12 floor.
   EXPECT_DOUBLE_EQ(inv(1, 1), 1.0);
 }
 

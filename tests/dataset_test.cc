@@ -96,26 +96,6 @@ TEST(SyntheticGaussianTest, EllipticalShapeSkewsCovariance) {
   EXPECT_GT(max_var / min_var, 2.0);
 }
 
-TEST(SyntheticGaussianTest, ClusterPairSameMeanCloseCentroids) {
-  Rng rng(85);
-  const ClusterPair pair = GenerateClusterPair(4, 500, /*same_mean=*/true,
-                                               3.0, rng);
-  Vector ma(4, 0.0), mb(4, 0.0);
-  for (const Vector& p : pair.a) linalg::Axpy(1.0 / 500, p, ma);
-  for (const Vector& p : pair.b) linalg::Axpy(1.0 / 500, p, mb);
-  EXPECT_LT(linalg::Distance(ma, mb), 0.3);
-}
-
-TEST(SyntheticGaussianTest, ClusterPairDifferentMeanSeparated) {
-  Rng rng(86);
-  const ClusterPair pair = GenerateClusterPair(4, 500, /*same_mean=*/false,
-                                               3.0, rng);
-  Vector ma(4, 0.0), mb(4, 0.0);
-  for (const Vector& p : pair.a) linalg::Axpy(1.0 / 500, p, ma);
-  for (const Vector& p : pair.b) linalg::Axpy(1.0 / 500, p, mb);
-  EXPECT_NEAR(linalg::Distance(ma, mb), 3.0, 0.4);
-}
-
 TEST(SyntheticGaussianTest, UniformCubeBounds) {
   Rng rng(87);
   const std::vector<Vector> pts = GenerateUniformCube(1000, 3, -2.0, 2.0, rng);

@@ -1,15 +1,13 @@
 // Tests for features beyond the paper's core algorithms: the warm-start
 // IO model of the BR-tree (Fig. 7's multipoint refinement saving, carried
-// by the shared index::WarmStart session cache), covariance shrinkage in
-// the disjunctive metric, and the Box's M homogeneity guard in the merging
-// stage.
+// by the shared index::WarmStart session cache) and covariance shrinkage in
+// the disjunctive metric.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/disjunctive_distance.h"
-#include "core/merging.h"
 #include "index/br_tree.h"
 #include "index/linear_scan.h"
 
@@ -123,64 +121,6 @@ TEST(ShrinkageTest, FullShrinkagePullsMetricsTowardPooled) {
   // Probe near the tight cluster: under shrinkage the tight cluster's
   // variance grows, so the same offset counts as less distance.
   EXPECT_GT(sharp.Distance({1.0}), shrunk.Distance({1.0}));
-}
-
-TEST(MergeHomogeneityTest, BlocksCovarianceMismatchedPairs) {
-  Rng rng(246);
-  // Same mean, very different covariance scale: the plain T² test would
-  // merge them; the Box's M guard must keep them apart.
-  std::vector<Cluster> clusters;
-  Cluster tight(2), wide(2);
-  for (int i = 0; i < 40; ++i) {
-    tight.Add(linalg::Scale(rng.GaussianVector(2), 0.2), 1.0);
-    wide.Add(linalg::Scale(rng.GaussianVector(2), 4.0), 1.0);
-  }
-  clusters.push_back(tight);
-  clusters.push_back(wide);
-
-  core::MergeOptions plain;
-  plain.max_clusters = 5;
-  std::vector<Cluster> plain_clusters = clusters;
-  core::MergeClusters(plain_clusters, plain);
-  EXPECT_EQ(plain_clusters.size(), 1u);  // T² alone merges them.
-
-  core::MergeOptions guarded = plain;
-  guarded.check_covariance_homogeneity = true;
-  std::vector<Cluster> guarded_clusters = clusters;
-  core::MergeClusters(guarded_clusters, guarded);
-  EXPECT_EQ(guarded_clusters.size(), 2u);  // Box's M blocks the merge.
-}
-
-TEST(MergeHomogeneityTest, CapStillForcesBlockedMerges) {
-  Rng rng(247);
-  std::vector<Cluster> clusters;
-  Cluster tight(2), wide(2);
-  for (int i = 0; i < 40; ++i) {
-    tight.Add(linalg::Scale(rng.GaussianVector(2), 0.2), 1.0);
-    wide.Add(linalg::Scale(rng.GaussianVector(2), 4.0), 1.0);
-  }
-  clusters.push_back(std::move(tight));
-  clusters.push_back(std::move(wide));
-  core::MergeOptions opt;
-  opt.max_clusters = 1;  // The cap overrides the guard.
-  opt.check_covariance_homogeneity = true;
-  core::MergeClusters(clusters, opt);
-  EXPECT_EQ(clusters.size(), 1u);
-}
-
-TEST(MergeHomogeneityTest, HomogeneousPairsStillMerge) {
-  Rng rng(248);
-  std::vector<Cluster> clusters;
-  for (int c = 0; c < 2; ++c) {
-    Cluster cluster(2);
-    for (int i = 0; i < 40; ++i) cluster.Add(rng.GaussianVector(2), 1.0);
-    clusters.push_back(std::move(cluster));
-  }
-  core::MergeOptions opt;
-  opt.max_clusters = 5;
-  opt.check_covariance_homogeneity = true;
-  core::MergeClusters(clusters, opt);
-  EXPECT_EQ(clusters.size(), 1u);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
-// Coverage for the hierarchical clustering linkage variants and the
-// logging / bootstrap utilities.
+// Coverage for the hierarchical (centroid) clustering and the logging /
+// bootstrap utilities.
+
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -13,8 +15,6 @@ namespace {
 
 using core::Cluster;
 using core::HierarchicalCluster;
-using core::HierarchicalOptions;
-using core::Linkage;
 using linalg::Vector;
 
 std::vector<Vector> TwoBlobs(Rng& rng, int per_blob) {
@@ -28,53 +28,42 @@ std::vector<Vector> TwoBlobs(Rng& rng, int per_blob) {
 }
 
 TEST(HierarchicalTest, AllLinkagesSeparateTwoBlobs) {
+  // Centroid linkage, the only one the paper's seeding uses.
   Rng rng(321);
   const std::vector<Vector> pts = TwoBlobs(rng, 10);
   const std::vector<double> scores(pts.size(), 1.0);
-  for (Linkage linkage :
-       {Linkage::kCentroid, Linkage::kSingle, Linkage::kComplete}) {
-    HierarchicalOptions opt;
-    opt.target_clusters = 2;
-    opt.linkage = linkage;
-    const std::vector<Cluster> clusters =
-        HierarchicalCluster(pts, scores, opt);
-    ASSERT_EQ(clusters.size(), 2u);
-    // One centroid near x=0, one near x=10.
-    const double x0 = clusters[0].centroid()[0];
-    const double x1 = clusters[1].centroid()[0];
-    EXPECT_NEAR(std::min(x0, x1), 0.0, 1.0);
-    EXPECT_NEAR(std::max(x0, x1), 10.0, 1.0);
-  }
-}
-
-TEST(HierarchicalTest, MaxMergeDistanceStopsEarly) {
-  Rng rng(322);
-  const std::vector<Vector> pts = TwoBlobs(rng, 8);
-  const std::vector<double> scores(pts.size(), 1.0);
-  HierarchicalOptions opt;
-  opt.target_clusters = 1;           // Would merge everything...
-  opt.max_merge_distance = 9.0;      // ...but the gap is ~100 (squared).
-  const auto clusters = HierarchicalCluster(pts, scores, opt);
-  EXPECT_EQ(clusters.size(), 2u);
+  const std::vector<Cluster> clusters = HierarchicalCluster(pts, scores, 2);
+  ASSERT_EQ(clusters.size(), 2u);
+  // One centroid near x=0, one near x=10.
+  const double x0 = clusters[0].centroid()[0];
+  const double x1 = clusters[1].centroid()[0];
+  EXPECT_NEAR(std::min(x0, x1), 0.0, 1.0);
+  EXPECT_NEAR(std::max(x0, x1), 10.0, 1.0);
 }
 
 TEST(HierarchicalTest, TargetEqualToPointCountIsIdentity) {
   const std::vector<Vector> pts{{0.0}, {5.0}, {9.0}};
   const std::vector<double> scores{1.0, 2.0, 3.0};
-  HierarchicalOptions opt;
-  opt.target_clusters = 3;
-  const auto clusters = HierarchicalCluster(pts, scores, opt);
+  const auto clusters = HierarchicalCluster(pts, scores, 3);
   ASSERT_EQ(clusters.size(), 3u);
   for (const Cluster& c : clusters) EXPECT_EQ(c.size(), 1);
 }
 
 TEST(HierarchicalTest, ScoresWeightCentroids) {
-  HierarchicalOptions opt;
-  opt.target_clusters = 1;
-  const auto clusters =
-      HierarchicalCluster({{0.0}, {10.0}}, {1.0, 3.0}, opt);
+  const auto clusters = HierarchicalCluster({{0.0}, {10.0}}, {1.0, 3.0}, 1);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_NEAR(clusters[0].centroid()[0], 7.5, 1e-12);  // Eq. 2 weighting.
+}
+
+TEST(HierarchicalTest, NanPointsStillMergeToTheTarget) {
+  // Every centroid distance is NaN, so no pair beats +inf; the pass must
+  // still merge down to the target instead of indexing a missing pair.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Vector> pts{{nan, 0.0}, {nan, 1.0}, {nan, 2.0}};
+  const auto clusters =
+      HierarchicalCluster(pts, std::vector<double>(pts.size(), 1.0), 1);
+  ASSERT_EQ(clusters.size(), 1u);
+  EXPECT_EQ(clusters[0].size(), 3);
 }
 
 TEST(LoggingTest, LevelFilterRoundTrip) {

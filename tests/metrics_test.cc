@@ -1,8 +1,10 @@
 #include "common/metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -194,6 +196,92 @@ TEST_F(MetricsTest, SamplesAboveTheTopBucketAreCountedAsOverflow) {
   };
   EXPECT_NE(field("test.over").find("\"overflow\": 3"), std::string::npos);
   EXPECT_NE(field("test.in").find("\"overflow\": 0"), std::string::npos);
+}
+
+TEST_F(MetricsTest, NanSamplesAreCountedApartFromTheStatistics) {
+  // A NaN sample, even the first, must not seed min and max, land in
+  // bucket 0 or poison the sum.
+  for (double v : {std::nan(""), 3.0, 5.0}) MetricRecord("test.nan_first", v);
+  MetricRecord("test.only_nan", std::nan(""));
+  const auto snap =
+      MetricsRegistry::Global().HistogramSnapshot("test.nan_first");
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->nan, 1);
+  EXPECT_EQ(snap->count, 2);
+  EXPECT_DOUBLE_EQ(snap->sum, 8.0);
+  EXPECT_DOUBLE_EQ(snap->min, 3.0);
+  EXPECT_DOUBLE_EQ(snap->max, 5.0);
+  EXPECT_GE(snap->p50, 3.0);
+  EXPECT_LE(snap->p99, 5.0);
+  // Nothing but NaN: exported like an empty histogram, plus the count.
+  const auto only =
+      MetricsRegistry::Global().HistogramSnapshot("test.only_nan");
+  ASSERT_TRUE(only.has_value());
+  EXPECT_EQ(only->nan, 1);
+  EXPECT_EQ(only->count, 0);
+  EXPECT_EQ(only->min, 0.0);
+  EXPECT_EQ(only->max, 0.0);
+  const std::string json = MetricsRegistry::Global().ToJson();
+  EXPECT_NE(json.find("\"test.nan_first\": {\"count\": 2, \"sum\": 8, "
+                      "\"min\": 3, \"max\": 5"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"overflow\": 0, \"nan\": 1}"), std::string::npos);
+}
+
+TEST_F(MetricsTest, NonFiniteNumbersExportAsNull) {
+  // JSON has no NaN or infinity: %.9g's `nan` and `inf` would make the
+  // export unparseable (Python's json rejects both).
+  const double inf = std::numeric_limits<double>::infinity();
+  MetricGauge("g.a", std::nan(""));
+  MetricGauge("g.b", inf);
+  MetricGauge("g.c", -inf);
+  MetricGauge("g.d", 1.5);
+  MetricRecord("h.pos", 2.0);
+  MetricRecord("h.pos", inf);
+  MetricRecord("h.neg", -inf);
+  const std::string json = MetricsRegistry::Global().ToJson();
+  for (const char* bad : {": nan", ": -nan", ": inf", ": -inf"}) {
+    EXPECT_EQ(json.find(bad), std::string::npos) << bad << " in " << json;
+  }
+  for (const char* gauge : {"\"g.a\": null", "\"g.b\": null",
+                            "\"g.c\": null", "\"g.d\": 1.5"}) {
+    EXPECT_NE(json.find(gauge), std::string::npos) << gauge;
+  }
+  EXPECT_NE(json.find("\"h.pos\": {\"count\": 2, \"sum\": null, "
+                      "\"min\": 2, \"max\": null"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"h.neg\": {\"count\": 1, \"sum\": null, "
+                      "\"min\": null, \"max\": null"),
+            std::string::npos)
+      << json;
+  const auto pos = MetricsRegistry::Global().HistogramSnapshot("h.pos");
+  ASSERT_TRUE(pos.has_value());
+  EXPECT_EQ(pos->overflow, 1);  // +inf is above the top bucket.
+}
+
+TEST_F(MetricsTest, ConcurrentFirstSamplesKeepBothExtrema) {
+  // Two threads race to record a fresh histogram's first samples; neither
+  // may be lost from min or max.
+  for (int trial = 0; trial < 200; ++trial) {
+    Histogram h;
+    std::atomic<int> ready{0};
+    const auto record = [&h, &ready](double v) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      h.Record(v);
+    };
+    std::thread a(record, 1.0);
+    std::thread b(record, 2.0);
+    a.join();
+    b.join();
+    const Histogram::Snapshot snap = h.snapshot();
+    ASSERT_EQ(snap.count, 2) << "trial " << trial;
+    ASSERT_EQ(snap.min, 1.0) << "trial " << trial;
+    ASSERT_EQ(snap.max, 2.0) << "trial " << trial;
+  }
 }
 
 TEST_F(MetricsTest, SingleValuePercentilesEqualTheValue) {

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "common/thread_pool.h"
 #include "core/cluster.h"
 #include "core/disjunctive_distance.h"
+#include "index/br_tree.h"
 #include "index/distance.h"
 #include "index/linear_scan.h"
 #include "linalg/flat_view.h"
@@ -194,15 +197,107 @@ TEST_F(SimdParityTest, NonFiniteAndSubnormalInputsByteIdentical) {
 }
 
 TEST_F(SimdParityTest, NanDistancePropagates) {
-  // A NaN coordinate must surface as a NaN distance (not silently drop) on
-  // every tier, so corrupt features are visible rather than ranked.
-  const EuclideanDistance dist(Vector{0.0, 0.0, 0.0, 0.0, 0.0});
-  Vector x(5, 1.0);
-  x[2] = std::numeric_limits<double>::quiet_NaN();
-  for (Tier tier : AvailableTiers()) {
-    ASSERT_TRUE(linalg::simd::SetTier(tier));
-    EXPECT_TRUE(std::isnan(dist.Distance(x)))
-        << linalg::simd::TierName(tier);
+  // A NaN coordinate must surface as a NaN distance under every metric on
+  // every tier, through the per-point and the batched entry points — not
+  // drop silently, and not clamp to a leading 0 — so corrupt features are
+  // visible rather than ranked. Seven rows: one full width-4 group plus a
+  // tail that runs the row kernel.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (int dim : {3, 5}) {
+    Rng rng(4000 + dim);
+    std::vector<Vector> pts = RandomPoints(7, dim, rng);
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      pts[i][i % static_cast<std::size_t>(dim)] = kNan;
+    }
+    const FlatBlock block = FlatBlock::FromPoints(pts);
+    const auto metrics = AllMetrics(dim, rng);
+    for (Tier tier : AvailableTiers()) {
+      ASSERT_TRUE(linalg::simd::SetTier(tier));
+      for (std::size_t m = 0; m < metrics.size(); ++m) {
+        std::vector<double> batch(pts.size());
+        metrics[m]->DistanceBatch(block.view(), batch.data());
+        for (std::size_t i = 0; i < pts.size(); ++i) {
+          EXPECT_TRUE(std::isnan(metrics[m]->Distance(pts[i])))
+              << "metric " << m << " dim " << dim << " tier "
+              << linalg::simd::TierName(tier) << " row " << i;
+          EXPECT_TRUE(std::isnan(batch[i]))
+              << "metric " << m << " dim " << dim << " tier "
+              << linalg::simd::TierName(tier) << " batch row " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdParityTest, NonFiniteAndHugeRowsRankLastOnEveryTierAndIndex) {
+  // A block mixing finite rows with NaN, ±∞ and ±1e300 rows (whole rows
+  // and single poisoned coordinates). Under every metric, both indexes —
+  // the scan at 1 and 4 threads, and the BR-tree — on every tier must rank
+  // every non-NaN distance ahead of every NaN one and return exactly a
+  // serial scalar scan's ids and distance bits.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kSpecial[] = {kNan, kInf, -kInf, 1e300, -1e300};
+  constexpr int kDim = 5;
+  Rng rng(5000);
+  std::vector<Vector> pts = RandomPoints(203, kDim, rng);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const double value = kSpecial[(i / 7) % 5];
+    if (i % 7 == 1) {
+      for (double& x : pts[i]) x = value;
+    } else if (i % 7 == 4) {
+      pts[i][i % kDim] = value;
+    }
+  }
+  const FlatBlock block = FlatBlock::FromPoints(pts);
+  const BrTree tree(&block);
+  const int n = static_cast<int>(pts.size());
+  const auto metrics = AllMetrics(kDim, rng);
+  const auto nan_last = [](const std::vector<Neighbor>& result) {
+    for (std::size_t i = 1; i < result.size(); ++i) {
+      if (std::isnan(result[i - 1].distance) &&
+          !std::isnan(result[i].distance)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  ThreadPool serial(1);
+  ThreadPool parallel(4);
+  for (std::size_t m = 0; m < metrics.size(); ++m) {
+    ASSERT_TRUE(linalg::simd::SetTier(Tier::kScalar));
+    const LinearScanIndex reference_index(block.view(), &serial);
+    const std::vector<Neighbor> all = reference_index.Search(*metrics[m], n);
+    ASSERT_EQ(all.size(), pts.size());
+    EXPECT_TRUE(nan_last(all)) << "metric " << m;
+    EXPECT_TRUE(std::isnan(all.back().distance)) << "metric " << m;
+    for (int k : {10, n}) {
+      const std::vector<Neighbor> reference =
+          reference_index.Search(*metrics[m], k);
+      EXPECT_FALSE(std::isnan(reference.front().distance)) << "metric " << m;
+      for (Tier tier : AvailableTiers()) {
+        ASSERT_TRUE(linalg::simd::SetTier(tier));
+        std::vector<std::pair<std::string, std::vector<Neighbor>>> runs;
+        runs.emplace_back("scan/1", LinearScanIndex(block.view(), &serial)
+                                        .Search(*metrics[m], k));
+        runs.emplace_back("scan/4", LinearScanIndex(block.view(), &parallel)
+                                        .Search(*metrics[m], k));
+        runs.emplace_back("br_tree", tree.Search(*metrics[m], k));
+        for (const auto& [index, got] : runs) {
+          const std::string where = "metric " + std::to_string(m) + " k " +
+                                    std::to_string(k) + " tier " +
+                                    linalg::simd::TierName(tier) + " " + index;
+          EXPECT_TRUE(nan_last(got)) << where;
+          ASSERT_EQ(got.size(), reference.size()) << where;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].id, reference[i].id) << where << " rank " << i;
+            EXPECT_TRUE(BitEqual(got[i].distance, reference[i].distance))
+                << where << " rank " << i;
+          }
+        }
+      }
+      ASSERT_TRUE(linalg::simd::SetTier(Tier::kScalar));
+    }
   }
 }
 

@@ -11,15 +11,22 @@ Checks the artifact a user would actually load into chrome://tracing:
  - a traced feedback round shows the documented tree: feedback.total →
    {feedback.classify, feedback.merge, feedback.knn_query} → index search.
 
-A second, untraced run feeds the CLI bad marks (an id out of range, a score
-<= 0, a NaN score, text that is not a number): each must print an `error:`
-line, and the process must still exit 0.
+Untraced runs then feed the CLI hostile input:
+ - fixed bad-input scripts (bad marks and scores; `build`, `query` and
+   `show` arguments that are not integers, out of range, or too large to
+   allocate), each printing an exact number of `error:` lines;
+ - a seeded mutation loop over valid command scripts (token drops,
+   duplications and garbage, the integers -1, 0, 2^31-1 and huge values).
+Every run must exit 0 without a `QCLUSTER_CHECK failed` or `terminate`,
+and no accepted `build` may exceed 50 images (the loop stays fast under
+ASan).
 
 Usage: trace_smoke_test.py <path-to-qcluster_cli>
 """
 
 import json
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -29,11 +36,40 @@ SCRIPT = (
     "mark auto; mark auto; show 3; quit"
 )
 
-BAD_MARKS_SCRIPT = (
-    "build 5 10 color; method qcluster; query 0; "
-    "mark 999999:1; mark 3:-1; mark 3:nan; mark x; show 3; quit"
-)
-BAD_MARKS = 4
+# (script, number of `error:` lines it must print)
+BAD_INPUT_CASES = [
+    (
+        "build 5 10 color; method qcluster; query 0; "
+        "mark 999999:1; mark 3:-1; mark 3:nan; mark x; mark 3:4e-324; "
+        "mark 3:1e300; show 3; quit",
+        6,
+    ),
+    ("build x; quit", 1),
+    ("build 100000 100000; quit", 1),
+    ("build 0 5; build 5 -1; build 2147483647 1; build 5 10 colour; quit", 4),
+    ("build 99999999999999999999 1; build 3 x; quit", 2),
+    ("query x; build 5 10 color; query x; query 50; query -1; quit", 4),
+    ("build 5 10 color; query 99999999999999999999; query; query 3; quit", 2),
+    ("build 5 10 color; query 0; show x; show -1; show 2147483647; quit", 2),
+]
+
+# Valid scripts the mutation loop starts from. Every integer in them is at
+# most 5, and with this seed no mutation leaves `build` at its 20 x 40
+# default; run_script fails the test if an accepted build ever exceeds
+# MAX_BUILD.
+MUTATION_BASES = [
+    "build 2 5 color; method qcluster; query 0; mark auto; mark 1:2 2; "
+    "show 5; clusters; metrics; quit",
+    "build 5 4 texture; method qpm; query 3; mark auto; show; "
+    "method qex; query 1; mark auto; method falcon; query 2; mark auto; "
+    "method mindreader; query 4; mark 4:3 0:1; metrics",
+]
+GARBAGE = ["x", "-", ":", "3:", ":2", "1:x", "0x10", "1e9", "nan", "auto",
+           "color", "texture", "qcluster", ";", "build", "query", "mark"]
+INTEGERS = ["-1", "0", "2147483647", "99999999999999999999",
+            "-99999999999999999999"]
+MUTATIONS = 60
+MAX_BUILD = 50
 
 # ts/dur are microseconds rendered through %.9g; allow rounding slack.
 EPS_US = 1.0
@@ -44,23 +80,61 @@ def fail(message):
     sys.exit(1)
 
 
-def check_bad_marks(cli):
+def run_script(cli, script):
+    """Runs one script; fails on a crash, a CHECK abort or an oversized
+    build, else returns the `error:` lines it printed."""
     proc = subprocess.run(
-        [str(cli), BAD_MARKS_SCRIPT],
+        [str(cli), script],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         timeout=240,
     )
+    out = proc.stdout.decode(errors="replace")
+    err = proc.stderr.decode(errors="replace")
     if proc.returncode != 0:
-        sys.stderr.write(proc.stderr.decode(errors="replace"))
-        fail(f"qcluster_cli exited with {proc.returncode} on bad marks")
-    errors = [
-        line
-        for line in proc.stdout.decode(errors="replace").splitlines()
-        if line.startswith("error:")
-    ]
-    if len(errors) != BAD_MARKS:
-        fail(f"expected {BAD_MARKS} error lines for bad marks, got {errors}")
+        sys.stderr.write(err)
+        fail(f"qcluster_cli exited with {proc.returncode} on {script!r}")
+    for marker in ("QCLUSTER_CHECK failed", "terminate"):
+        if marker in out or marker in err:
+            fail(f"{marker!r} on {script!r}")
+    for line in out.splitlines():
+        if line.startswith("built "):
+            images = int(line.split()[1])
+            if images > MAX_BUILD:
+                fail(f"accepted a {images}-image build on {script!r}")
+    return [line for line in out.splitlines() if line.startswith("error:")]
+
+
+def check_bad_input(cli):
+    for script, expected in BAD_INPUT_CASES:
+        errors = run_script(cli, script)
+        if len(errors) != expected:
+            fail(f"expected {expected} error lines for {script!r}, "
+                 f"got {errors}")
+
+
+def mutate(tokens, rng):
+    tokens = list(tokens)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(tokens))
+        op = rng.randrange(4)
+        if op == 0 and len(tokens) > 1:
+            del tokens[at]
+        elif op == 1:
+            tokens.insert(at, tokens[at])
+        elif op == 2:
+            tokens[at] = rng.choice(GARBAGE)
+        else:
+            tokens[at] = rng.choice(INTEGERS)
+    return tokens
+
+
+def check_mutations(cli):
+    rng = random.Random(16)
+    for i in range(MUTATIONS):
+        base = MUTATION_BASES[i % len(MUTATION_BASES)]
+        tokens = base.replace(";", " ; ").split()
+        run_script(cli, " ".join(mutate(tokens, rng)))
 
 
 def main():
@@ -69,7 +143,8 @@ def main():
     cli = pathlib.Path(sys.argv[1])
     if not cli.is_file():
         fail(f"qcluster_cli not found at {cli}")
-    check_bad_marks(cli)
+    check_bad_input(cli)
+    check_mutations(cli)
 
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = pathlib.Path(tmp) / "trace.json"

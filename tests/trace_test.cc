@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <string>
 #include <vector>
@@ -319,6 +320,28 @@ TEST_F(TraceTest, ChromeTraceJsonIsWellFormedAndDeterministic) {
   EXPECT_NE(json.find("\"ratio\": 0.125"), std::string::npos);
   // Serializing the same retained set twice is byte-identical.
   EXPECT_EQ(json, TraceRecorder::Global().ToChromeTraceJson());
+}
+
+TEST_F(TraceTest, NonFiniteAttributesExportAsNull) {
+  // A warm search over rows with no finite distance records θ₀ ÷ (k-th
+  // distance) = ∞ ÷ ∞; the JSON export must stay parseable.
+  const std::uint64_t trace_id = NewTraceId();
+  {
+    ScopedTraceContext round(trace_id, 1);
+    ScopedSpan span("phase.nonfinite");
+    span.AddAttr("ratio", std::numeric_limits<double>::quiet_NaN());
+    span.AddAttr("bound", std::numeric_limits<double>::infinity());
+    span.AddAttr("floor", -std::numeric_limits<double>::infinity());
+  }
+  const std::string json = TraceRecorder::Global().ToChromeTraceJson();
+  EXPECT_NE(json.find("\"ratio\": null, \"bound\": null, \"floor\": null"),
+            std::string::npos)
+      << json;
+  // The text tree keeps the readable spelling.
+  const std::string tree = TraceRecorder::FormatSpanTree(
+      TraceRecorder::Global().SpansForRound(trace_id, 1));
+  EXPECT_NE(tree.find("ratio=nan bound=inf floor=-inf"), std::string::npos)
+      << tree;
 }
 
 TEST_F(TraceTest, ResetClearsRetainedSpansAndDroppedCounters) {

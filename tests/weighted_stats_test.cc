@@ -150,41 +150,5 @@ TEST(WeightedStatsTest, RejectsNonPositiveWeight) {
   EXPECT_DEATH(s.AddPoint({1.0}, 0.0), "w > 0");
 }
 
-TEST(WeightedStatsTest, NearTotalWeightRemovalUsesRelativeTolerance) {
-  // A caller re-deriving the removal weight by summation carries rounding
-  // proportional to the held weight. For a large weight that rounding
-  // dwarfs any fixed epsilon: removing w = weight·(1 + 1e-15) overshoots
-  // by ~1 here, which the old absolute -1e-9 tolerance rejected.
-  const double huge = 1e15;
-  WeightedStats s(2);
-  s.AddPoint({3.0, -4.0}, huge);
-  s.RemovePoint({3.0, -4.0}, huge * (1.0 + 1e-15));
-  EXPECT_EQ(s.n(), 0);
-  EXPECT_DOUBLE_EQ(s.weight(), 0.0);
-  EXPECT_NEAR(s.scatter().SquaredFrobeniusNorm(), 0.0, 1e-20);
-}
-
-TEST(WeightedStatsTest, NearTotalRemovalOfAccumulatedWeightsResets) {
-  // Ten 0.1 increments do not sum to exactly 1.0; removing the point with
-  // the "nominal" total must still return to the empty state rather than
-  // leave a poisoned (zero-or-negative weight) summary behind.
-  WeightedStats s(1);
-  double accumulated = 0.0;
-  for (int i = 0; i < 10; ++i) {
-    accumulated += 0.1;
-  }
-  s.AddPoint({2.0}, accumulated);
-  s.RemovePoint({2.0}, 1.0);
-  EXPECT_EQ(s.n(), 0);
-  EXPECT_DOUBLE_EQ(s.weight(), 0.0);
-}
-
-TEST(WeightedStatsTest, RemovalStillRejectsGenuineOverdraw) {
-  WeightedStats s(1);
-  s.AddPoint({1.0}, 2.0);
-  EXPECT_DEATH(s.RemovePoint({1.0}, 3.0),
-               "removing more weight than the summary holds");
-}
-
 }  // namespace
 }  // namespace qcluster::stats
