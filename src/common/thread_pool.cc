@@ -22,6 +22,14 @@ int ParseThreadCount(const char* env) {
 
 }  // namespace internal
 
+namespace {
+
+/// True on every pool's worker threads: a ParallelFor issued there runs
+/// inline (see the class comment's nesting rule).
+thread_local bool t_on_pool_worker = false;
+
+}  // namespace
+
 ThreadPool::ThreadPool(int threads) : threads_(std::max(1, threads)) {
   workers_.reserve(static_cast<std::size_t>(threads_ - 1));
   for (int i = 1; i < threads_; ++i) {
@@ -39,6 +47,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop() {
+  t_on_pool_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -66,13 +75,19 @@ void ThreadPool::ParallelFor(
     const std::function<void(int, std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
   const int shards = ShardCount(n, min_shard);
-  if (shards == 1) {
-    fn(0, 0, n);
-    return;
-  }
   const std::size_t chunk =
       (n + static_cast<std::size_t>(shards) - 1) /
       static_cast<std::size_t>(shards);
+  if (shards == 1 || t_on_pool_worker) {
+    // Serial: one shard, or a nested call on a worker whose siblings may
+    // all be blocked the same way. Same shards, same order, this thread.
+    for (int s = 0; s < shards; ++s) {
+      const std::size_t begin = static_cast<std::size_t>(s) * chunk;
+      const std::size_t end = std::min(n, begin + chunk);
+      if (begin < end) fn(s, begin, end);
+    }
+    return;
+  }
 
   struct Completion {
     Mutex mu;

@@ -12,21 +12,26 @@
 
 namespace qcluster {
 
-/// A fixed-size pool of worker threads for sharded scans.
+/// A fixed-size pool of worker threads for row-independent loops.
 ///
-/// The pool exists to parallelize the k-NN scoring hot path: an index splits
-/// its point range into contiguous shards, each shard is scored into its own
-/// bounded top-k heap, and the per-shard heaps are merged on the calling
-/// thread. Shard *boundaries* depend only on (n, min_shard, thread_count),
-/// never on scheduling, and every point is scored independently — so results
-/// are bit-identical at any thread count.
+/// Callers split a row range into contiguous shards and give each shard
+/// its own output: the k-NN scan scores each shard into its own bounded
+/// top-k heap and merges the heaps on the calling thread; ingest
+/// (dataset::FeatureDatabase) writes each image's features, standardized
+/// row and projection into its own pre-sized slot. Shard *boundaries*
+/// depend only on (n, min_shard, thread_count), never on scheduling, and
+/// every row is computed independently — so results are bit-identical at
+/// any thread count.
 ///
 /// A pool of size 1 owns no worker threads at all: ParallelFor runs the
 /// single shard inline on the caller, giving a fully serial, deterministic
 /// execution for debugging (`QCLUSTER_THREADS=1`).
 ///
-/// ParallelFor must not be called from inside a pool task (no nesting); the
-/// library only issues it from user-facing search entry points.
+/// Nesting: a ParallelFor issued from inside a pool task, on any pool's
+/// worker thread, runs all its shards inline on that worker, in shard
+/// order, with the boundaries a parallel run would use. A nested loop
+/// therefore never waits on workers that may all be waiting too, and its
+/// results do not change.
 class ThreadPool {
  public:
   /// Spawns `threads - 1` workers (the caller is the remaining thread).
@@ -48,8 +53,9 @@ class ThreadPool {
 
   /// Splits [0, n) into ShardCount contiguous equal shards and runs
   /// `fn(shard, begin, end)` for each, blocking until all complete. Shard 0
-  /// runs on the calling thread, the rest on pool workers. `fn` must be
-  /// safe to invoke concurrently and must not throw.
+  /// runs on the calling thread, the rest on pool workers (all of them on
+  /// the caller when it is itself a pool worker; see the class comment).
+  /// `fn` must be safe to invoke concurrently and must not throw.
   void ParallelFor(std::size_t n, std::size_t min_shard,
                    const std::function<void(int, std::size_t, std::size_t)>&
                        fn);

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "image/color_moments.h"
 #include "image/color_histogram.h"
 #include "image/glcm.h"
@@ -26,10 +27,19 @@ int DefaultReducedDim(FeatureType type) {
 
 namespace {
 
+/// Minimum images per ParallelFor shard in Build. Rendering and extracting
+/// one default-size image takes ~0.2 ms, far above the hand-off cost.
+constexpr std::size_t kMinShardImages = 16;
+/// Minimum rows per shard in the standardize and projection passes, which
+/// cost well under a microsecond per row.
+constexpr std::size_t kMinShardRows = 1024;
+
 /// Standardizes every dimension to zero mean / unit variance in place.
 /// Raw GLCM features mix wildly different scales (probabilities vs fourth
 /// moments); without standardization PCA would be dominated by the largest
-/// scale rather than the informative directions.
+/// scale rather than the informative directions. The mean and variance sums
+/// run serially in row order, so the result has the same bits at any
+/// thread count; only the per-row rescale runs on the pool.
 void Standardize(std::vector<Vector>& rows) {
   QCLUSTER_CHECK(!rows.empty());
   const std::size_t p = rows.front().size();
@@ -46,41 +56,51 @@ void Standardize(std::vector<Vector>& rows) {
       var[j] += d * d;
     }
   }
-  for (double& v : var) v *= inv_n;
-  for (Vector& r : rows) {
-    for (std::size_t j = 0; j < p; ++j) {
-      const double sd = std::sqrt(var[j]);
-      r[j] = sd > 1e-12 ? (r[j] - mean[j]) / sd : 0.0;
-    }
-  }
+  Vector sd(p);
+  for (std::size_t j = 0; j < p; ++j) sd[j] = std::sqrt(var[j] * inv_n);
+  ThreadPool::Global().ParallelFor(
+      rows.size(), kMinShardRows,
+      [&](int /*shard*/, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          Vector& r = rows[i];
+          for (std::size_t j = 0; j < p; ++j) {
+            r[j] = sd[j] > 1e-12 ? (r[j] - mean[j]) / sd[j] : 0.0;
+          }
+        }
+      });
 }
 
 }  // namespace
 
 FeatureDatabase FeatureDatabase::Build(const ImageCollection& collection,
                                        FeatureType type, int reduced_dim) {
-  std::vector<Vector> raw;
-  raw.reserve(static_cast<std::size_t>(collection.size()));
-  std::vector<int> categories;
-  std::vector<int> themes;
-  categories.reserve(raw.capacity());
-  themes.reserve(raw.capacity());
-  for (int id = 0; id < collection.size(); ++id) {
-    const image::Image img = collection.Render(id);
-    switch (type) {
-      case FeatureType::kColorMoments:
-        raw.push_back(image::ExtractColorMoments(img));
-        break;
-      case FeatureType::kTexture:
-        raw.push_back(image::ExtractTextureFeatures(img));
-        break;
-      case FeatureType::kColorHistogram:
-        raw.push_back(image::ExtractColorHistogram(img));
-        break;
-    }
-    categories.push_back(collection.category(id));
-    themes.push_back(collection.theme(id));
-  }
+  // Every image is rendered from its own id-seeded generator, so images are
+  // independent: each shard fills its own slots of the pre-sized outputs.
+  const std::size_t n = static_cast<std::size_t>(collection.size());
+  std::vector<Vector> raw(n);
+  std::vector<int> categories(n);
+  std::vector<int> themes(n);
+  ThreadPool::Global().ParallelFor(
+      n, kMinShardImages,
+      [&](int /*shard*/, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const int id = static_cast<int>(i);
+          const image::Image img = collection.Render(id);
+          switch (type) {
+            case FeatureType::kColorMoments:
+              raw[i] = image::ExtractColorMoments(img);
+              break;
+            case FeatureType::kTexture:
+              raw[i] = image::ExtractTextureFeatures(img);
+              break;
+            case FeatureType::kColorHistogram:
+              raw[i] = image::ExtractColorHistogram(img);
+              break;
+          }
+          categories[i] = collection.category(id);
+          themes[i] = collection.theme(id);
+        }
+      });
   return FromRawFeatures(std::move(raw), std::move(categories),
                          std::move(themes),
                          reduced_dim > 0 ? reduced_dim
@@ -97,12 +117,18 @@ FeatureDatabase FeatureDatabase::FromRawFeatures(std::vector<Vector> raw,
   QCLUSTER_CHECK(0 < reduced_dim &&
                  reduced_dim <= static_cast<int>(raw.front().size()));
   Standardize(raw);
+  // The covariance sum inside Fit stays serial, in row order.
   Result<Pca> pca = Pca::Fit(raw);
   QCLUSTER_CHECK_OK(pca.status());
   linalg::FlatBlock reduced(raw.size(), reduced_dim);
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    pca.value().TransformInto(raw[i], reduced_dim, reduced.mutable_row(i));
-  }
+  ThreadPool::Global().ParallelFor(
+      raw.size(), kMinShardRows,
+      [&](int /*shard*/, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          pca.value().TransformInto(raw[i], reduced_dim,
+                                    reduced.mutable_row(i));
+        }
+      });
   return FeatureDatabase(std::move(reduced), std::move(categories),
                          std::move(themes), std::move(pca).value());
 }

@@ -63,11 +63,11 @@ Vector Pca::Transform(const Vector& x, int k) const {
 void Pca::TransformInto(const Vector& x, int k, double* out) const {
   QCLUSTER_CHECK(static_cast<int>(x.size()) == input_dim());
   QCLUSTER_CHECK(0 < k && k <= input_dim());
-  const Vector centered = Sub(x, mean_);
   for (int c = 0; c < k; ++c) {
     double sum = 0.0;
     for (int r = 0; r < input_dim(); ++r) {
-      sum += eigen_.vectors(r, c) * centered[static_cast<std::size_t>(r)];
+      const std::size_t i = static_cast<std::size_t>(r);
+      sum += eigen_.vectors(r, c) * (x[i] - mean_[i]);
     }
     out[c] = sum;
   }

@@ -48,7 +48,8 @@ struct HarmonicSpec {
 };
 
 /// The per-tier kernel set. Row kernels score one point in canonical
-/// sequential order and are shared verbatim by every tier; batch kernels
+/// sequential order, from the same source on every tier (each tier compiles
+/// its own copy, so no tier runs another's instruction set); batch kernels
 /// score `n` contiguous row-major rows (row stride == the dimension) with
 /// the tier's row width, each lane mirroring the row kernel's exact
 /// operation sequence — so the same inputs produce byte-identical outputs

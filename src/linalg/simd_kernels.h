@@ -46,8 +46,16 @@ namespace qcluster::linalg::simd::internal {
 
 // ---------------------------------------------------------------------------
 // Canonical row kernels: one point, sequential element order. Shared by all
-// tiers (the dispatch table of every tier points at these), so the per-point
-// entry points cannot drift from the batch lanes that mirror them.
+// tiers (the dispatch table of every tier points at its copy of these), so
+// the per-point entry points cannot drift from the batch lanes that mirror
+// them.
+//
+// Internal linkage: each tier TU gets its own copy, compiled with that TU's
+// flags. As plain `inline` functions they would be weak symbols, and the
+// linker would keep one tier's copy for every table — the AVX2 TU's
+// VEX-encoded one, if its object came first, faulting QCLUSTER_SIMD=scalar
+// on a CPU without AVX2. tests/simd_layout_test.py checks the binary.
+namespace {
 
 inline double SquaredL2RowRef(const double* q, const double* x, int d) {
   double sum = 0.0;
@@ -139,6 +147,8 @@ inline double WeightedRectRowRef(const double* w, const double* q,
   }
   return sum;
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Batch kernels, templated on the lane policy. Row r of a width-W group is
@@ -319,8 +329,8 @@ struct KernelImpl {
 };
 
 /// Builds a tier's dispatch table from its policy instantiation. Row
-/// kernels are the shared canonical reference on every tier; only the
-/// batch kernels differ in how many rows they carry per step.
+/// kernels are this TU's copy of the canonical reference on every tier;
+/// only the batch kernels differ in how many rows they carry per step.
 template <class P>
 constexpr KernelTable MakeTable(Tier tier) {
   using K = KernelImpl<P>;

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -8,7 +9,11 @@
 #include "dataset/feature_database.h"
 #include "dataset/image_collection.h"
 #include "dataset/synthetic_gaussian.h"
+#include "image/color_histogram.h"
+#include "image/color_moments.h"
+#include "image/glcm.h"
 #include "linalg/decomposition.h"
+#include "linalg/pca.h"
 
 namespace qcluster::dataset {
 namespace {
@@ -201,6 +206,111 @@ TEST(FeatureDatabaseTest, SameCategoryCloserThanRandomOnAverage) {
   ASSERT_GT(nw, 0);
   ASSERT_GT(na, 0);
   EXPECT_LT(within / nw, across / na);
+}
+
+TEST(FeatureDatabaseTest, BuildMatchesSerialStageByStage) {
+  // Build renders and extracts on the global pool. 120 images is several of
+  // its 16-image shards, so any QCLUSTER_THREADS above 1 takes the parallel
+  // path; a serial render-and-extract loop must give the same database.
+  ImageCollectionOptions opt = SmallCollection();
+  opt.images_per_category = 20;
+  const ImageCollection col(opt);
+  for (const FeatureType type :
+       {FeatureType::kColorMoments, FeatureType::kTexture,
+        FeatureType::kColorHistogram}) {
+    std::vector<Vector> raw;
+    std::vector<int> categories;
+    std::vector<int> themes;
+    for (int id = 0; id < col.size(); ++id) {
+      const image::Image img = col.Render(id);
+      switch (type) {
+        case FeatureType::kColorMoments:
+          raw.push_back(image::ExtractColorMoments(img));
+          break;
+        case FeatureType::kTexture:
+          raw.push_back(image::ExtractTextureFeatures(img));
+          break;
+        case FeatureType::kColorHistogram:
+          raw.push_back(image::ExtractColorHistogram(img));
+          break;
+      }
+      categories.push_back(col.category(id));
+      themes.push_back(col.theme(id));
+    }
+    const FeatureDatabase serial = FeatureDatabase::FromRawFeatures(
+        std::move(raw), std::move(categories), std::move(themes),
+        DefaultReducedDim(type));
+    const FeatureDatabase built = FeatureDatabase::Build(col, type);
+    EXPECT_TRUE(built.features() == serial.features())
+        << "type " << static_cast<int>(type);
+    EXPECT_EQ(built.categories(), serial.categories());
+    EXPECT_EQ(built.themes(), serial.themes());
+  }
+}
+
+TEST(FeatureDatabaseTest, FromRawFeaturesMatchesSerialStandardizeAndPca) {
+  // FromRawFeatures standardizes and projects rows on the global pool; 6,000
+  // rows is several of its 1,024-row shards. The reference below is the
+  // serial arithmetic spelled out: per-element sqrt, a centered copy per
+  // row. Column 3 is constant, so its standardized value is 0.
+  constexpr int kRows = 6000;
+  constexpr int kDim = 12;
+  constexpr int kReduced = 5;
+  Rng rng(91);
+  std::vector<Vector> raw;
+  for (int i = 0; i < kRows; ++i) {
+    Vector row = rng.GaussianVector(kDim);
+    for (int j = 0; j < kDim; ++j) {
+      row[static_cast<std::size_t>(j)] *= std::pow(10.0, j % 4 - 1);
+    }
+    row[3] = 7.25;
+    raw.push_back(std::move(row));
+  }
+
+  std::vector<Vector> rows = raw;
+  const std::size_t p = kDim;
+  Vector mean(p, 0.0);
+  for (const Vector& r : rows) {
+    for (std::size_t j = 0; j < p; ++j) mean[j] += r[j];
+  }
+  const double inv_n = 1.0 / static_cast<double>(rows.size());
+  for (double& m : mean) m *= inv_n;
+  Vector var(p, 0.0);
+  for (const Vector& r : rows) {
+    for (std::size_t j = 0; j < p; ++j) {
+      const double d = r[j] - mean[j];
+      var[j] += d * d;
+    }
+  }
+  for (double& v : var) v *= inv_n;
+  for (Vector& r : rows) {
+    for (std::size_t j = 0; j < p; ++j) {
+      const double sd = std::sqrt(var[j]);
+      r[j] = sd > 1e-12 ? (r[j] - mean[j]) / sd : 0.0;
+    }
+  }
+  Result<linalg::Pca> pca = linalg::Pca::Fit(rows);
+  ASSERT_TRUE(pca.ok());
+  std::vector<double> expected;
+  for (const Vector& r : rows) {
+    const Vector centered = linalg::Sub(r, pca.value().mean());
+    for (int c = 0; c < kReduced; ++c) {
+      double sum = 0.0;
+      for (int k = 0; k < kDim; ++k) {
+        sum += pca.value().components()(k, c) *
+               centered[static_cast<std::size_t>(k)];
+      }
+      expected.push_back(sum);
+    }
+  }
+
+  const FeatureDatabase db = FeatureDatabase::FromRawFeatures(
+      raw, std::vector<int>(kRows, 0), std::vector<int>(kRows, 0), kReduced);
+  ASSERT_EQ(db.size(), kRows);
+  ASSERT_EQ(db.dim(), kReduced);
+  EXPECT_EQ(std::memcmp(db.features().row(0), expected.data(),
+                        expected.size() * sizeof(double)),
+            0);
 }
 
 TEST(FeatureDatabaseTest, FromRawFeaturesChecksArguments) {

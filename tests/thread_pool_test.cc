@@ -76,6 +76,28 @@ TEST(ThreadPoolTest, ParallelForRunsShardsConcurrentlyButBlocksUntilDone) {
   EXPECT_EQ(sum.load(), 4000);  // Fully accumulated when the call returns.
 }
 
+TEST(ThreadPoolTest, NestedParallelForOnAWorkerRunsInline) {
+  // Every outer shard issues an inner loop on the same pool. If workers
+  // queued their inner shards, all three would wait on tasks that no free
+  // worker is left to run; on a worker the inner loop runs inline instead.
+  constexpr std::size_t kOuter = 4;
+  constexpr std::size_t kInner = 1000;
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  pool.ParallelFor(kOuter, 1, [&](int, std::size_t begin, std::size_t end) {
+    for (std::size_t outer = begin; outer < end; ++outer) {
+      pool.ParallelFor(kInner, 1, [&](int, std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) {
+          hits[outer * kInner + i].fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
 TEST(BoundedTopKTest, KeepsKClosestWithIdTieBreak) {
   BoundedTopK top(3);
   top.Push({5, 2.0});
