@@ -1,6 +1,7 @@
 #include "core/classifier.h"
 
 #include <cmath>
+#include <optional>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -36,6 +37,41 @@ std::vector<double> IndividualCovarianceScores(
     scores[i] = -0.5 * floored_log_det - 0.5 * quad + std::log(w);
   }
   return scores;
+}
+
+/// Lemma 1's effective radius χ²_p(α). It depends on α and p alone, so a
+/// batch computes it once.
+double EffectiveRadius(const std::vector<Cluster>& clusters,
+                       const ClassifierOptions& options) {
+  QCLUSTER_CHECK(!clusters.empty());
+  return stats::ChiSquaredUpperQuantile(
+      options.alpha, static_cast<double>(clusters.front().dim()));
+}
+
+/// Algorithm 2 for one point, against a radius the caller computed.
+ClassificationDecision ClassifyWithin(const std::vector<Cluster>& clusters,
+                                      const Vector& x,
+                                      const ClassifierOptions& options,
+                                      double radius) {
+  const std::vector<double> scores =
+      ClassificationScores(clusters, x, options);
+  int best = 0;
+  for (std::size_t i = 1; i < scores.size(); ++i) {
+    if (scores[i] > scores[static_cast<std::size_t>(best)]) {
+      best = static_cast<int>(i);
+    }
+  }
+
+  ClassificationDecision decision;
+  decision.score = scores[static_cast<std::size_t>(best)];
+  // Lemma 1 / Algorithm 2 line 4: the winner keeps the point only when it
+  // falls inside the effective radius under the cluster's own metric.
+  decision.radius = radius;
+  decision.radius_d2 =
+      clusters[static_cast<std::size_t>(best)].DistanceSquared(
+          x, options.scheme, options.min_variance);
+  decision.cluster = decision.radius_d2 < decision.radius ? best : -1;
+  return decision;
 }
 
 }  // namespace
@@ -86,26 +122,8 @@ std::vector<double> ClassificationScores(const std::vector<Cluster>& clusters,
 ClassificationDecision Classify(const std::vector<Cluster>& clusters,
                                 const Vector& x,
                                 const ClassifierOptions& options) {
-  const std::vector<double> scores =
-      ClassificationScores(clusters, x, options);
-  int best = 0;
-  for (std::size_t i = 1; i < scores.size(); ++i) {
-    if (scores[i] > scores[static_cast<std::size_t>(best)]) {
-      best = static_cast<int>(i);
-    }
-  }
-
-  ClassificationDecision decision;
-  decision.score = scores[static_cast<std::size_t>(best)];
-  // Lemma 1 / Algorithm 2 line 4: the winner keeps the point only when it
-  // falls inside the effective radius under the cluster's own metric.
-  decision.radius = stats::ChiSquaredUpperQuantile(
-      options.alpha, static_cast<double>(clusters.front().dim()));
-  decision.radius_d2 =
-      clusters[static_cast<std::size_t>(best)].DistanceSquared(
-          x, options.scheme, options.min_variance);
-  decision.cluster = decision.radius_d2 < decision.radius ? best : -1;
-  return decision;
+  return ClassifyWithin(clusters, x, options,
+                        EffectiveRadius(clusters, options));
 }
 
 std::vector<ClassificationDecision> ClassifyBatch(
@@ -118,6 +136,9 @@ std::vector<ClassificationDecision> ClassifyBatch(
   MetricAdd("classifier.points", static_cast<long long>(points.size()));
   std::vector<ClassificationDecision> decisions;
   decisions.reserve(points.size());
+  // Taken at the first point Algorithm 2 classifies; a batch that only
+  // starts the first cluster inverts no CDF.
+  std::optional<double> radius;
   for (std::size_t i = 0; i < points.size(); ++i) {
     QCLUSTER_CHECK(scores[i] > 0.0);
     if (clusters.empty()) {
@@ -128,7 +149,9 @@ std::vector<ClassificationDecision> ClassifyBatch(
       decisions.push_back(d);
       continue;
     }
-    ClassificationDecision d = Classify(clusters, points[i], options);
+    if (!radius) radius = EffectiveRadius(clusters, options);
+    ClassificationDecision d =
+        ClassifyWithin(clusters, points[i], options, *radius);
     if (d.cluster >= 0) {
       clusters[static_cast<std::size_t>(d.cluster)].Add(points[i], scores[i]);
       MetricAdd("classifier.assigned");

@@ -78,19 +78,34 @@ inline Status ValidateSymmetricPsd(const linalg::Matrix& m, const char* what) {
 }
 
 /// Eq. 14: T² = (m_i·m_j)/(m_i+m_j) · (c_i−c_j)' S⁻¹ (c_i−c_j) is a scaled
-/// quadratic form under a PSD pooled inverse, so it must be finite and
-/// non-negative, and the weight total must be positive for the scaling to
-/// be defined (Eq. 16 dof).
-inline Status ValidateHotellingT2(double t2, double m_total) {
+/// quadratic form under a PSD pooled inverse, so it must be non-negative,
+/// and the weight total must be positive for the scaling to be defined
+/// (Eq. 16 dof). +∞ is that form overflowing. NaN or ∞ features are defined
+/// input, so a NaN T² is accepted when the mean difference `diff` or
+/// `pooled_inverse` holds a NaN or ∞; from finite inputs it is a violation.
+inline Status ValidateHotellingT2(double t2, double m_total,
+                                  const linalg::Vector& diff,
+                                  const linalg::Matrix& pooled_inverse) {
   if (!(m_total > 0.0)) {
     return Status::FailedPrecondition(
         "Hotelling total weight " + std::to_string(m_total) +
         " <= 0 violates Eq. 14/16");
   }
-  if (!std::isfinite(t2) || t2 < -kAuditPsdTol * std::max(1.0, m_total)) {
-    return Status::FailedPrecondition(
-        "Hotelling T² " + std::to_string(t2) +
-        " negative or non-finite violates Eq. 14");
+  if (std::isnan(t2)) {
+    const auto finite = [](double v) { return std::isfinite(v); };
+    const double* inverse = pooled_inverse.data();
+    const std::size_t cells =
+        static_cast<std::size_t>(pooled_inverse.rows() * pooled_inverse.cols());
+    if (std::all_of(diff.begin(), diff.end(), finite) &&
+        std::all_of(inverse, inverse + cells, finite)) {
+      return Status::FailedPrecondition(
+          "Hotelling T² is NaN from finite inputs, violating Eq. 14");
+    }
+    return Status::OK();
+  }
+  if (t2 < -kAuditPsdTol * std::max(1.0, m_total)) {
+    return Status::FailedPrecondition("Hotelling T² " + std::to_string(t2) +
+                                      " negative violates Eq. 14");
   }
   return Status::OK();
 }

@@ -11,64 +11,61 @@
 namespace qcluster::core {
 
 using linalg::Matrix;
-using linalg::Vector;
-
-MergeCandidate EvaluateMergePair(const std::vector<Cluster>& clusters, int i,
-                                 int j, double alpha,
-                                 const MergeOptions& options) {
-  QCLUSTER_CHECK(0 <= i && i < static_cast<int>(clusters.size()));
-  QCLUSTER_CHECK(0 <= j && j < static_cast<int>(clusters.size()));
-  QCLUSTER_CHECK(i != j);
-  const Cluster& a = clusters[static_cast<std::size_t>(i)];
-  const Cluster& b = clusters[static_cast<std::size_t>(j)];
-  const int dim = a.dim();
-
-  // Pooled covariance of the pair (Eq. 15) with the variance floor, then T²
-  // under the configured scheme.
-  Matrix pooled = stats::PooledCovariancePair(a.stats(), b.stats());
-  for (int d = 0; d < dim; ++d) {
-    if (pooled(d, d) < options.min_variance) {
-      pooled(d, d) = options.min_variance;
-    }
-  }
-  const Matrix pooled_inverse = stats::InvertCovariance(pooled, options.scheme);
-
-  MergeCandidate candidate;
-  candidate.i = i;
-  candidate.j = j;
-  candidate.t2 =
-      stats::HotellingT2WithInverse(a.stats(), b.stats(), pooled_inverse);
-  Result<double> c2 = stats::HotellingCriticalDistance(
-      a.weight() + b.weight(), dim, alpha);
-  candidate.c2 = c2.ok()
-                     ? c2.value()
-                     // Degenerate dof: fall back to the asymptotic χ² bound.
-                     : stats::ChiSquaredUpperQuantile(alpha,
-                                                      static_cast<double>(dim));
-  return candidate;
-}
 
 namespace {
 
 /// Multiplicative α relaxation applied while the count still exceeds
-/// max_clusters but every remaining pair rejects H0.
+/// max_clusters but the closest pair rejects H0.
 constexpr double kAlphaRelax = 0.1;
 /// Lower bound on the relaxed α; below it the closest pair (smallest T²)
 /// merges unconditionally, so the pass always terminates.
 constexpr double kMinAlpha = 1e-9;
 
-/// Returns the candidate with the smallest T² among all pairs.
-MergeCandidate BestPair(const std::vector<Cluster>& clusters, double alpha,
-                        const MergeOptions& options) {
-  MergeCandidate best;
-  best.t2 = std::numeric_limits<double>::infinity();
-  best.c2 = -std::numeric_limits<double>::infinity();
+/// T² of Eq. 14 with the pair's pooled covariance (Eq. 15) floored at
+/// `min_variance` and inverted under the configured scheme.
+double PairT2(const Cluster& a, const Cluster& b,
+              const MergeOptions& options) {
+  Matrix pooled = stats::PooledCovariancePair(a.stats(), b.stats());
+  for (int d = 0; d < a.dim(); ++d) {
+    if (pooled(d, d) < options.min_variance) {
+      pooled(d, d) = options.min_variance;
+    }
+  }
+  const Matrix pooled_inverse = stats::InvertCovariance(pooled, options.scheme);
+  return stats::HotellingT2WithInverse(a.stats(), b.stats(), pooled_inverse);
+}
+
+/// c² of Eq. 16 for the pair; when m_i + m_j ≤ p + 1 the F distribution
+/// degenerates and the asymptotic χ²_p(α) bound stands in.
+double PairCriticalDistance(const Cluster& a, const Cluster& b,
+                            double alpha) {
+  const int dim = a.dim();
+  Result<double> c2 =
+      stats::HotellingCriticalDistance(a.weight() + b.weight(), dim, alpha);
+  return c2.ok() ? c2.value()
+                 : stats::ChiSquaredUpperQuantile(alpha,
+                                                  static_cast<double>(dim));
+}
+
+struct ClosestPair {
+  int i = 0;
+  int j = 1;
+  double t2 = std::numeric_limits<double>::infinity();
+};
+
+/// The pair with the smallest T², ties to the earlier pair and NaN after
+/// every number. The first pair stands in when no T² is below +∞ (NaN or
+/// overflowing features); it fails every c² test, so an over-cap pass
+/// relaxes α and then forces it.
+ClosestPair FindClosestPair(const std::vector<Cluster>& clusters,
+                            const MergeOptions& options) {
+  ClosestPair best;
   const int g = static_cast<int>(clusters.size());
   for (int i = 0; i < g; ++i) {
     for (int j = i + 1; j < g; ++j) {
-      const MergeCandidate c =
-          EvaluateMergePair(clusters, i, j, alpha, options);
-      if (c.t2 < best.t2) best = c;
+      const double t2 = PairT2(clusters[static_cast<std::size_t>(i)],
+                               clusters[static_cast<std::size_t>(j)], options);
+      if (t2 < best.t2) best = {i, j, t2};
     }
   }
   return best;
@@ -96,27 +93,28 @@ MergeReport MergeClusters(std::vector<Cluster>& clusters,
   report.final_alpha = alpha;
 
   while (clusters.size() > 1) {
-    const MergeCandidate best = BestPair(clusters, alpha, options);
+    // c² depends only on α, p and m_i + m_j, so pairs are ranked by T²
+    // alone and c² is computed for the one pair this step acts on.
+    const ClosestPair best = FindClosestPair(clusters, options);
+    const Cluster& a = clusters[static_cast<std::size_t>(best.i)];
+    const Cluster& b = clusters[static_cast<std::size_t>(best.j)];
     const bool over_cap =
         static_cast<int>(clusters.size()) > options.max_clusters;
-    if (best.mergeable()) {
-      ApplyMerge(clusters, best.i, best.j);
-      ++report.merges;
-      continue;
-    }
-    if (!over_cap) break;  // Statistically distinct and within the cap.
-    // Over the cap with every pair rejecting H0: Algorithm 3 line 8 —
-    // increase the critical distance by relaxing α; force the closest pair
-    // once α bottoms out.
-    if (alpha > kMinAlpha) {
+    bool passes = best.t2 <= PairCriticalDistance(a, b, alpha);
+    // Over the cap with the closest pair rejecting H0: Algorithm 3 line 8 —
+    // increase the critical distance by relaxing α. The clusters do not
+    // change, so neither does the ranking; each relaxation costs one c².
+    while (!passes && over_cap && alpha > kMinAlpha) {
       alpha *= kAlphaRelax;
       if (alpha < kMinAlpha) alpha = kMinAlpha;
       report.final_alpha = alpha;
-      continue;
+      passes = best.t2 <= PairCriticalDistance(a, b, alpha);
     }
+    if (!passes && !over_cap) break;  // Statistically distinct, within cap.
     ApplyMerge(clusters, best.i, best.j);
     ++report.merges;
-    ++report.forced_merges;
+    // Once α bottoms out the closest pair merges unconditionally.
+    if (!passes) ++report.forced_merges;
   }
   MetricAdd("merge.passes");
   MetricAdd("merge.merges", report.merges);

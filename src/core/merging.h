@@ -32,27 +32,12 @@ struct MergeReport {
   int forced_merges = 0;   ///< Merges forced by the max_clusters cap.
 };
 
-/// The pairwise decision quantity of Algorithm 3: T² (Eq. 14) and the
-/// critical distance c² (Eq. 16). When the pair is too small for the F
-/// distribution (m_i + m_j ≤ p + 1, inevitable for fresh singleton
-/// clusters), c² degrades to the asymptotic χ²_p(α) threshold so early
-/// iterations still behave sensibly.
-struct MergeCandidate {
-  int i = 0;
-  int j = 0;
-  double t2 = 0.0;
-  double c2 = 0.0;
-  bool mergeable() const { return t2 <= c2; }
-};
-
-/// Evaluates the merge test for a single pair at level `alpha`.
-MergeCandidate EvaluateMergePair(const std::vector<Cluster>& clusters, int i,
-                                 int j, double alpha,
-                                 const MergeOptions& options);
-
-/// Algorithm 3: repeatedly merges the pair with the smallest T² while the
-/// pair passes its T² ≤ c² test, relaxing α (and finally forcing) while the
-/// cluster count exceeds `max_clusters`. Mutates `clusters` in place.
+/// Algorithm 3: repeatedly merges the pair with the smallest Hotelling T²
+/// (Eq. 14) while that pair passes T² ≤ c² (Eq. 16), relaxing α (and
+/// finally forcing) while the cluster count exceeds `max_clusters`.
+/// When a pair is too small for the F distribution (m_i + m_j ≤ p + 1,
+/// inevitable for fresh singleton clusters), c² degrades to the asymptotic
+/// χ²_p(α) threshold. Mutates `clusters` in place.
 MergeReport MergeClusters(std::vector<Cluster>& clusters,
                           const MergeOptions& options);
 

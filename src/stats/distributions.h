@@ -14,7 +14,9 @@ double ChiSquaredCdf(double x, double dof);
 double ChiSquaredQuantile(double p, double dof);
 
 /// Upper-tail chi-square quantile: x with P(X > x) = alpha. This is the
-/// effective radius of Lemma 1 for significance level alpha.
+/// effective radius of Lemma 1 for significance level alpha. Memoized in a
+/// fixed per-thread table keyed by the exact argument bits; a hit returns
+/// the bits of `ChiSquaredQuantile(1 - alpha, dof)`.
 double ChiSquaredUpperQuantile(double alpha, double dof);
 
 /// F-distribution CDF with (d1, d2) degrees of freedom.
@@ -24,7 +26,9 @@ double FCdf(double x, double d1, double d2);
 double FQuantile(double p, double d1, double d2);
 
 /// Upper-tail F quantile F_{d1,d2}(alpha): x with P(X > x) = alpha. This is
-/// the percentile used in the paper's merge threshold c² (Eq. 16).
+/// the percentile used in the paper's merge threshold c² (Eq. 16). Memoized
+/// like `ChiSquaredUpperQuantile`; a hit returns the bits of
+/// `FQuantile(1 - alpha, d1, d2)`.
 double FUpperQuantile(double alpha, double d1, double d2);
 
 /// Student-t CDF with `dof` degrees of freedom.

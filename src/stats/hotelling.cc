@@ -28,7 +28,8 @@ double HotellingT2WithInverse(const WeightedStats& a, const WeightedStats& b,
   const double m_total = a.weight() + b.weight();
   QCLUSTER_CHECK(m_total > 0.0);
   const double t2 = a.weight() * b.weight() / m_total * quad;
-  QCLUSTER_AUDIT(core::ValidateHotellingT2(t2, m_total));
+  QCLUSTER_AUDIT(
+      core::ValidateHotellingT2(t2, m_total, diff, pooled_inverse));
   return t2;
 }
 

@@ -1,5 +1,7 @@
 #include "core/classifier.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -165,6 +167,63 @@ TEST(ClassifyBatchTest, RejectsNonPositiveScores) {
   std::vector<Vector> pts{{1.0}};
   std::vector<double> scores{0.0};
   EXPECT_DEATH(ClassifyBatch(clusters, pts, scores, opt), "scores");
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(ClassifyBatchTest, DecisionsMatchPerPointClassify) {
+  // The batch inverts χ²_p(α) once; replaying it point by point through
+  // Classify, which inverts it every time, must give the same bits.
+  for (const bool individual : {false, true}) {
+    for (const stats::CovarianceScheme scheme :
+         {stats::CovarianceScheme::kDiagonal,
+          stats::CovarianceScheme::kInverse}) {
+      Rng rng(118);
+      const std::vector<Cluster> start = TwoGaussianClusters(rng, 6.0, 10);
+      std::vector<Vector> points;
+      std::vector<double> scores;
+      for (int i = 0; i < 40; ++i) {
+        points.push_back({rng.Uniform(-4.0, 10.0), rng.Uniform(-4.0, 4.0)});
+        scores.push_back(rng.Uniform(0.5, 3.0));
+      }
+      ClassifierOptions opt;
+      opt.scheme = scheme;
+      opt.min_variance = 0.05;
+      opt.use_individual_covariances = individual;
+      SCOPED_TRACE(testing::Message() << "individual " << individual
+                                      << " scheme "
+                                      << static_cast<int>(scheme));
+
+      std::vector<Cluster> batch = start;
+      const std::vector<ClassificationDecision> decisions =
+          ClassifyBatch(batch, points, scores, opt);
+      ASSERT_EQ(decisions.size(), points.size());
+
+      std::vector<Cluster> replay = start;
+      int accepted = 0;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        const ClassificationDecision want = Classify(replay, points[i], opt);
+        const ClassificationDecision& got = decisions[i];
+        EXPECT_EQ(got.cluster, want.cluster) << "point " << i;
+        EXPECT_TRUE(SameBits(got.score, want.score)) << "point " << i;
+        EXPECT_TRUE(SameBits(got.radius_d2, want.radius_d2)) << "point " << i;
+        EXPECT_TRUE(SameBits(got.radius, want.radius)) << "point " << i;
+        if (want.cluster >= 0) {
+          replay[static_cast<std::size_t>(want.cluster)].Add(points[i],
+                                                             scores[i]);
+          ++accepted;
+        } else {
+          replay.push_back(Cluster::FromPoint(points[i], scores[i]));
+        }
+      }
+      ASSERT_EQ(batch.size(), replay.size());
+      // Both outcomes occur, so the radius decided something.
+      EXPECT_GT(accepted, 0);
+      EXPECT_LT(accepted, static_cast<int>(points.size()));
+    }
+  }
 }
 
 }  // namespace

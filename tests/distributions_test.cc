@@ -1,6 +1,12 @@
 #include "stats/distributions.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -90,6 +96,80 @@ TEST(StudentTTest, SquaredTIsF) {
   const double v = 9.0;
   const double p_t = StudentTCdf(t, v) - StudentTCdf(-t, v);
   EXPECT_NEAR(p_t, FCdf(t * t, 1, v), 1e-10);
+}
+
+/// One upper-quantile question and the bits its direct inversion gives.
+struct QuantileKey {
+  bool f = false;  ///< F_{d1,d2}(alpha) when true, else χ²_{d1}(alpha).
+  double alpha = 0.0;
+  double d1 = 0.0;
+  double d2 = 0.0;
+  double direct = 0.0;
+};
+
+double Ask(const QuantileKey& k) {
+  return k.f ? FUpperQuantile(k.alpha, k.d1, k.d2)
+             : ChiSquaredUpperQuantile(k.alpha, k.d1);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Asks every key twice in a shuffled order and counts answers whose bits
+/// differ from the direct inversion.
+int SweepMismatches(const std::vector<QuantileKey>& keys, unsigned seed) {
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    order.push_back(i);
+    order.push_back(i);
+  }
+  std::shuffle(order.begin(), order.end(), std::mt19937(seed));
+  int mismatches = 0;
+  for (const std::size_t i : order) {
+    if (!SameBits(Ask(keys[i]), keys[i].direct)) ++mismatches;
+  }
+  return mismatches;
+}
+
+TEST(FDistributionTest, UpperQuantileMemoMatchesDirectInversion) {
+  // α down the merge pass's relaxation ladder, integer and fractional
+  // degrees of freedom (m_i + m_j is a sum of scores): more distinct keys
+  // per function than the 1024-slot table holds, so slots get evicted.
+  const std::array<double, 6> alphas = {0.05, 0.005, 5e-4, 1e-6, 1e-9, 0.2};
+  std::vector<QuantileKey> keys;
+  for (const double alpha : alphas) {
+    for (int d1 = 1; d1 <= 16; ++d1) {
+      for (int t = 1; t <= 12; ++t) {
+        keys.push_back({true, alpha, static_cast<double>(d1), 0.75 * t, 0.0});
+      }
+    }
+    for (int dof = 1; dof <= 200; ++dof) {
+      keys.push_back({false, alpha, 0.5 * dof, 0.0, 0.0});
+    }
+  }
+  int f_keys = 0;
+  for (QuantileKey& k : keys) {
+    k.direct = k.f ? FQuantile(1.0 - k.alpha, k.d1, k.d2)
+                   : ChiSquaredQuantile(1.0 - k.alpha, k.d1);
+    f_keys += k.f ? 1 : 0;
+  }
+  ASSERT_GT(f_keys, 1024);
+  ASSERT_GT(static_cast<int>(keys.size()) - f_keys, 1024);
+
+  EXPECT_EQ(SweepMismatches(keys, 1), 0);
+
+  // Each thread has its own table; a shared one would race (TSan) or
+  // answer from another thread's slot.
+  std::array<int, 4> mismatches{};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&keys, &mismatches, t] {
+      mismatches[t] = SweepMismatches(keys, 2 + static_cast<unsigned>(t));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const int m : mismatches) EXPECT_EQ(m, 0);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -267,6 +268,34 @@ TEST(QclusterEngineTest, NameIsQcluster) {
   const index::LinearScanIndex idx(world.points.view());
   QclusterEngine engine(&world.points, &idx, SmallOptions());
   EXPECT_EQ(engine.name(), "qcluster");
+}
+
+TEST(QclusterEngineTest, NanRowsMarkedAcrossRoundsDoNotAbort) {
+  // Marks can reach rows whose features hold NaN. Their clusters have a NaN
+  // T² against every other cluster, so a merge pass can find no finite T²
+  // while the count is over the cap; it must still force a merge.
+  Rng rng(151);
+  std::vector<Vector> rows;
+  for (int i = 0; i < 200; ++i) {
+    rows.push_back({rng.Gaussian(), rng.Gaussian()});
+  }
+  for (int i = 0; i < 20; ++i) {
+    rows.push_back({std::numeric_limits<double>::quiet_NaN(), rng.Gaussian()});
+  }
+  const linalg::FlatBlock points = linalg::FlatBlock::FromPoints(rows);
+  const index::LinearScanIndex idx(points.view());
+  const QclusterOptions opt = SmallOptions();
+  QclusterEngine engine(&points, &idx, opt);
+  engine.InitialQuery(points[0]);
+  engine.Feedback({{0, 1.0}, {1, 1.0}, {2, 1.0}});
+  for (int id = 200; id + 2 < 220; id += 3) {
+    SCOPED_TRACE(testing::Message() << "NaN rows from " << id);
+    const std::vector<index::Neighbor> result =
+        engine.Feedback({{id, 1.0}, {id + 1, 1.0}, {id + 2, 1.0}});
+    EXPECT_EQ(result.size(), static_cast<std::size_t>(opt.k));
+    EXPECT_LE(engine.clusters().size(),
+              static_cast<std::size_t>(opt.max_clusters));
+  }
 }
 
 }  // namespace

@@ -74,14 +74,35 @@ TEST(ValidateSymmetricPsdTest, RejectsIndefinite) {
   EXPECT_NE(s.message().find("semi-definiteness"), std::string::npos);
 }
 
+const Vector kFiniteDiff = {1.0, -2.0};
+const Matrix kFiniteInverse = Matrix::Identity(2);
+
 TEST(ValidateHotellingT2Test, AcceptsNonNegative) {
-  EXPECT_TRUE(ValidateHotellingT2(0.0, 4.0).ok());
-  EXPECT_TRUE(ValidateHotellingT2(12.5, 4.0).ok());
+  EXPECT_TRUE(ValidateHotellingT2(0.0, 4.0, kFiniteDiff, kFiniteInverse).ok());
+  EXPECT_TRUE(
+      ValidateHotellingT2(12.5, 4.0, kFiniteDiff, kFiniteInverse).ok());
 }
 
 TEST(ValidateHotellingT2Test, RejectsNegativeT2AndZeroWeight) {
-  EXPECT_FALSE(ValidateHotellingT2(-1.0, 4.0).ok());
-  EXPECT_FALSE(ValidateHotellingT2(1.0, 0.0).ok());
+  EXPECT_FALSE(
+      ValidateHotellingT2(-1.0, 4.0, kFiniteDiff, kFiniteInverse).ok());
+  EXPECT_FALSE(ValidateHotellingT2(1.0, 0.0, kFiniteDiff, kFiniteInverse).ok());
+}
+
+TEST(ValidateHotellingT2Test, NanOnlyFromNonFiniteInputs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // +∞ is the non-negative form overflowing; −∞ is still negative.
+  EXPECT_TRUE(ValidateHotellingT2(inf, 4.0, kFiniteDiff, kFiniteInverse).ok());
+  EXPECT_FALSE(
+      ValidateHotellingT2(-inf, 4.0, kFiniteDiff, kFiniteInverse).ok());
+  EXPECT_FALSE(
+      ValidateHotellingT2(nan, 4.0, kFiniteDiff, kFiniteInverse).ok());
+  EXPECT_TRUE(ValidateHotellingT2(nan, 4.0, {nan, 0.0}, kFiniteInverse).ok());
+  Matrix infinite_inverse = kFiniteInverse;
+  infinite_inverse(1, 1) = inf;
+  EXPECT_TRUE(
+      ValidateHotellingT2(nan, 4.0, kFiniteDiff, infinite_inverse).ok());
 }
 
 TEST(ValidateSortedNeighborsTest, AcceptsStrictOrderWithIdTiebreak) {

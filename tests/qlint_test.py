@@ -135,6 +135,14 @@ class FixtureCorpusTest(unittest.TestCase):
     def test_fp_determinism_quiet(self):
         self.assert_clean(*scan([fx("linalg", "fp_ok.cc")]))
 
+    def test_fp_determinism_covers_engine_code(self):
+        # core/ and stats/ compute what the goldens pin, so they are in
+        # scope like the kernels.
+        code, doc, _ = scan([fx("core", "fp_violation.cc")])
+        self.assertEqual(code, 1)
+        self.assert_fires(doc, "fp-determinism", 3)
+        self.assertEqual(set(checks_of(doc)), {"fp-determinism"})
+
     # -- fp-determinism (compile-flag half) --------------------------------
 
     def _flags_db(self, flags):

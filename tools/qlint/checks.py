@@ -13,7 +13,8 @@ Each check encodes an invariant this repository relies on for correctness
   lock-order       the acquisition graph built from MutexLock nesting and
                    QCLUSTER_REQUIRES clauses across all scanned TUs must be
                    acyclic — a cycle is a deadlock waiting for a schedule.
-  fp-determinism   kernel code (src/linalg, src/index) must stay bit-for-bit
+  fp-determinism   kernel and engine code (src/linalg, src/index, src/core,
+                   src/stats — the code the goldens pin) must stay bit-for-bit
                    reproducible: no std::fma / std::reduce, no accumulation
                    driven by unordered-container iteration order, no
                    fast-math flags, and -ffp-contract=off on SIMD TUs
@@ -97,7 +98,8 @@ CHECKS = {
     "raw-sync": "raw standard-library synchronization outside common/mutex.h",
     "guarded-by": "unannotated mutable member in a mutex-owning class",
     "lock-order": "cycle in the cross-TU mutex acquisition graph",
-    "fp-determinism": "accumulation-order / FP-contraction hazard in kernel code",
+    "fp-determinism":
+        "accumulation-order / FP-contraction hazard in kernel or engine code",
     "status-discard": "IgnoreError/DiscardResult without a justifying comment",
     "env-hook": "getenv outside an anchored *FromEnv environment hook",
     "span-attrs": "more span attributes than SpanRecord::kMaxAttrs can hold",
@@ -116,7 +118,7 @@ CHECKS = {
     "suppression": "malformed, unjustified, or unused qlint suppression",
 }
 
-_FP_SCOPE_RE = re.compile(r"(^|/)(linalg|index)(/|$)")
+_FP_SCOPE_RE = re.compile(r"(^|/)(linalg|index|core|stats)(/|$)")
 _SIMD_TU_RE = re.compile(r"(^|/)linalg/simd_\w+\.cc$")
 _FROM_ENV_RE = re.compile(r"FromEnv$")
 
