@@ -9,7 +9,9 @@
 // nth_element), batch is the sharded SoA path at 1/2/4/hardware threads.
 // Each variant records its scan throughput as a
 // `bench.linear_scan.<variant>.points_per_sec[.tN]` gauge, so the numbers
-// land in BENCH_bench_index.json.
+// land in BENCH_bench_index.json. The BM_BrTree* families record
+// `bench.br_tree.<family>.points_per_sec` and the per-search work gauges
+// `.evals`, `.nodes` and `.leaves`.
 
 #include <benchmark/benchmark.h>
 
@@ -25,6 +27,7 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/cluster.h"
 #include "core/disjunctive_distance.h"
@@ -67,14 +70,6 @@ void BM_LinearScanEuclidean(benchmark::State& state) {
   }
 }
 
-void BM_BrTreeEuclidean(benchmark::State& state) {
-  const FeatureSet& set = Features();
-  const qcluster::index::EuclideanDistance dist(set.features[0]);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Tree().Search(dist, 100));
-  }
-}
-
 const std::vector<qcluster::core::Cluster>& BenchClusters() {
   static const auto* clusters = [] {
     const FeatureSet& set = Features();
@@ -100,29 +95,6 @@ void BM_LinearScanDisjunctive(benchmark::State& state) {
   const auto dist = MakeDisjunctive();
   for (auto _ : state) {
     benchmark::DoNotOptimize(Scan().Search(dist, 100));
-  }
-}
-
-void BM_BrTreeDisjunctive(benchmark::State& state) {
-  const auto dist = MakeDisjunctive();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Tree().Search(dist, 100));
-  }
-}
-
-void BM_BrTreeWarmRefinement(benchmark::State& state) {
-  // Cold query then a refined (slightly moved) query warm-started from the
-  // first query's candidate cache — the feedback-iteration pattern.
-  const FeatureSet& set = Features();
-  qcluster::linalg::Vector q = set.features[0];
-  qcluster::linalg::Vector q2 = q;
-  q2[0] += 0.05;
-  for (auto _ : state) {
-    qcluster::index::WarmStart cache;
-    benchmark::DoNotOptimize(Tree().SearchWarm(
-        qcluster::index::EuclideanDistance(q), 100, cache));
-    benchmark::DoNotOptimize(Tree().SearchWarm(
-        qcluster::index::EuclideanDistance(q2), 100, cache));
   }
 }
 
@@ -221,6 +193,58 @@ void RunThroughputMetric(benchmark::State& state, const std::string& metric,
     state.counters["points_per_sec"] =
         benchmark::Counter(pps, benchmark::Counter::kDefaults);
   }
+}
+
+/// The BR-tree families: `search(stats)` runs one search (accumulating its
+/// cost into `stats` when non-null). Records that search's exact work as
+/// `bench.br_tree.<label>.{evals,nodes,leaves}` gauges, deterministic at a
+/// fixed seed and scale, which bench/check_regression.py gates for
+/// equality, then times the search under the scan's points_per_sec
+/// convention (database points served per second).
+template <typename Search>
+void RunBrTree(benchmark::State& state, const std::string& label,
+               const Search& search) {
+  const std::string metric = "bench.br_tree." + label;
+  qcluster::index::SearchStats work;
+  benchmark::DoNotOptimize(search(&work));
+  qcluster::MetricGauge(metric + ".evals",
+                        static_cast<double>(work.distance_evaluations));
+  qcluster::MetricGauge(metric + ".nodes",
+                        static_cast<double>(work.nodes_visited));
+  qcluster::MetricGauge(metric + ".leaves",
+                        static_cast<double>(work.leaves_visited));
+  RunThroughputMetric(state, metric, Features().features.size(),
+                      [&] { return search(nullptr); });
+}
+
+void BM_BrTreeEuclidean(benchmark::State& state) {
+  const qcluster::index::EuclideanDistance dist(Features().features[0]);
+  RunBrTree(state, "euclidean", [&](qcluster::index::SearchStats* stats) {
+    return Tree().Search(dist, 100, stats);
+  });
+}
+
+void BM_BrTreeDisjunctive(benchmark::State& state) {
+  const auto dist = MakeDisjunctive();
+  RunBrTree(state, "disjunctive", [&](qcluster::index::SearchStats* stats) {
+    return Tree().Search(dist, 100, stats);
+  });
+}
+
+void BM_BrTreeWarmRefinement(benchmark::State& state) {
+  // Cold query then a refined (slightly moved) query warm-started from the
+  // first query's candidate cache — the feedback-iteration pattern. One
+  // iteration times both searches; the work gauges count the warm one.
+  using qcluster::index::EuclideanDistance;
+  const qcluster::linalg::Vector& q = Features().features[0];
+  qcluster::linalg::Vector q2 = q;
+  q2[0] += 0.05;
+  RunBrTree(state, "warm_refinement", [&](qcluster::index::SearchStats* stats) {
+    qcluster::index::WarmStart cache;
+    const EuclideanDistance first(q);
+    qcluster::DiscardResult(Tree().SearchWarm(first, 100, cache));
+    return Tree().SearchWarm(EuclideanDistance(q2), 100, cache, stats);
+  });
 }
 
 /// The linear-scan trajectory family's label convention.

@@ -4,12 +4,18 @@
 Turns the bench dumps into a standing performance gate: for every throughput
 metric (name containing ``points_per_sec``) present in both a baseline file
 under ``bench/baselines/`` and the matching fresh export, the fresh value
-must not fall below ``baseline * (1 - tolerance)``. Exits non-zero on any
-regression so CI fails the bench job. Any histogram in a fresh export that
-counts samples above its top bucket (``overflow > 0``) also fails the gate:
-its percentiles are capped and no longer describe what was recorded. So does
-any histogram that was handed NaN samples (``nan > 0``): the export keeps
-them out of its statistics, but something upstream measured garbage.
+must not fall below ``baseline * (1 - tolerance)``. Every work gauge (name
+ending in ``.evals``, ``.nodes``, ``.leaves`` or ``.candidates``: distance
+evaluations, nodes and leaves visited, candidates scored) in the baseline
+must equal the fresh value exactly: these counts are deterministic at a
+fixed seed and bench scale, on any host, so any difference is a change in
+the work a search does and needs a re-baseline with a reason. Exits
+non-zero on any regression so CI fails the bench job. Any histogram in a
+fresh export that counts samples above its top bucket (``overflow > 0``)
+also fails the gate: its percentiles are capped and no longer describe what
+was recorded. So does any histogram that was handed NaN samples
+(``nan > 0``): the export keeps them out of its statistics, but something
+upstream measured garbage.
 
 The default tolerance is deliberately wide (50%): CI runners and developer
 machines differ by far more than any single optimization, so the gate only
@@ -31,6 +37,7 @@ import shutil
 import sys
 
 THROUGHPUT_MARKER = "points_per_sec"
+WORK_SUFFIXES = (".evals", ".nodes", ".leaves", ".candidates")
 
 
 def load_metrics(path):
@@ -54,6 +61,17 @@ def load_metrics(path):
         ):
             out[name] = float(snap["p50"])
     return out
+
+
+def load_work(path):
+    """Returns {gauge_name: value} of the work gauges in one dump."""
+    with open(path, "r", encoding="utf-8") as f:
+        doc = json.load(f)
+    return {
+        name: value
+        for name, value in doc.get("gauges", {}).items()
+        if name.endswith(WORK_SUFFIXES) and value is not None
+    }
 
 
 def flagged_histograms(path, field):
@@ -92,13 +110,29 @@ def compare(baseline_path, fresh_path, tolerance):
         )
         if ratio < floor:
             regressions.append(name)
-    # A fresh metric with no committed counterpart is an error, not a note:
-    # quietly skipping it means a renamed or newly added throughput metric
-    # is never gated, and the gate decays silently as the bench suite grows.
-    for name in sorted(set(fresh) - set(baseline)):
-        unbaselined.append(name)
+    base_work = load_work(baseline_path)
+    fresh_work = load_work(fresh_path)
+    for name in sorted(base_work):
+        if name not in fresh_work:
+            regressions.append(name)
+            lines.append(f"  MISSING  {name}: in baseline but not in fresh run")
+            continue
+        same = fresh_work[name] == base_work[name]
         lines.append(
-            f"  UNBASELINED {name}: {fresh[name]:.3g} — fresh run exports "
+            f"  {'ok' if same else 'CHANGED':9s}{name}: baseline "
+            f"{base_work[name]} -> fresh {fresh_work[name]} (exact)"
+        )
+        if not same:
+            regressions.append(name)
+    # A fresh metric with no committed counterpart is an error, not a note:
+    # quietly skipping it means a renamed or newly added metric is never
+    # gated, and the gate decays silently as the bench suite grows.
+    fresh_keys = set(fresh) | set(fresh_work)
+    for name in sorted(fresh_keys - set(baseline) - set(base_work)):
+        unbaselined.append(name)
+        value = fresh.get(name, fresh_work.get(name))
+        lines.append(
+            f"  UNBASELINED {name}: {value:.3g} — fresh run exports "
             "this metric but the committed baseline does not"
         )
     return regressions, unbaselined, lines
@@ -203,7 +237,8 @@ def main():
         return 1 if failed else 0
     if total_regressions:
         print(
-            f"\nFAIL: {len(total_regressions)} throughput regression(s):",
+            f"\nFAIL: {len(total_regressions)} throughput regression(s) "
+            "or work change(s):",
             file=sys.stderr,
         )
         for name in total_regressions:
@@ -226,7 +261,10 @@ def main():
         failed = True
     if failed:
         return 1
-    print(f"\nOK: {checked} file(s) checked, no throughput regressions")
+    print(
+        f"\nOK: {checked} file(s) checked, no throughput regressions or "
+        "work changes"
+    )
     return 0
 
 

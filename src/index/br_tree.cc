@@ -1,10 +1,10 @@
 #include "index/br_tree.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -12,8 +12,18 @@
 
 namespace qcluster::index {
 
+namespace {
+
+/// Serial of the next tree built. Unlike an address, a serial is never
+/// reused, so a WarmStart's leaf pages can only match the tree that
+/// fetched them.
+std::atomic<std::uint64_t> next_serial{1};
+
+}  // namespace
+
 BrTree::BrTree(const linalg::FlatBlock* points, const Options& options)
-    : points_(points) {
+    : points_(points),
+      serial_(next_serial.fetch_add(1, std::memory_order_relaxed)) {
   QCLUSTER_CHECK(points != nullptr);
   QCLUSTER_CHECK(options.leaf_size >= 1);
   ids_.resize(points_->size());
@@ -77,26 +87,26 @@ int BrTree::Build(int begin, int end, int leaf_size) {
 
 std::vector<Neighbor> BrTree::Search(const DistanceFunction& dist, int k,
                                      SearchStats* stats) const {
-  return SearchImpl(dist, k, nullptr, nullptr, nullptr, nullptr, stats);
+  return SearchImpl(dist, k, nullptr, nullptr, nullptr, stats);
 }
 
 std::vector<Neighbor> BrTree::SearchWarm(const DistanceFunction& dist, int k,
                                          WarmStart& warm,
                                          SearchStats* stats) const {
   // Re-score the cached candidates with one batched kernel call (or reuse
-  // the stored distances on an exact metric-key match) — the scalar
-  // per-point rescoring loop this replaces did the same work one point at
-  // a time. The seed is only usable when ≥ k candidates are cached; the
-  // cached-leaf skip likewise requires every cached candidate to have been
-  // offered, so both gate on seed validity together.
+  // the stored distances on an exact metric-key match). The seed is only
+  // usable when ≥ k candidates are cached; the cached-leaf skip likewise
+  // requires every cached candidate to have been offered, so both gate on
+  // seed validity together. Leaf pages another tree recorded name other
+  // points here and count as uncached.
   const WarmStart::Seed seed = warm.Reseed(dist, k, points_->view());
+  std::vector<int> leaves = warm.TakeLeaves(serial_);
+  if (!seed.valid()) leaves.clear();
   std::vector<Neighbor> touched;
-  std::unordered_set<int> touched_leaves;
   SearchStats call_stats;
-  std::vector<Neighbor> result = SearchImpl(
-      dist, k, seed.valid() ? &seed : nullptr,
-      seed.valid() ? &warm.leaves() : nullptr, &touched, &touched_leaves,
-      &call_stats);
+  std::vector<Neighbor> result =
+      SearchImpl(dist, k, seed.valid() ? &seed : nullptr, &leaves, &touched,
+                 &call_stats);
   if (stats != nullptr) *stats += call_stats;
   double pruned_frac = -1.0;
   if (seed.valid() && !points_->empty()) {
@@ -107,15 +117,17 @@ std::vector<Neighbor> BrTree::SearchWarm(const DistanceFunction& dist, int k,
                   n;
   }
   warm.Record(dist, touched);
-  warm.mutable_leaves() = std::move(touched_leaves);
+  std::sort(leaves.begin(), leaves.end());
+  warm.SetLeaves(serial_, std::move(leaves));
   FinishWarmSearch("index.br_tree", seed, result, pruned_frac);
   return result;
 }
 
-std::vector<Neighbor> BrTree::SearchImpl(
-    const DistanceFunction& dist, int k, const WarmStart::Seed* seed,
-    const std::unordered_set<int>* cached_leaves, std::vector<Neighbor>* touched,
-    std::unordered_set<int>* touched_leaves, SearchStats* stats) const {
+std::vector<Neighbor> BrTree::SearchImpl(const DistanceFunction& dist, int k,
+                                         const WarmStart::Seed* seed,
+                                         std::vector<int>* leaves,
+                                         std::vector<Neighbor>* touched,
+                                         SearchStats* stats) const {
   QCLUSTER_CHECK(k > 0);
   if (root_ < 0) return {};
   QCLUSTER_TRACE_SPAN(span, "index.br_tree.search");
@@ -146,21 +158,44 @@ std::vector<Neighbor> BrTree::SearchImpl(
   // re-scored under this round's metric by WarmStart::Reseed (pure
   // in-memory work — their leaf pages are cached). The resulting k-th
   // distance bound prunes most of the refined query's tree, and cached
-  // leaves are never fetched again. `warm_ids` guards against offering a
-  // candidate twice when an uncached leaf overlaps the candidate set.
-  std::unordered_set<int> warm_ids;
+  // leaves are never fetched again. The byte mark by id offers a candidate
+  // once even when the seed repeats it, and keeps an uncached leaf that
+  // overlaps the seed from offering it again.
+  thread_local std::vector<unsigned char> seed_mark;
+  thread_local std::vector<int> unseeded;
+  thread_local std::vector<double> scores;
+  if (seed != nullptr && seed_mark.size() < points_->size()) {
+    seed_mark.resize(points_->size());
+  }
+  // Clears the seed's marks on every way out, a throwing allocation
+  // included, so the scratch is all zero between searches.
+  struct ClearSeedMarks {
+    const WarmStart::Seed* seed;
+    ~ClearSeedMarks() {
+      if (seed == nullptr) return;
+      for (const Neighbor& c : seed->scored) {
+        seed_mark[static_cast<std::size_t>(c.id)] = 0;
+      }
+    }
+  } const clear_seed_marks{seed};
+  const unsigned char* seeded = nullptr;
   if (seed != nullptr) {
-    warm_ids.reserve(seed->scored.size());
     for (const Neighbor& c : seed->scored) {
-      if (!warm_ids.insert(c.id).second) continue;
+      unsigned char& mark = seed_mark[static_cast<std::size_t>(c.id)];
+      if (mark != 0) continue;
+      mark = 1;
       offer(c.id, c.distance);
       if (touched != nullptr) touched->push_back(c);
     }
     local.distance_evaluations += seed->evaluations;
-    if (touched_leaves != nullptr && cached_leaves != nullptr) {
-      *touched_leaves = *cached_leaves;
-    }
+    seeded = seed_mark.data();
   }
+  // Pages this search fetches are appended after the cached ones.
+  const std::size_t cached = leaves != nullptr ? leaves->size() : 0;
+  const auto is_cached = [&](int node) {
+    return cached > 0 &&
+           std::binary_search(leaves->data(), leaves->data() + cached, node);
+  };
 
   // Best-first traversal ordered by rectangle lower bounds.
   struct Entry {
@@ -185,20 +220,29 @@ std::vector<Neighbor> BrTree::SearchImpl(
     if (node.IsLeaf()) {
       // A leaf whose page is in the iteration cache costs no IO and its
       // points were already offered during the warm phase.
-      if (cached_leaves != nullptr && cached_leaves->contains(entry.node)) {
-        continue;
-      }
+      if (is_cached(entry.node)) continue;
       ++local.leaves_visited;
-      if (touched_leaves != nullptr) touched_leaves->insert(entry.node);
-      for (int i = node.begin; i < node.end; ++i) {
-        const int id = ids_[static_cast<std::size_t>(i)];
-        if (!warm_ids.empty() && warm_ids.contains(id)) continue;
-        const double d =
-            dist.DistanceRow(points_->row(static_cast<std::size_t>(id)));
-        offer(id, d);
-        ++local.distance_evaluations;
-        if (touched != nullptr) touched->push_back(Neighbor{id, d});
+      if (leaves != nullptr) leaves->push_back(entry.node);
+      // The page's points the seed did not offer, scored with one
+      // DistanceBatch call and offered in page order.
+      const int* page = ids_.data() + node.begin;
+      auto count = static_cast<std::size_t>(node.end - node.begin);
+      if (seeded != nullptr) {
+        unseeded.clear();
+        for (std::size_t i = 0; i < count; ++i) {
+          if (seeded[page[i]] == 0) unseeded.push_back(page[i]);
+        }
+        page = unseeded.data();
+        count = unseeded.size();
       }
+      if (count == 0) continue;
+      scores.resize(count);
+      ScoreRows(dist, points_->view(), page, count, scores.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        offer(page[i], scores[i]);
+        if (touched != nullptr) touched->push_back({page[i], scores[i]});
+      }
+      local.distance_evaluations += static_cast<long long>(count);
     } else {
       for (int child : {node.left, node.right}) {
         const double bound =

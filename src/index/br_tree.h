@@ -1,7 +1,7 @@
 #ifndef QCLUSTER_INDEX_BR_TREE_H_
 #define QCLUSTER_INDEX_BR_TREE_H_
 
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 #include "index/knn.h"
@@ -16,18 +16,20 @@ namespace qcluster::index {
 /// dimension (the balanced KD-style space partitioning the hybrid tree also
 /// produces); every node stores the bounding rectangle of its subtree, and
 /// search is the classic best-first traversal ordered by
-/// `DistanceFunction::MinDistance` on rectangles.
+/// `DistanceFunction::MinDistance` on rectangles. A fetched leaf is a range
+/// of `ids_`; its rows are gathered and scored with one `DistanceBatch`
+/// call (index::ScoreRows), the kernel and bits of the linear scan.
 ///
 /// Relevance-feedback refinement support: consecutive feedback iterations
 /// issue *similar* queries, and the multipoint approach of [7] amortizes
 /// work by reusing index information across iterations. The shared
 /// `index::WarmStart` session cache keeps the candidate set touched by the
-/// previous iteration (plus a BrTree-private set of fetched leaf pages);
-/// SearchWarm re-scores those candidates first — one batched kernel call,
-/// or free on an exact metric-key match — which yields a tight upper bound
-/// on the k-th distance, prunes most node expansions of the refined query
-/// (measured in Fig. 7's cost comparison), and never re-reads a cached
-/// leaf.
+/// previous iteration (plus the leaf pages this tree fetched, tagged with
+/// its serial); SearchWarm re-scores those candidates first — one batched
+/// kernel call, or free on an exact metric-key match — which yields a tight
+/// upper bound on the k-th distance, prunes most node expansions of the
+/// refined query (measured in Fig. 7's cost comparison), and never re-reads
+/// a cached leaf.
 class BrTree final : public KnnIndex {
  public:
   struct Options {
@@ -71,18 +73,20 @@ class BrTree final : public KnnIndex {
   int Build(int begin, int end, int leaf_size);
 
   /// Shared traversal body. `seed` (nullable) offers the re-scored cached
-  /// candidates before the descent and `cached_leaves` marks leaf pages
-  /// whose every point is among them (skipped without IO). `touched` /
-  /// `touched_leaves` (nullable) collect this iteration's scored
-  /// candidates and fetched leaves for the next round's cache.
+  /// candidates before the descent; a per-thread byte mark by id keeps a
+  /// leaf from offering them again. `leaves` (nullable) holds the cached
+  /// leaf pages in ascending order — every point of one is in the seed, so
+  /// it is skipped without IO — and receives the pages this search fetches,
+  /// appended unsorted. `touched` (nullable) collects this iteration's
+  /// scored candidates for the next round's cache.
   std::vector<Neighbor> SearchImpl(const DistanceFunction& dist, int k,
                                    const WarmStart::Seed* seed,
-                                   const std::unordered_set<int>* cached_leaves,
+                                   std::vector<int>* leaves,
                                    std::vector<Neighbor>* touched,
-                                   std::unordered_set<int>* touched_leaves,
                                    SearchStats* stats) const;
 
   const linalg::FlatBlock* points_;
+  std::uint64_t serial_;       ///< Unique per tree; tags WarmStart leaves.
   std::vector<int> ids_;       ///< Point ids, permuted so leaves are ranges.
   std::vector<Node> nodes_;
   int root_ = -1;

@@ -75,8 +75,8 @@ class DistanceFunction {
   virtual int dim() const = 0;
 
   /// Dissimilarity between the (implicit) query and a raw row of dim()
-  /// doubles — the one per-point entry: tree leaves score block rows with
-  /// it in place, and the batch default loops over it.
+  /// doubles — the one per-point entry, which the batch default loops
+  /// over.
   virtual double DistanceRow(const double* x) const = 0;
 
   /// DistanceRow on a Vector, after checking that its size is dim().
@@ -88,8 +88,9 @@ class DistanceFunction {
   /// Contract: DistanceBatch(view, out)[i] must equal DistanceRow(row i)
   /// *bit for bit* — implementations route both entry points through one
   /// shared kernel (linalg/simd.h, whose canonical reduction order also
-  /// makes results identical across dispatch tiers) — so batched (linear
-  /// scan) and scalar (tree) searches rank identically and indexes can be
+  /// makes results identical across dispatch tiers) — so a value never
+  /// depends on which entry point or batch (a scan shard, a gathered tree
+  /// leaf, a re-scored warm seed) scored it, and indexes can be
   /// cross-validated with exact comparisons. Overrides must be thread-safe:
   /// shards of one view are scored concurrently. The default loops over
   /// DistanceRow and never allocates per row.

@@ -18,11 +18,24 @@ void FinishSearch(const char* index_name, const SearchStats& delta,
   MetricAdd(prefix + ".leaves_visited", delta.leaves_visited);
 }
 
+void ScoreRows(const DistanceFunction& dist, const linalg::FlatView& rows,
+               const int* ids, std::size_t count, double* out) {
+  const auto dim = static_cast<std::size_t>(rows.dim);
+  thread_local linalg::AlignedBuffer gathered;
+  gathered.resize(count * dim);
+  for (std::size_t i = 0; i < count; ++i) {
+    const double* src = rows.row(static_cast<std::size_t>(ids[i]));
+    std::copy(src, src + dim, gathered.data() + i * dim);
+  }
+  dist.DistanceBatch(linalg::FlatView{gathered.data(), count, rows.dim}, out);
+}
+
 void WarmStart::Clear() {
   ids_.clear();
   distances_.clear();
   has_key_ = false;
   key_ = QuadraticDecomposition{};
+  leaves_owner_ = 0;
   leaves_.clear();
 }
 
@@ -39,7 +52,21 @@ void WarmStart::Record(const DistanceFunction& dist,
   key_ = QuadraticDecomposition{};
   has_key_ = dist.Decompose(&key_);
   if (!has_key_) key_ = QuadraticDecomposition{};
+  leaves_owner_ = 0;
   leaves_.clear();
+}
+
+std::vector<int> WarmStart::TakeLeaves(std::uint64_t owner) {
+  std::vector<int> leaves = std::move(leaves_);
+  leaves_.clear();
+  if (owner != leaves_owner_) leaves.clear();
+  leaves_owner_ = 0;
+  return leaves;
+}
+
+void WarmStart::SetLeaves(std::uint64_t owner, std::vector<int> leaves) {
+  leaves_owner_ = owner;
+  leaves_ = std::move(leaves);
 }
 
 bool WarmStart::KeyMatches(const DistanceFunction& dist) const {
@@ -76,20 +103,11 @@ WarmStart::Seed WarmStart::Reseed(const DistanceFunction& dist, int k,
     }
     return SeedFromScores(k, std::move(scored), 0, /*reused=*/true);
   }
-  // Gather the cached rows into one contiguous block and score them with a
-  // single DistanceBatch call — the same kernel (and therefore the same
-  // bit-for-bit values) the cold scan uses.
-  const int dim = rows.dim;
-  thread_local linalg::AlignedBuffer gathered;
-  gathered.resize(ids_.size() * static_cast<std::size_t>(dim));
-  for (std::size_t i = 0; i < ids_.size(); ++i) {
-    const double* src = rows.row(static_cast<std::size_t>(ids_[i]));
-    std::copy(src, src + dim, gathered.data() + i * dim);
-  }
+  // One DistanceBatch call over the gathered rows — the same kernel (and
+  // therefore the same bit-for-bit values) the cold scan uses.
   thread_local std::vector<double> scores;
   scores.resize(ids_.size());
-  dist.DistanceBatch(linalg::FlatView{gathered.data(), ids_.size(), dim},
-                     scores.data());
+  ScoreRows(dist, rows, ids_.data(), ids_.size(), scores.data());
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     scored.push_back(Neighbor{ids_[i], scores[i]});
   }

@@ -2,8 +2,9 @@
 #define QCLUSTER_INDEX_KNN_H_
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
-#include <unordered_set>
 #include <vector>
 
 #include "index/distance.h"
@@ -56,6 +57,14 @@ struct SearchStats {
 /// across a whole session.
 void FinishSearch(const char* index_name, const SearchStats& delta,
                   SearchStats* out);
+
+/// Scores the rows ids[0..count) of `rows` under `dist` into out[0..count):
+/// gathers them into per-thread contiguous scratch and makes one
+/// DistanceBatch call, so a scattered set of rows gets the linear scan's
+/// kernel and bits (equal to DistanceRow's by contract). Allocates nothing
+/// once the calling thread's scratch has grown to the largest request.
+void ScoreRows(const DistanceFunction& dist, const linalg::FlatView& rows,
+               const int* ids, std::size_t count, double* out);
 
 /// Session-resident cross-round candidate cache. Relevance feedback makes
 /// round t+1's metric a small perturbation of round t's, so the previous
@@ -117,10 +126,18 @@ class WarmStart {
   Seed Reseed(const DistanceFunction& dist, int k,
               const linalg::FlatView& rows) const;
 
-  /// BrTree-private payload: leaf pages whose every entry is already in
-  /// ids(), safe to skip when the seed re-offers all cached candidates.
-  std::unordered_set<int>& mutable_leaves() { return leaves_; }
-  const std::unordered_set<int>& leaves() const { return leaves_; }
+  /// BrTree-private payload: leaf pages (node indices, ascending) whose
+  /// every entry is already in ids(), safe to skip when the seed re-offers
+  /// all cached candidates. A node index names a page only in the tree that
+  /// recorded it, so the payload carries that tree's `owner` serial.
+  const std::vector<int>& leaves() const { return leaves_; }
+
+  /// Moves the leaf payload out when tree `owner` recorded it; another
+  /// tree's pages come back empty. Either way none stay cached.
+  std::vector<int> TakeLeaves(std::uint64_t owner);
+
+  /// Installs `leaves` (ascending node indices of tree `owner`).
+  void SetLeaves(std::uint64_t owner, std::vector<int> leaves);
 
  private:
   Seed SeedFromScores(int k, std::vector<Neighbor> scored, long long evals,
@@ -131,7 +148,8 @@ class WarmStart {
   std::vector<double> distances_;
   bool has_key_ = false;
   QuadraticDecomposition key_;
-  std::unordered_set<int> leaves_;
+  std::uint64_t leaves_owner_ = 0;  ///< Serial of the recording tree.
+  std::vector<int> leaves_;
 };
 
 /// Folds one warm-started search's outcome into the metrics registry:

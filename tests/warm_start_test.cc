@@ -14,12 +14,17 @@
 // not by tolerance.
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/falcon.h"
+#include "baselines/qex.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -82,10 +87,28 @@ class OpaqueMetric final : public DistanceFunction {
   const DistanceFunction* base_;
 };
 
-/// Disjunctive metric whose clusters summarize `members` points of the
-/// tie-heavy set starting at `offset`; different offsets/counts change the
-/// cluster covariances, which is exactly the cross-round invalidation case.
-DisjunctiveDistance MakeDisjunctive(int offset, int members) {
+/// Implements only DistanceRow (an L1 distance): the batch default loops
+/// over it, and the MinDistance default (0) disables pruning.
+class RowOnlyMetric final : public DistanceFunction {
+ public:
+  explicit RowOnlyMetric(Vector query) : query_(std::move(query)) {}
+  int dim() const override { return static_cast<int>(query_.size()); }
+  double DistanceRow(const double* x) const override {
+    double sum = 0.0;
+    for (std::size_t d = 0; d < query_.size(); ++d) {
+      sum += std::abs(x[d] - query_[d]);
+    }
+    return sum;
+  }
+
+ private:
+  Vector query_;
+};
+
+/// Three clusters, each summarizing `members` points of the tie-heavy set
+/// starting at `offset`; different offsets/counts change the cluster
+/// covariances, which is exactly the cross-round invalidation case.
+std::vector<Cluster> MakeClusters(int offset, int members) {
   const auto& pts = TieHeavyPoints();
   std::vector<Cluster> clusters;
   for (int c = 0; c < 3; ++c) {
@@ -97,8 +120,13 @@ DisjunctiveDistance MakeDisjunctive(int offset, int members) {
     }
     clusters.push_back(std::move(cluster));
   }
-  return DisjunctiveDistance(clusters, stats::CovarianceScheme::kDiagonal,
-                             1e-4);
+  return clusters;
+}
+
+DisjunctiveDistance MakeDisjunctive(
+    int offset, int members,
+    stats::CovarianceScheme scheme = stats::CovarianceScheme::kDiagonal) {
+  return DisjunctiveDistance(MakeClusters(offset, members), scheme, 1e-4);
 }
 
 /// A feedback session's metric sequence for one metric family: four rounds
@@ -146,25 +174,53 @@ std::vector<std::unique_ptr<DistanceFunction>> MetricRounds(
       q[1] += 0.1 * drift;
       rounds.push_back(std::make_unique<index::MahalanobisDistance>(q, a));
     }
-  } else if (family == "disjunctive") {
+  } else if (family == "disjunctive" || family == "disjunctive_full") {
     // Growing member sets: every round updates the cluster covariances, so
     // every warm round crosses a key mismatch and re-scores.
-    for (int t = 0; t < 4; ++t) {
-      rounds.push_back(
-          std::make_unique<DisjunctiveDistance>(MakeDisjunctive(t, 18 + t)));
+    const auto scheme = family == "disjunctive"
+                            ? stats::CovarianceScheme::kDiagonal
+                            : stats::CovarianceScheme::kInverse;
+    for (int t = 0; t < 5; ++t) {
+      const int drift = t == 4 ? 1 : t;
+      rounds.push_back(std::make_unique<DisjunctiveDistance>(
+          MakeDisjunctive(drift, 18 + drift, scheme)));
     }
-    rounds.push_back(
-        std::make_unique<DisjunctiveDistance>(MakeDisjunctive(1, 19)));
+  } else if (family == "qex") {
+    for (int t = 0; t < 5; ++t) {
+      const int drift = t == 4 ? 1 : t;
+      rounds.push_back(std::make_unique<baselines::QexDistance>(
+          MakeClusters(drift, 18 + drift), 1e-4));
+    }
+  } else if (family == "falcon") {
+    // A good set that grows by one marked point a round.
+    for (int t = 0; t < 5; ++t) {
+      const int drift = t == 4 ? 1 : t;
+      std::vector<Vector> good;
+      for (int i = 0; i < 3 + drift; ++i) {
+        good.push_back(pts[static_cast<std::size_t>(3 * (5 * i + drift))]);
+      }
+      rounds.push_back(
+          std::make_unique<baselines::FalconDistance>(std::move(good), -5.0));
+    }
+  } else if (family == "row_only") {
+    for (int t = 0; t < 5; ++t) {
+      const int drift = t == 4 ? 1 : t;
+      Vector q = pts[static_cast<std::size_t>(3 * drift)];
+      q[3] += 0.05 * drift;
+      rounds.push_back(std::make_unique<RowOnlyMetric>(q));
+    }
   } else {
     ADD_FAILURE() << "unknown family " << family;
   }
   return rounds;
 }
 
+/// Every metric family: the first six override DistanceBatch with a SIMD
+/// kernel, the last three score a batch through DistanceRow.
 const std::vector<std::string>& Families() {
   static const auto* families = new std::vector<std::string>{
-      "euclidean",      "weighted",   "mahalanobis_diag",
-      "mahalanobis_full", "disjunctive"};
+      "euclidean",   "weighted", "mahalanobis_diag", "mahalanobis_full",
+      "disjunctive", "disjunctive_full", "qex", "falcon", "row_only"};
   return *families;
 }
 
@@ -314,6 +370,181 @@ TEST(WarmExactnessTest, OpaqueMetricRoundsStayExactEverywhere) {
   const index::BrTree tree(&pts);
   ExpectWarmMatchesCold(scan, rounds, "scan/opaque");
   ExpectWarmMatchesCold(tree, rounds, "br_tree/opaque", &scan);
+}
+
+/// The tie-heavy rows plus four rows holding NaN and ±∞ coordinates; at
+/// leaf size kHostileRows they share the one leaf.
+constexpr int kHostileRows = 454;
+
+const linalg::FlatBlock& HostilePoints() {
+  static const auto* pts = [] {
+    const auto& base = TieHeavyPoints();
+    std::vector<Vector> rows;
+    for (std::size_t i = 0; i < base.size(); ++i) rows.push_back(base[i]);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (int h = 0; h < 4; ++h) {
+      Vector p = base[static_cast<std::size_t>(7 * h)];
+      if (h != 1) p[0] = nan;
+      if (h >= 1) p[static_cast<std::size_t>(h)] = h == 2 ? -inf : inf;
+      rows.push_back(p);
+    }
+    return new linalg::FlatBlock(linalg::FlatBlock::FromPoints(rows));
+  }();
+  return *pts;
+}
+
+/// Ids and distance bits equal (Neighbor's == is false on NaN).
+bool SameBits(const std::vector<Neighbor>& a, const std::vector<Neighbor>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id ||
+        std::memcmp(&a[i].distance, &b[i].distance, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// BR-tree work on HostilePoints, summed over the five rounds of one
+/// family, for a leaf size (kHostileRows: one leaf holds every row): cold
+/// Search at k = kK, then a warm session. Pinned from the per-point
+/// DistanceRow loop the leaf batches replaced; a leaf point counts only
+/// when it is offered.
+struct PinnedWork {
+  const char* family;
+  int leaf_size;
+  index::SearchStats cold;
+  index::SearchStats warm;
+};
+
+// clang-format off
+constexpr PinnedWork kPinnedWork[] = {
+    {"euclidean", 1, {135, 1005, 135}, {363, 1005, 102}},
+    {"euclidean", 7, {1359, 511, 204}, {1878, 511, 68}},
+    {"euclidean", 32, {2155, 151, 76}, {2242, 151, 16}},
+    {"euclidean", 454, {2270, 5, 5}, {2270, 5, 1}},
+    {"weighted", 1, {135, 836, 135}, {198, 836, 57}},
+    {"weighted", 7, {1055, 454, 164}, {1400, 454, 58}},
+    {"weighted", 32, {2101, 147, 74}, {2214, 147, 16}},
+    {"weighted", 454, {2270, 5, 5}, {2270, 5, 1}},
+    {"mahalanobis_diag", 1, {135, 913, 135}, {363, 913, 102}},
+    {"mahalanobis_diag", 7, {1193, 476, 182}, {1848, 476, 66}},
+    {"mahalanobis_diag", 32, {2130, 148, 75}, {2214, 148, 16}},
+    {"mahalanobis_diag", 454, {2270, 5, 5}, {2270, 5, 1}},
+    {"mahalanobis_full", 1, {399, 1637, 399}, {939, 1637, 249}},
+    {"mahalanobis_full", 7, {1869, 627, 285}, {2157, 627, 69}},
+    {"mahalanobis_full", 32, {2270, 155, 80}, {2270, 155, 16}},
+    {"mahalanobis_full", 454, {2270, 5, 5}, {2270, 5, 1}},
+    {"disjunctive", 1, {135, 1385, 135}, {165, 1385, 36}},
+    {"disjunctive", 7, {1997, 646, 302}, {2037, 646, 63}},
+    {"disjunctive", 32, {2270, 155, 80}, {2270, 155, 16}},
+    {"disjunctive", 454, {2270, 5, 5}, {2270, 5, 1}},
+    {"disjunctive_full", 1, {2250, 4515, 2250}, {2250, 4515, 450}},
+    {"disjunctive_full", 7, {2270, 695, 350}, {2270, 695, 70}},
+    {"disjunctive_full", 32, {2270, 155, 80}, {2270, 155, 16}},
+    {"disjunctive_full", 454, {2270, 5, 5}, {2270, 5, 1}},
+    {"qex", 1, {135, 1226, 135}, {156, 1226, 36}},
+    {"qex", 7, {1701, 587, 258}, {1809, 587, 56}},
+    {"qex", 32, {2270, 155, 80}, {2270, 155, 16}},
+    {"qex", 454, {2270, 5, 5}, {2270, 5, 1}},
+    {"falcon", 1, {135, 1055, 135}, {348, 1055, 99}},
+    {"falcon", 7, {1498, 557, 226}, {1896, 557, 67}},
+    {"falcon", 32, {2270, 155, 80}, {2270, 155, 16}},
+    {"falcon", 454, {2270, 5, 5}, {2270, 5, 1}},
+    {"row_only", 1, {2270, 4535, 2270}, {2270, 4535, 454}},
+    {"row_only", 7, {2270, 695, 350}, {2270, 695, 70}},
+    {"row_only", 32, {2270, 155, 80}, {2270, 155, 16}},
+    {"row_only", 454, {2270, 5, 5}, {2270, 5, 1}},
+};
+// clang-format on
+
+TEST(WarmExactnessTest, LeafBatchesMatchSerialScanBitsAndPinnedWork) {
+  const auto& pts = HostilePoints();
+  ASSERT_EQ(static_cast<int>(pts.size()), kHostileRows);
+  ThreadPool serial(1);
+  const index::LinearScanIndex scan(pts.view(), &serial);
+  std::size_t row = 0;
+  for (const std::string& family : Families()) {
+    const auto rounds = MetricRounds(family);
+    for (int leaf_size : {1, 7, 32, kHostileRows}) {
+      const std::string ctx = family + "/leaf" + std::to_string(leaf_size);
+      index::BrTree::Options opt;
+      opt.leaf_size = leaf_size;
+      const index::BrTree tree(&pts, opt);
+      index::SearchStats cold;
+      index::SearchStats warm;
+      index::WarmStart cache;
+      for (std::size_t t = 0; t < rounds.size(); ++t) {
+        const DistanceFunction& dist = *rounds[t];
+        const std::vector<Neighbor> expected = scan.Search(dist, kK);
+        EXPECT_TRUE(SameBits(tree.Search(dist, kK, &cold), expected))
+            << ctx << " cold round " << t;
+        EXPECT_TRUE(SameBits(tree.SearchWarm(dist, kK, cache, &warm), expected))
+            << ctx << " warm round " << t;
+      }
+      // Every row ranked, NaN and ±∞ distances included.
+      EXPECT_TRUE(SameBits(tree.Search(*rounds[0], kHostileRows),
+                           scan.Search(*rounds[0], kHostileRows)))
+          << ctx << " k = n";
+
+      const PinnedWork* pin =
+          row < std::size(kPinnedWork) ? &kPinnedWork[row] : nullptr;
+      ++row;
+      const auto same = [](const index::SearchStats& a,
+                           const index::SearchStats& b) {
+        return a.distance_evaluations == b.distance_evaluations &&
+               a.nodes_visited == b.nodes_visited &&
+               a.leaves_visited == b.leaves_visited;
+      };
+      // On a mismatch the message is this case's row as it would be pinned.
+      EXPECT_TRUE(pin != nullptr && family == pin->family &&
+                  leaf_size == pin->leaf_size && same(cold, pin->cold) &&
+                  same(warm, pin->warm))
+          << "    {\"" << family << "\", " << leaf_size << ", {"
+          << cold.distance_evaluations << ", " << cold.nodes_visited << ", "
+          << cold.leaves_visited << "}, {" << warm.distance_evaluations
+          << ", " << warm.nodes_visited << ", " << warm.leaves_visited
+          << "}},";
+    }
+  }
+  EXPECT_EQ(row, std::size(kPinnedWork));
+}
+
+TEST(WarmExactnessTest, CacheRecordedByAnotherIndexStaysExact) {
+  // Two trees over one block: their node indices name different leaf
+  // pages, so B must not skip its own pages that share an index with a
+  // page A cached. A scan records no pages at all.
+  Rng rng(5021);
+  std::vector<Vector> rows;
+  for (int i = 0; i < 4000; ++i) rows.push_back(rng.GaussianVector(3));
+  const linalg::FlatBlock pts = linalg::FlatBlock::FromPoints(rows);
+  index::BrTree::Options small;
+  small.leaf_size = 5;
+  const index::BrTree tree_a(&pts);
+  const index::BrTree tree_b(&pts, small);
+  const index::LinearScanIndex scan(pts.view());
+  constexpr int kSearchK = 100;
+  for (const KnnIndex* recorder : {static_cast<const KnnIndex*>(&tree_a),
+                                   static_cast<const KnnIndex*>(&scan)}) {
+    for (int q = 0; q < 20; ++q) {
+      index::WarmStart warm;
+      const Vector qa = rng.GaussianVector(3);
+      DiscardResult(recorder->SearchWarm(index::EuclideanDistance(qa),
+                                         kSearchK, warm));
+      Vector qa2 = qa;
+      qa2[0] += 0.05;
+      DiscardResult(recorder->SearchWarm(index::EuclideanDistance(qa2),
+                                         kSearchK, warm));
+      const index::EuclideanDistance qb(rng.GaussianVector(3));
+      EXPECT_EQ(tree_b.SearchWarm(qb, kSearchK, warm),
+                tree_b.Search(qb, kSearchK))
+          << (recorder == &scan ? "scan" : "tree A") << " query " << q;
+      // B's own pages now stand in the cache and are used again.
+      EXPECT_EQ(tree_b.SearchWarm(qb, kSearchK, warm),
+                tree_b.Search(qb, kSearchK));
+    }
+  }
 }
 
 /// Restores the dispatch default even when an assertion fails mid-test.

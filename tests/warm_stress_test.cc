@@ -4,12 +4,14 @@
 // rounds driven from parallel threads must produce exactly the results of
 // the same rounds replayed single-threaded. Run under TSan this also
 // proves the warm path adds no data race: the shared database and index
-// are immutable, and each cache is touched only by its own engine's
-// thread.
+// are immutable, each cache is touched only by its own engine's thread,
+// and the BR-tree's leaf-scoring scratch and seed marks are per thread.
+// Every test runs its sessions over both indexes.
 
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "common/rng.h"
 #include "core/engine.h"
 #include "dataset/feature_database.h"
+#include "index/br_tree.h"
 #include "index/linear_scan.h"
 
 namespace qcluster::core {
@@ -82,9 +85,23 @@ std::vector<std::vector<index::Neighbor>> DriveSession(
   return per_round;
 }
 
-TEST(WarmStressTest, ConcurrentSessionsMatchSequentialReplay) {
+/// The shared index each test drives: the linear scan, and a BR-tree with
+/// small leaves so every round fetches several pages past the cached ones.
+std::vector<std::pair<std::string, std::unique_ptr<index::KnnIndex>>>
+SharedIndexes() {
   const dataset::FeatureDatabase& db = SharedDatabase();
-  const index::LinearScanIndex index(db.flat_view());
+  std::vector<std::pair<std::string, std::unique_ptr<index::KnnIndex>>> out;
+  out.emplace_back("linear_scan",
+                   std::make_unique<index::LinearScanIndex>(db.flat_view()));
+  index::BrTree::Options opt;
+  opt.leaf_size = 8;
+  out.emplace_back("br_tree",
+                   std::make_unique<index::BrTree>(&db.features(), opt));
+  return out;
+}
+
+void ConcurrentSessionsMatchSequentialReplay(const index::KnnIndex& index) {
+  const dataset::FeatureDatabase& db = SharedDatabase();
   const QclusterOptions opt = StressOptions();
 
   // Two sessions over the same database and index, driven concurrently.
@@ -113,9 +130,8 @@ TEST(WarmStressTest, ConcurrentSessionsMatchSequentialReplay) {
   EXPECT_NE(rounds_a.back(), rounds_b.back());
 }
 
-TEST(WarmStressTest, ManySessionsHammerOneIndex) {
+void ManySessionsHammerOneIndex(const index::KnnIndex& index) {
   const dataset::FeatureDatabase& db = SharedDatabase();
-  const index::LinearScanIndex index(db.flat_view());
   const QclusterOptions opt = StressOptions();
 
   constexpr int kSessions = 8;
@@ -142,6 +158,20 @@ TEST(WarmStressTest, ManySessionsHammerOneIndex) {
     EXPECT_EQ(rounds[static_cast<std::size_t>(s)],
               DriveSession(replay, s % kClusters))
         << "session " << s;
+  }
+}
+
+TEST(WarmStressTest, ConcurrentSessionsMatchSequentialReplay) {
+  for (const auto& [name, index] : SharedIndexes()) {
+    SCOPED_TRACE(name);
+    ConcurrentSessionsMatchSequentialReplay(*index);
+  }
+}
+
+TEST(WarmStressTest, ManySessionsHammerOneIndex) {
+  for (const auto& [name, index] : SharedIndexes()) {
+    SCOPED_TRACE(name);
+    ManySessionsHammerOneIndex(*index);
   }
 }
 
