@@ -195,25 +195,33 @@ void RunThroughputMetric(benchmark::State& state, const std::string& metric,
   }
 }
 
-/// The BR-tree families: `search(stats)` runs one search (accumulating its
-/// cost into `stats` when non-null). Records that search's exact work as
+/// Records one BR-tree search's exact work as
 /// `bench.br_tree.<label>.{evals,nodes,leaves}` gauges, deterministic at a
 /// fixed seed and scale, which bench/check_regression.py gates for
-/// equality, then times the search under the scan's points_per_sec
-/// convention (database points served per second).
-template <typename Search>
-void RunBrTree(benchmark::State& state, const std::string& label,
-               const Search& search) {
+/// equality.
+void RecordBrTreeWork(const std::string& label,
+                      const qcluster::index::SearchStats& work) {
   const std::string metric = "bench.br_tree." + label;
-  qcluster::index::SearchStats work;
-  benchmark::DoNotOptimize(search(&work));
   qcluster::MetricGauge(metric + ".evals",
                         static_cast<double>(work.distance_evaluations));
   qcluster::MetricGauge(metric + ".nodes",
                         static_cast<double>(work.nodes_visited));
   qcluster::MetricGauge(metric + ".leaves",
                         static_cast<double>(work.leaves_visited));
-  RunThroughputMetric(state, metric, Features().features.size(),
+}
+
+/// The BR-tree families: `search(stats)` runs one search (accumulating its
+/// cost into `stats` when non-null). Records that search's work gauges,
+/// then times the search under the scan's points_per_sec convention
+/// (database points served per second).
+template <typename Search>
+void RunBrTree(benchmark::State& state, const std::string& label,
+               const Search& search) {
+  qcluster::index::SearchStats work;
+  benchmark::DoNotOptimize(search(&work));
+  RecordBrTreeWork(label, work);
+  RunThroughputMetric(state, "bench.br_tree." + label,
+                      Features().features.size(),
                       [&] { return search(nullptr); });
 }
 
@@ -232,9 +240,10 @@ void BM_BrTreeDisjunctive(benchmark::State& state) {
 }
 
 void BM_BrTreeWarmRefinement(benchmark::State& state) {
-  // Cold query then a refined (slightly moved) query warm-started from the
-  // first query's candidate cache — the feedback-iteration pattern. One
-  // iteration times both searches; the work gauges count the warm one.
+  // Cold query then a refined (slightly moved) query through the first
+  // query's session cache, whose leaf pages it does not read again — the
+  // feedback-iteration pattern. One iteration times both searches; the work
+  // gauges count the warm one.
   using qcluster::index::EuclideanDistance;
   const qcluster::linalg::Vector& q = Features().features[0];
   qcluster::linalg::Vector q2 = q;
@@ -245,6 +254,23 @@ void BM_BrTreeWarmRefinement(benchmark::State& state) {
     qcluster::DiscardResult(Tree().SearchWarm(first, 100, cache));
     return Tree().SearchWarm(EuclideanDistance(q2), 100, cache, stats);
   });
+}
+
+void BM_BrTreeWarmUnchangedMetric(benchmark::State& state) {
+  // A feedback round that added no point rebuilds the same metric: a cold
+  // search, then that metric rebuilt and asked again through SearchWarm,
+  // which the session cache answers without a search. The work gauges read
+  // 0 while reuse holds; no points_per_sec is exported, as no point is
+  // served by the index. The timed loop is the reuse alone.
+  qcluster::index::WarmStart cache;
+  qcluster::DiscardResult(Tree().SearchWarm(MakeDisjunctive(), 100, cache));
+  const auto again = MakeDisjunctive();
+  qcluster::index::SearchStats work;
+  qcluster::DiscardResult(Tree().SearchWarm(again, 100, cache, &work));
+  RecordBrTreeWork("warm_unchanged", work);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Tree().SearchWarm(again, 100, cache));
+  }
 }
 
 /// The linear-scan trajectory family's label convention.
@@ -465,13 +491,14 @@ void TierSweep(benchmark::internal::Benchmark* b) {
 // ---------------------------------------------------------------------------
 // Feedback-round replay family: a six-round relevance-feedback session
 // (t = 0..5) served by the batched linear scan, cold vs warm-started from
-// the previous round's candidate cache. The replay workload uses its own
+// the previous round's answer. The replay workload uses its own
 // database — 20 categories x 500 points at d = 64 (image-descriptor scale,
 // Fig. 6 sizes its features similarly), where a dense d x d exact distance
 // dominates a served round. The refined query point moves every round
 // while the learned metric matrix is stable; the metric still *changes*
 // every round (the query is part of the quadratic decomposition), so the
-// WarmStart key mismatches and every warm round takes the re-score path.
+// WarmStart key mismatches and every warm round re-scores the previous
+// answer for its θ₀.
 //
 // Each round records `bench.warm_replay.<label>.t<t>.{points_per_sec,
 // candidates}` (candidates = exact distance evaluations, seeds included).
@@ -629,8 +656,8 @@ void BM_ReplayLinearScanWarm(benchmark::State& state) {
     }
   }
   // The scan always evaluates every point, so this row is the honest "a
-  // candidate cache cannot help an exhaustive scan" reference (~1.0x); the
-  // warm seed only saves heap admissions.
+  // θ₀ cannot help an exhaustive scan" reference (~1.0x); the warm seed
+  // only saves heap admissions.
   RunReplay(state, "scan.warm",
             [&](int t, qcluster::index::WarmStart& cache,
                 qcluster::index::SearchStats* stats) {
@@ -673,6 +700,7 @@ BENCHMARK(BM_BrTreeEuclidean)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_LinearScanDisjunctive)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BrTreeDisjunctive)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BrTreeWarmRefinement)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BrTreeWarmUnchangedMetric)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_ReplayLinearScanCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplayLinearScanWarm)->Unit(benchmark::kMillisecond);

@@ -154,9 +154,9 @@ std::vector<index::Neighbor> QclusterEngine::RunQuery(
     const index::DistanceFunction& dist) {
   last_stats_ = index::SearchStats{};
   if (options_.use_query_cache) {
-    // One warm-start path for every index: round t's survivors (recorded
-    // into warm_ by SearchWarm itself) seed round t+1's certified θ₀
-    // pruning bound. Results stay bit-for-bit identical to cold searches.
+    // One cached path for every index: round t's answer (recorded into
+    // warm_ by SearchWarm itself) serves round t+1 as is under an unchanged
+    // metric. Results stay bit-for-bit identical to cold searches.
     return knn_->SearchWarm(dist, options_.k, warm_, &last_stats_);
   }
   return knn_->Search(dist, options_.k, &last_stats_);

@@ -39,14 +39,14 @@ struct QclusterOptions {
   /// regularizes small-cluster ellipsoids; 0 (default) reproduces the
   /// paper's metric exactly. See bench_ablation_shrinkage.
   double covariance_shrinkage = 0.0;
-  /// Reuse the previous round's survivors across feedback iterations (the
-  /// multipoint refinement optimization measured in Fig. 7, generalized to
-  /// the session-resident index::WarmStart cache): every k-NN round runs
-  /// through KnnIndex::SearchWarm, which re-scores the cached survivors for
-  /// a certified θ₀ upper bound on the k-th distance and prunes with it.
-  /// Effective on every index path — BrTree skips cached leaves, the linear
-  /// scan rejects at heap admission — and results stay bit-for-bit
-  /// identical to cold searches.
+  /// Carry the session cache across feedback iterations (the multipoint
+  /// refinement optimization measured in Fig. 7, generalized to the
+  /// session-resident index::WarmStart): every k-NN round runs through
+  /// KnnIndex::SearchWarm, which returns the previous answer when the
+  /// metric has not changed bit for bit, and otherwise lets the index use
+  /// what it cached — BrTree never re-reads a leaf page, the linear scan
+  /// re-scores the previous answer for a certified θ₀ and rejects at heap
+  /// admission. Results stay bit-for-bit identical to cold searches.
   bool use_query_cache = true;
 };
 
@@ -66,9 +66,8 @@ struct QclusterOptions {
 class QclusterEngine final : public RetrievalMethod {
  public:
   /// `database` and `knn` must outlive the engine. When
-  /// options.use_query_cache is set, refined queries are warm-started from
-  /// the previous iteration's candidates via the engine's WarmStart cache,
-  /// whichever index serves them.
+  /// options.use_query_cache is set, every query goes through the engine's
+  /// WarmStart cache, whichever index serves it.
   QclusterEngine(const linalg::FlatBlock* database,
                  const index::KnnIndex* knn, const QclusterOptions& options);
 
@@ -107,8 +106,8 @@ class QclusterEngine final : public RetrievalMethod {
   /// shrinkage floor, at least options.min_variance).
   double effective_min_variance() const { return floor_; }
 
-  /// The session-resident cross-round candidate cache (empty before the
-  /// first round or with use_query_cache off). Exposed for tests.
+  /// The session-resident cross-round cache (empty before the first round
+  /// or with use_query_cache off). Exposed for tests.
   const index::WarmStart& warm_start() const { return warm_; }
 
  private:
@@ -124,9 +123,9 @@ class QclusterEngine final : public RetrievalMethod {
 
   std::vector<Cluster> clusters_;
   std::unordered_set<int> seen_ids_;
-  /// Cross-round candidate cache (see index::WarmStart): round t's
-  /// survivors seed round t+1's certified θ₀ pruning bound. One per
-  /// engine, i.e. one per retrieval session.
+  /// Cross-round cache (see index::WarmStart): round t's answer, reused
+  /// as is when round t+1's metric is unchanged, plus what the index keeps
+  /// for the other rounds. One per engine, i.e. one per retrieval session.
   index::WarmStart warm_;
   index::SearchStats last_stats_;
   int iteration_ = 0;

@@ -34,6 +34,15 @@ inline constexpr double kAuditSymmetryTol = 1e-9;
 inline constexpr double kAuditPsdTol = 1e-7;
 inline constexpr double kAuditClosureTol = 1e-8;
 
+/// True when no entry of `m` is NaN or ±∞.
+inline bool AllFinite(const linalg::Matrix& m) {
+  const double* cells = m.data();
+  return std::all_of(cells,
+                     cells + static_cast<std::size_t>(m.rows()) *
+                                 static_cast<std::size_t>(m.cols()),
+                     [](double v) { return std::isfinite(v); });
+}
+
 /// Eq. 7 / Eq. 10: every covariance (and pooled covariance, Eq. 15) entering
 /// classification — and its inverse — must be symmetric and positive
 /// semi-definite, or the quadratic forms d²(x, c) lose their distance
@@ -46,6 +55,10 @@ inline Status ValidateSymmetricPsd(const linalg::Matrix& m, const char* what) {
     return Status::FailedPrecondition(
         std::string(what) + ": non-square matrix violates Eq. 7/10");
   }
+  if (!AllFinite(m)) {
+    return Status::FailedPrecondition(
+        std::string(what) + ": non-finite entries violate Eq. 7/10");
+  }
   double max_abs = 0.0;
   double max_asym = 0.0;
   for (int r = 0; r < m.rows(); ++r) {
@@ -53,10 +66,6 @@ inline Status ValidateSymmetricPsd(const linalg::Matrix& m, const char* what) {
       max_abs = std::max(max_abs, std::abs(m(r, c)));
       if (c > r) max_asym = std::max(max_asym, std::abs(m(r, c) - m(c, r)));
     }
-  }
-  if (!std::isfinite(max_abs)) {
-    return Status::FailedPrecondition(
-        std::string(what) + ": non-finite entries violate Eq. 7/10");
   }
   if (max_asym > kAuditSymmetryTol * std::max(max_abs, 1e-300)) {
     return Status::FailedPrecondition(
@@ -93,11 +102,8 @@ inline Status ValidateHotellingT2(double t2, double m_total,
   }
   if (std::isnan(t2)) {
     const auto finite = [](double v) { return std::isfinite(v); };
-    const double* inverse = pooled_inverse.data();
-    const std::size_t cells =
-        static_cast<std::size_t>(pooled_inverse.rows() * pooled_inverse.cols());
     if (std::all_of(diff.begin(), diff.end(), finite) &&
-        std::all_of(inverse, inverse + cells, finite)) {
+        AllFinite(pooled_inverse)) {
       return Status::FailedPrecondition(
           "Hotelling T² is NaN from finite inputs, violating Eq. 14");
     }

@@ -1,9 +1,6 @@
 #include "index/br_tree.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <limits>
 #include <queue>
 
 #include "common/check.h"
@@ -12,18 +9,8 @@
 
 namespace qcluster::index {
 
-namespace {
-
-/// Serial of the next tree built. Unlike an address, a serial is never
-/// reused, so a WarmStart's leaf pages can only match the tree that
-/// fetched them.
-std::atomic<std::uint64_t> next_serial{1};
-
-}  // namespace
-
 BrTree::BrTree(const linalg::FlatBlock* points, const Options& options)
-    : points_(points),
-      serial_(next_serial.fetch_add(1, std::memory_order_relaxed)) {
+    : points_(points) {
   QCLUSTER_CHECK(points != nullptr);
   QCLUSTER_CHECK(options.leaf_size >= 1);
   ids_.resize(points_->size());
@@ -87,114 +74,35 @@ int BrTree::Build(int begin, int end, int leaf_size) {
 
 std::vector<Neighbor> BrTree::Search(const DistanceFunction& dist, int k,
                                      SearchStats* stats) const {
-  return SearchImpl(dist, k, nullptr, nullptr, nullptr, stats);
+  return SearchImpl(dist, k, nullptr, stats);
 }
 
-std::vector<Neighbor> BrTree::SearchWarm(const DistanceFunction& dist, int k,
-                                         WarmStart& warm,
-                                         SearchStats* stats) const {
-  // Re-score the cached candidates with one batched kernel call (or reuse
-  // the stored distances on an exact metric-key match). The seed is only
-  // usable when ≥ k candidates are cached; the cached-leaf skip likewise
-  // requires every cached candidate to have been offered, so both gate on
-  // seed validity together. Leaf pages another tree recorded name other
-  // points here and count as uncached.
-  const WarmStart::Seed seed = warm.Reseed(dist, k, points_->view());
-  std::vector<int> leaves = warm.TakeLeaves(serial_);
-  if (!seed.valid()) leaves.clear();
-  std::vector<Neighbor> touched;
-  SearchStats call_stats;
-  std::vector<Neighbor> result =
-      SearchImpl(dist, k, seed.valid() ? &seed : nullptr, &leaves, &touched,
-                 &call_stats);
-  if (stats != nullptr) *stats += call_stats;
-  double pruned_frac = -1.0;
-  if (seed.valid() && !points_->empty()) {
-    // Fraction of the database never evaluated this round — tree pruning
-    // plus the leaf pages the cache made free.
-    const auto n = static_cast<double>(points_->size());
-    pruned_frac = (n - static_cast<double>(call_stats.distance_evaluations)) /
-                  n;
-  }
-  warm.Record(dist, touched);
-  std::sort(leaves.begin(), leaves.end());
-  warm.SetLeaves(serial_, std::move(leaves));
-  FinishWarmSearch("index.br_tree", seed, result, pruned_frac);
+std::vector<Neighbor> BrTree::SearchUncached(const DistanceFunction& dist,
+                                             int k, WarmStart& warm,
+                                             SearchStats* stats) const {
+  std::vector<int>& pages = warm.PagesOf(serial());
+  std::vector<Neighbor> result = SearchImpl(dist, k, &pages, stats);
+  std::sort(pages.begin(), pages.end());
   return result;
 }
 
 std::vector<Neighbor> BrTree::SearchImpl(const DistanceFunction& dist, int k,
-                                         const WarmStart::Seed* seed,
-                                         std::vector<int>* leaves,
-                                         std::vector<Neighbor>* touched,
+                                         std::vector<int>* pages,
                                          SearchStats* stats) const {
   QCLUSTER_CHECK(k > 0);
   if (root_ < 0) return {};
   QCLUSTER_TRACE_SPAN(span, "index.br_tree.search");
   span.AddAttr("index", "br_tree");
   span.AddAttr("k", k);
-  span.AddAttr("warm", seed != nullptr ? 1 : 0);
+  span.AddAttr("warm", pages != nullptr ? 1 : 0);
   SearchStats local;
-
-  // Max-heap of the best k seen so far; top is the current k-th distance.
-  std::priority_queue<Neighbor, std::vector<Neighbor>, NeighborOrder> best;
-  auto offer = [&](int id, double d) {
-    if (static_cast<int>(best.size()) < k) {
-      best.push(Neighbor{id, d});
-    } else if (NeighborOrder{}(Neighbor{id, d}, best.top())) {
-      best.pop();
-      best.push(Neighbor{id, d});
-    }
-  };
-  // A NaN on top sorts after every number, so any finite candidate still
-  // displaces it: there is no finite bound to prune with yet.
-  auto kth_bound = [&] {
-    return static_cast<int>(best.size()) < k || std::isnan(best.top().distance)
-               ? std::numeric_limits<double>::infinity()
-               : best.top().distance;
-  };
-
-  // Warm start: offer the previous iterations' candidates first, already
-  // re-scored under this round's metric by WarmStart::Reseed (pure
-  // in-memory work — their leaf pages are cached). The resulting k-th
-  // distance bound prunes most of the refined query's tree, and cached
-  // leaves are never fetched again. The byte mark by id offers a candidate
-  // once even when the seed repeats it, and keeps an uncached leaf that
-  // overlaps the seed from offering it again.
-  thread_local std::vector<unsigned char> seed_mark;
-  thread_local std::vector<int> unseeded;
+  BoundedTopK best(k);
   thread_local std::vector<double> scores;
-  if (seed != nullptr && seed_mark.size() < points_->size()) {
-    seed_mark.resize(points_->size());
-  }
-  // Clears the seed's marks on every way out, a throwing allocation
-  // included, so the scratch is all zero between searches.
-  struct ClearSeedMarks {
-    const WarmStart::Seed* seed;
-    ~ClearSeedMarks() {
-      if (seed == nullptr) return;
-      for (const Neighbor& c : seed->scored) {
-        seed_mark[static_cast<std::size_t>(c.id)] = 0;
-      }
-    }
-  } const clear_seed_marks{seed};
-  const unsigned char* seeded = nullptr;
-  if (seed != nullptr) {
-    for (const Neighbor& c : seed->scored) {
-      unsigned char& mark = seed_mark[static_cast<std::size_t>(c.id)];
-      if (mark != 0) continue;
-      mark = 1;
-      offer(c.id, c.distance);
-      if (touched != nullptr) touched->push_back(c);
-    }
-    local.distance_evaluations += seed->evaluations;
-    seeded = seed_mark.data();
-  }
-  // Pages this search fetches are appended after the cached ones.
-  const std::size_t cached = leaves != nullptr ? leaves->size() : 0;
+  // Pages this search reads are appended after the cached ones.
+  const std::size_t cached = pages != nullptr ? pages->size() : 0;
   const auto is_cached = [&](int node) {
     return cached > 0 &&
-           std::binary_search(leaves->data(), leaves->data() + cached, node);
+           std::binary_search(pages->data(), pages->data() + cached, node);
   };
 
   // Best-first traversal ordered by rectangle lower bounds.
@@ -214,54 +122,39 @@ std::vector<Neighbor> BrTree::SearchImpl(const DistanceFunction& dist, int k,
   while (!frontier.empty()) {
     const Entry entry = frontier.top();
     frontier.pop();
-    if (entry.bound > kth_bound()) break;  // Nothing closer remains.
+    if (entry.bound > best.KthBound()) break;  // Nothing closer remains.
     const Node& node = nodes_[static_cast<std::size_t>(entry.node)];
     ++local.nodes_visited;
     if (node.IsLeaf()) {
-      // A leaf whose page is in the iteration cache costs no IO and its
-      // points were already offered during the warm phase.
-      if (is_cached(entry.node)) continue;
-      ++local.leaves_visited;
-      if (leaves != nullptr) leaves->push_back(entry.node);
-      // The page's points the seed did not offer, scored with one
-      // DistanceBatch call and offered in page order.
-      const int* page = ids_.data() + node.begin;
-      auto count = static_cast<std::size_t>(node.end - node.begin);
-      if (seeded != nullptr) {
-        unseeded.clear();
-        for (std::size_t i = 0; i < count; ++i) {
-          if (seeded[page[i]] == 0) unseeded.push_back(page[i]);
-        }
-        page = unseeded.data();
-        count = unseeded.size();
+      // A page in the session cache is in memory: scored, but not read.
+      if (!is_cached(entry.node)) {
+        ++local.leaves_visited;
+        if (pages != nullptr) pages->push_back(entry.node);
       }
-      if (count == 0) continue;
+      // The page's points, scored with one DistanceBatch call and offered
+      // in page order.
+      const int* page = ids_.data() + node.begin;
+      const auto count = static_cast<std::size_t>(node.end - node.begin);
       scores.resize(count);
       ScoreRows(dist, points_->view(), page, count, scores.data());
       for (std::size_t i = 0; i < count; ++i) {
-        offer(page[i], scores[i]);
-        if (touched != nullptr) touched->push_back({page[i], scores[i]});
+        best.Push(Neighbor{page[i], scores[i]});
       }
       local.distance_evaluations += static_cast<long long>(count);
     } else {
       for (int child : {node.left, node.right}) {
         const double bound =
             dist.MinDistance(nodes_[static_cast<std::size_t>(child)].rect);
-        if (bound <= kth_bound()) frontier.push(Entry{bound, child});
+        if (bound <= best.KthBound()) frontier.push(Entry{bound, child});
       }
     }
   }
 
-  std::vector<Neighbor> result(best.size());
-  for (std::size_t i = result.size(); i-- > 0;) {
-    result[i] = best.top();
-    best.pop();
-  }
   span.AddAttr("nodes_visited", local.nodes_visited);
   span.AddAttr("leaves_visited", local.leaves_visited);
-  if (seed != nullptr) MetricAdd("index.br_tree.warm_searches");
+  if (pages != nullptr) MetricAdd("index.br_tree.warm_searches");
   FinishSearch("index.br_tree", local, stats);
-  return result;
+  return std::move(best).TakeSorted();
 }
 
 }  // namespace qcluster::index

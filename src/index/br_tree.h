@@ -1,7 +1,6 @@
 #ifndef QCLUSTER_INDEX_BR_TREE_H_
 #define QCLUSTER_INDEX_BR_TREE_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "index/knn.h"
@@ -22,14 +21,13 @@ namespace qcluster::index {
 ///
 /// Relevance-feedback refinement support: consecutive feedback iterations
 /// issue *similar* queries, and the multipoint approach of [7] amortizes
-/// work by reusing index information across iterations. The shared
-/// `index::WarmStart` session cache keeps the candidate set touched by the
-/// previous iteration (plus the leaf pages this tree fetched, tagged with
-/// its serial); SearchWarm re-scores those candidates first — one batched
-/// kernel call, or free on an exact metric-key match — which yields a tight
-/// upper bound on the k-th distance, prunes most node expansions of the
-/// refined query (measured in Fig. 7's cost comparison), and never re-reads
-/// a cached leaf.
+/// work by caching index pages across iterations. SearchWarm keeps two
+/// things in the session's `index::WarmStart`: the answer, returned as is
+/// when the metric has not changed (KnnIndex::SearchWarm), and the leaf
+/// pages this tree has read, tagged with its serial. Any other round runs
+/// the cold traversal, so it evaluates and visits what a cold search does;
+/// a cached leaf is scored when reached but is never read again (Fig. 7's
+/// IO saving).
 class BrTree final : public KnnIndex {
  public:
   struct Options {
@@ -50,13 +48,6 @@ class BrTree final : public KnnIndex {
       const DistanceFunction& dist, int k,
       SearchStats* stats = nullptr) const override;
 
-  /// Best-first search warm-started from `warm` (cold when empty). On
-  /// return the cache holds this iteration's touched candidates and leaf
-  /// pages, ready for the next refinement step.
-  [[nodiscard]] std::vector<Neighbor> SearchWarm(
-      const DistanceFunction& dist, int k, WarmStart& warm,
-      SearchStats* stats = nullptr) const override;
-
   /// Number of tree nodes (for tests).
   int node_count() const { return static_cast<int>(nodes_.size()); }
 
@@ -72,21 +63,19 @@ class BrTree final : public KnnIndex {
 
   int Build(int begin, int end, int leaf_size);
 
-  /// Shared traversal body. `seed` (nullable) offers the re-scored cached
-  /// candidates before the descent; a per-thread byte mark by id keeps a
-  /// leaf from offering them again. `leaves` (nullable) holds the cached
-  /// leaf pages in ascending order — every point of one is in the seed, so
-  /// it is skipped without IO — and receives the pages this search fetches,
-  /// appended unsorted. `touched` (nullable) collects this iteration's
-  /// scored candidates for the next round's cache.
+  /// The cold traversal with this tree's page list in `warm`.
+  std::vector<Neighbor> SearchUncached(const DistanceFunction& dist, int k,
+                                       WarmStart& warm,
+                                       SearchStats* stats) const override;
+
+  /// Shared best-first traversal. `pages` (nullable) holds cached leaf pages
+  /// in ascending order: a cached leaf is scored but counts no page read,
+  /// and the pages this search reads are appended, unsorted.
   std::vector<Neighbor> SearchImpl(const DistanceFunction& dist, int k,
-                                   const WarmStart::Seed* seed,
-                                   std::vector<int>* leaves,
-                                   std::vector<Neighbor>* touched,
+                                   std::vector<int>* pages,
                                    SearchStats* stats) const;
 
   const linalg::FlatBlock* points_;
-  std::uint64_t serial_;       ///< Unique per tree; tags WarmStart leaves.
   std::vector<int> ids_;       ///< Point ids, permuted so leaves are ranges.
   std::vector<Node> nodes_;
   int root_ = -1;

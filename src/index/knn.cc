@@ -1,11 +1,43 @@
 #include "index/knn.h"
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 
+#include "common/check.h"
 #include "common/metrics.h"
 
 namespace qcluster::index {
+
+namespace {
+
+/// Serial of the next index built; never reused, unlike an address.
+std::atomic<std::uint64_t> next_serial{1};
+
+/// Keeps the first entry of each id, in order: a repeated id would make θ₀,
+/// the k-th smallest of the re-scored entries, undercut the true k-th
+/// distance, and a reused answer repeat a point. O(size): the ids go into an
+/// open-addressing table at most half full (Fibonacci hashing, linear
+/// probing, -1 = empty), not a sort.
+void KeepFirstPerId(std::vector<Neighbor>& entries) {
+  int bits = 4;
+  while ((std::size_t{1} << bits) < 2 * entries.size()) ++bits;
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  thread_local std::vector<int> table;
+  table.assign(mask + 1, -1);
+  std::size_t kept = 0;
+  for (const Neighbor& n : entries) {
+    const std::uint64_t key = static_cast<std::uint32_t>(n.id);
+    std::size_t slot = (key * 0x9E3779B97F4A7C15ull) >> (64 - bits);
+    while (table[slot] != -1 && table[slot] != n.id) slot = (slot + 1) & mask;
+    if (table[slot] == n.id) continue;
+    table[slot] = n.id;
+    entries[kept++] = n;
+  }
+  entries.resize(kept);
+}
+
+}  // namespace
 
 void FinishSearch(const char* index_name, const SearchStats& delta,
                   SearchStats* out) {
@@ -30,112 +62,107 @@ void ScoreRows(const DistanceFunction& dist, const linalg::FlatView& rows,
   dist.DistanceBatch(linalg::FlatView{gathered.data(), count, rows.dim}, out);
 }
 
+BoundedTopK::BoundedTopK(int k) : k_(static_cast<std::size_t>(k)) {
+  QCLUSTER_CHECK(k > 0);
+  heap_.reserve(k_);
+}
+
+std::vector<Neighbor> BoundedTopK::TakeSorted() && {
+  std::sort_heap(heap_.begin(), heap_.end(), NeighborOrder{});
+  return std::move(heap_);
+}
+
 void WarmStart::Clear() {
-  ids_.clear();
-  distances_.clear();
+  owner_ = 0;
+  k_ = 0;
+  answer_.clear();
   has_key_ = false;
   key_ = QuadraticDecomposition{};
-  leaves_owner_ = 0;
-  leaves_.clear();
+  pages_.clear();
 }
 
-void WarmStart::Record(const DistanceFunction& dist,
-                       const std::vector<Neighbor>& scored) {
-  ids_.clear();
-  distances_.clear();
-  ids_.reserve(scored.size());
-  distances_.reserve(scored.size());
-  for (const Neighbor& n : scored) {
-    ids_.push_back(n.id);
-    distances_.push_back(n.distance);
-  }
-  key_ = QuadraticDecomposition{};
+void WarmStart::Adopt(std::uint64_t owner) {
+  if (owner == owner_) return;
+  Clear();
+  owner_ = owner;
+}
+
+void WarmStart::Record(const DistanceFunction& dist, int k,
+                       std::uint64_t owner,
+                       const std::vector<Neighbor>& answer) {
+  Adopt(owner);
+  k_ = k;
+  answer_ = answer;
+  KeepFirstPerId(answer_);
   has_key_ = dist.Decompose(&key_);
   if (!has_key_) key_ = QuadraticDecomposition{};
-  leaves_owner_ = 0;
-  leaves_.clear();
 }
 
-std::vector<int> WarmStart::TakeLeaves(std::uint64_t owner) {
-  std::vector<int> leaves = std::move(leaves_);
-  leaves_.clear();
-  if (owner != leaves_owner_) leaves.clear();
-  leaves_owner_ = 0;
-  return leaves;
-}
-
-void WarmStart::SetLeaves(std::uint64_t owner, std::vector<int> leaves) {
-  leaves_owner_ = owner;
-  leaves_ = std::move(leaves);
-}
-
-bool WarmStart::KeyMatches(const DistanceFunction& dist) const {
-  if (!has_key_) return false;
+const std::vector<Neighbor>* WarmStart::Find(const DistanceFunction& dist,
+                                             int k,
+                                             std::uint64_t owner) const {
+  if (!has_key_ || owner != owner_ || k != k_) return nullptr;
   QuadraticDecomposition current;
-  if (!dist.Decompose(&current)) return false;
-  return key_ == current;
-}
-
-WarmStart::Seed WarmStart::SeedFromScores(int k, std::vector<Neighbor> scored,
-                                          long long evals, bool reused) const {
-  Seed seed;
-  seed.scored = std::move(scored);
-  seed.evaluations = evals;
-  seed.reused = reused;
-  // θ₀ = k-th smallest exact distance among the cached candidates, under
-  // the NeighborOrder every index uses, so the certificate is a value the
-  // cold path itself could have produced.
-  std::vector<Neighbor> order = seed.scored;
-  std::nth_element(order.begin(), order.begin() + (k - 1), order.end(),
-                   NeighborOrder{});
-  seed.theta0 = order[k - 1].distance;
-  return seed;
+  if (!dist.Decompose(&current) || !(current == key_)) return nullptr;
+  return &answer_;
 }
 
 WarmStart::Seed WarmStart::Reseed(const DistanceFunction& dist, int k,
+                                  std::uint64_t owner,
                                   const linalg::FlatView& rows) const {
-  if (k <= 0 || static_cast<int>(ids_.size()) < k) return Seed{};
-  std::vector<Neighbor> scored;
-  scored.reserve(ids_.size());
-  if (KeyMatches(dist)) {
-    for (std::size_t i = 0; i < ids_.size(); ++i) {
-      scored.push_back(Neighbor{ids_[i], distances_[i]});
-    }
-    return SeedFromScores(k, std::move(scored), 0, /*reused=*/true);
+  Seed seed;
+  if (owner != owner_ || k <= 0 ||
+      answer_.size() < static_cast<std::size_t>(k)) {
+    return seed;
   }
   // One DistanceBatch call over the gathered rows — the same kernel (and
   // therefore the same bit-for-bit values) the cold scan uses.
-  thread_local std::vector<double> scores;
-  scores.resize(ids_.size());
-  ScoreRows(dist, rows, ids_.data(), ids_.size(), scores.data());
-  for (std::size_t i = 0; i < ids_.size(); ++i) {
-    scored.push_back(Neighbor{ids_[i], scores[i]});
-  }
-  return SeedFromScores(k, std::move(scored),
-                        static_cast<long long>(ids_.size()),
-                        /*reused=*/false);
+  const std::size_t n = answer_.size();
+  std::vector<int> ids(n);
+  std::vector<double> scores(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = answer_[i].id;
+  ScoreRows(dist, rows, ids.data(), n, scores.data());
+  // θ₀ = k-th smallest re-scored distance under the NeighborOrder every
+  // index uses, so the certificate is a value the cold path itself could
+  // have produced.
+  std::vector<Neighbor> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = Neighbor{ids[i], scores[i]};
+  std::nth_element(order.begin(), order.begin() + (k - 1), order.end(),
+                   NeighborOrder{});
+  seed.theta0 = order[static_cast<std::size_t>(k - 1)].distance;
+  seed.evaluations = static_cast<long long>(n);
+  return seed;
 }
 
-void FinishWarmSearch(const char* index_name, const WarmStart::Seed& seed,
-                      const std::vector<Neighbor>& result, double pruned_frac) {
-  if (!seed.valid() || !MetricsEnabled()) return;
-  const std::string prefix(index_name);
-  MetricAdd(prefix + ".warm.hits");
-  if (!result.empty() && result.back().distance > 0.0) {
-    MetricRecord(prefix + ".warm.seed_theta_ratio",
-                 seed.theta0 / result.back().distance);
-  }
-  if (pruned_frac >= 0.0) {
-    MetricRecord(prefix + ".warm.pruned_frac", pruned_frac);
-  }
+std::vector<int>& WarmStart::PagesOf(std::uint64_t owner) {
+  Adopt(owner);
+  return pages_;
 }
+
+KnnIndex::KnnIndex()
+    : serial_(next_serial.fetch_add(1, std::memory_order_relaxed)) {}
 
 std::vector<Neighbor> KnnIndex::SearchWarm(const DistanceFunction& dist, int k,
                                            WarmStart& warm,
                                            SearchStats* stats) const {
-  std::vector<Neighbor> result = Search(dist, k, stats);
-  warm.Record(dist, result);
+  // A recorded answer shorter than min(k, n) was not this index's answer
+  // (Record dropped a repeated id), so it is searched for again.
+  const std::vector<Neighbor>* answer = warm.Find(dist, k, serial_);
+  if (answer != nullptr &&
+      answer->size() == static_cast<std::size_t>(std::min(k, size()))) {
+    MetricAdd("index.warm.reuses");
+    return *answer;
+  }
+  std::vector<Neighbor> result = SearchUncached(dist, k, warm, stats);
+  warm.Record(dist, k, serial_, result);
   return result;
+}
+
+std::vector<Neighbor> KnnIndex::SearchUncached(const DistanceFunction& dist,
+                                               int k, WarmStart& warm,
+                                               SearchStats* stats) const {
+  (void)warm;
+  return Search(dist, k, stats);
 }
 
 }  // namespace qcluster::index

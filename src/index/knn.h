@@ -1,6 +1,7 @@
 #ifndef QCLUSTER_INDEX_KNN_H_
 #define QCLUSTER_INDEX_KNN_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -66,107 +67,141 @@ void FinishSearch(const char* index_name, const SearchStats& delta,
 void ScoreRows(const DistanceFunction& dist, const linalg::FlatView& rows,
                const int* ids, std::size_t count, double* out);
 
-/// Session-resident cross-round candidate cache. Relevance feedback makes
-/// round t+1's metric a small perturbation of round t's, so the previous
-/// round's survivors are near-optimal candidates for the next pass: before
-/// scanning, an index re-scores them under the *new* metric — the k-th
-/// smallest of those exact distances is a certified upper bound θ₀ on the
-/// true k-th-NN distance (the k-th smallest over any ≥k-point subset can
-/// only overestimate the k-th smallest over the full database). Pruning
-/// anything whose distance or lower bound is *strictly greater* than θ₀ is
-/// therefore exact, and ties at θ₀ survive, so warm results stay
-/// byte-identical to the cold path.
-///
-/// Invalidation: Record stores the recording metric's full
-/// QuadraticDecomposition as the cache key; Reseed reuses the stored
-/// distances only when the current metric's decomposition compares equal —
-/// exact structural equality, every entry bit for bit — and otherwise
-/// re-scores every cached id with one DistanceBatch call. Opaque metrics
-/// (Decompose → false) never store a key and never match, so a stale
-/// distance can never be served by construction; at worst the cache pays
-/// |ids| fresh evaluations.
-///
-/// Thread safety: externally synchronized. Each QclusterEngine owns one
-/// WarmStart, so concurrent sessions (one engine each) never share one; the
-/// re-scoring scratch inside Reseed is thread_local.
-class WarmStart {
+/// A fixed-capacity max-heap of the k closest neighbors seen so far under
+/// NeighborOrder, so ties resolve deterministically: the scan's shard-local
+/// accumulator and the BR-tree's result heap. Inline because it runs once
+/// per scored point.
+class BoundedTopK {
  public:
-  /// One round's attempt to warm-start a search from the cache.
-  struct Seed {
-    /// Cached survivors scored under the current metric (stored id order).
-    std::vector<Neighbor> scored;
-    /// Certified upper bound on the true k-th distance; +inf when the cache
-    /// held fewer than k candidates (warm path disabled, cold-equivalent).
-    double theta0 = std::numeric_limits<double>::infinity();
-    long long evaluations = 0;  ///< Exact evaluations spent re-scoring.
-    bool reused = false;        ///< Metric key matched; stored distances reused.
+  explicit BoundedTopK(int k);
 
-    bool valid() const { return !scored.empty(); }
-  };
+  /// Offers one candidate; keeps it only if it beats the current k-th.
+  void Push(const Neighbor& candidate) {
+    if (heap_.size() < k_) {
+      heap_.push_back(candidate);
+      std::push_heap(heap_.begin(), heap_.end(), NeighborOrder{});
+      return;
+    }
+    if (!NeighborOrder{}(candidate, heap_.front())) return;
+    std::pop_heap(heap_.begin(), heap_.end(), NeighborOrder{});
+    heap_.back() = candidate;
+    std::push_heap(heap_.begin(), heap_.end(), NeighborOrder{});
+  }
 
-  bool empty() const { return ids_.empty(); }
-  int size() const { return static_cast<int>(ids_.size()); }
-  const std::vector<int>& ids() const { return ids_; }
-  bool has_key() const { return has_key_; }
+  /// The largest distance that can still enter: the k-th distance held, or
+  /// +inf while fewer than k are held or the k-th is NaN (NaN sorts after
+  /// every number, so any finite candidate still displaces it).
+  double KthBound() const {
+    return heap_.size() < k_ || std::isnan(heap_.front().distance)
+               ? std::numeric_limits<double>::infinity()
+               : heap_.front().distance;
+  }
 
-  /// Drops all cached state (candidates, metric key, leaf payload).
-  void Clear();
+  /// Destructively returns the retained neighbors sorted ascending.
+  std::vector<Neighbor> TakeSorted() &&;
 
-  /// Replaces the cached candidates with `scored` — one round's survivors
-  /// with their exact distances under `dist` — and stores `dist`'s
-  /// decomposition as the reuse key (no key for opaque metrics). Resets the
-  /// BrTree leaf payload; BrTree re-installs its own after recording.
-  void Record(const DistanceFunction& dist, const std::vector<Neighbor>& scored);
-
-  /// Seeds the next round: re-scores the cached candidates under `dist`
-  /// (or reuses the stored distances on an exact metric-key match) and
-  /// certifies θ₀ as the k-th smallest of those exact distances. Returns an
-  /// invalid Seed when fewer than k candidates are cached. `rows` must be
-  /// the same database the ids were recorded against.
-  Seed Reseed(const DistanceFunction& dist, int k,
-              const linalg::FlatView& rows) const;
-
-  /// BrTree-private payload: leaf pages (node indices, ascending) whose
-  /// every entry is already in ids(), safe to skip when the seed re-offers
-  /// all cached candidates. A node index names a page only in the tree that
-  /// recorded it, so the payload carries that tree's `owner` serial.
-  const std::vector<int>& leaves() const { return leaves_; }
-
-  /// Moves the leaf payload out when tree `owner` recorded it; another
-  /// tree's pages come back empty. Either way none stay cached.
-  std::vector<int> TakeLeaves(std::uint64_t owner);
-
-  /// Installs `leaves` (ascending node indices of tree `owner`).
-  void SetLeaves(std::uint64_t owner, std::vector<int> leaves);
+  int size() const { return static_cast<int>(heap_.size()); }
 
  private:
-  Seed SeedFromScores(int k, std::vector<Neighbor> scored, long long evals,
-                      bool reused) const;
-  bool KeyMatches(const DistanceFunction& dist) const;
-
-  std::vector<int> ids_;
-  std::vector<double> distances_;
-  bool has_key_ = false;
-  QuadraticDecomposition key_;
-  std::uint64_t leaves_owner_ = 0;  ///< Serial of the recording tree.
-  std::vector<int> leaves_;
+  std::size_t k_;
+  std::vector<Neighbor> heap_;  ///< Max-heap: worst retained entry on top.
 };
 
-/// Folds one warm-started search's outcome into the metrics registry:
-/// `<index_name>.warm.hits` counts searches seeded with a finite θ₀,
-/// `<index_name>.warm.seed_theta_ratio` records θ₀ ÷ the final exact k-th
-/// distance (≥ 1; 1.0 = the certificate was perfectly tight), and
-/// `<index_name>.warm.pruned_frac` records the fraction of work the θ₀
-/// bound let the index skip (index-specific denominator, see each
-/// SearchWarm override). No-op when the seed was invalid.
-void FinishWarmSearch(const char* index_name, const WarmStart::Seed& seed,
-                      const std::vector<Neighbor>& result, double pruned_frac);
+/// Session-resident cross-round cache of one index's last answer.
+/// Relevance feedback asks one k-NN query per round, and a round that adds
+/// no new relevant point usually rebuilds the very same metric; every other
+/// round's metric is a small perturbation of the last one.
+///
+/// Answer reuse: Record stores the sorted top-k an index returned, its k,
+/// the index's serial, and the metric's full QuadraticDecomposition as the
+/// key. KnnIndex::SearchWarm returns that answer without searching only
+/// when the same index asks for the same k under a metric whose
+/// decomposition compares equal — exact structural equality, every entry
+/// bit for bit, never hashed or tolerance-matched. Opaque metrics
+/// (Decompose → false) store no key and never match, so a stale answer can
+/// never be served by construction.
+///
+/// On any other round the recorded entries still help: the linear scan
+/// re-scores them under the new metric (Reseed), and the k-th smallest of
+/// those exact distances is a certified upper bound θ₀ on the true k-th-NN
+/// distance (the k-th smallest over any ≥ k distinct points can only
+/// overestimate the k-th smallest over the whole database), so rejecting
+/// every point strictly above θ₀ is exact; the BR-tree keeps the leaf
+/// pages it has read in the session (pages()) and reads each only once.
+///
+/// Everything cached belongs to the one index that recorded it: a record or
+/// page list of another index is dropped, never consulted.
+///
+/// Thread safety: externally synchronized. Each QclusterEngine owns one
+/// WarmStart, so concurrent sessions (one engine each) never share one.
+class WarmStart {
+ public:
+  /// One scan round's θ₀ certificate.
+  struct Seed {
+    /// Certified upper bound on the true k-th distance; +inf when fewer
+    /// than k entries were recorded (no bound, cold-equivalent).
+    double theta0 = std::numeric_limits<double>::infinity();
+    long long evaluations = 0;  ///< Exact evaluations spent re-scoring.
+
+    bool valid() const { return evaluations > 0; }
+  };
+
+  bool empty() const { return answer_.empty(); }
+  int size() const { return static_cast<int>(answer_.size()); }
+  bool has_key() const { return has_key_; }
+
+  /// Drops all cached state (answer, metric key, pages).
+  void Clear();
+
+  /// Stores `answer` — the sorted top-k that the index with serial `owner`
+  /// returned for `k` under `dist` — keeping the first entry of each id, and
+  /// `dist`'s decomposition as the reuse key (no key for opaque metrics).
+  /// Keeps the page list only when `owner` recorded it too.
+  void Record(const DistanceFunction& dist, int k, std::uint64_t owner,
+              const std::vector<Neighbor>& answer);
+
+  /// The recorded answer when index `owner` recorded it for this `k` under a
+  /// metric whose decomposition equals `dist`'s bit for bit; else nullptr.
+  const std::vector<Neighbor>* Find(const DistanceFunction& dist, int k,
+                                    std::uint64_t owner) const;
+
+  /// Re-scores the recorded ids under `dist` with one DistanceBatch call over
+  /// `rows` (the database index `owner` searches) and certifies θ₀ as the
+  /// k-th smallest. Returns an invalid Seed when `owner` did not record the
+  /// answer or it holds fewer than k entries.
+  Seed Reseed(const DistanceFunction& dist, int k, std::uint64_t owner,
+              const linalg::FlatView& rows) const;
+
+  /// BrTree's page cache: the leaf pages (node indices, ascending) the tree
+  /// has read this session. Empty unless that tree recorded them.
+  const std::vector<int>& pages() const { return pages_; }
+
+  /// The page list of the index with serial `owner`, for it to read and
+  /// extend; a list another index left is cleared first, with its answer.
+  std::vector<int>& PagesOf(std::uint64_t owner);
+
+ private:
+  /// Makes `owner` the index this cache belongs to, dropping what another
+  /// index left.
+  void Adopt(std::uint64_t owner);
+
+  std::uint64_t owner_ = 0;  ///< Serial of the recording index; 0 = none.
+  int k_ = 0;
+  std::vector<Neighbor> answer_;
+  bool has_key_ = false;
+  QuadraticDecomposition key_;
+  std::vector<int> pages_;
+};
 
 /// Interface of a k-nearest-neighbor search structure over an immutable
 /// point database. Implementations must return results sorted by
-/// NeighborOrder.
+/// NeighborOrder. Every index carries a serial, unique in the process and
+/// never reused (unlike an address), which names it in a WarmStart.
 class KnnIndex {
  public:
+  KnnIndex();
+  KnnIndex(const KnnIndex&) = delete;
+  KnnIndex& operator=(const KnnIndex&) = delete;
   virtual ~KnnIndex() = default;
 
   /// Number of indexed points.
@@ -180,16 +215,28 @@ class KnnIndex {
       const DistanceFunction& dist, int k,
       SearchStats* stats = nullptr) const = 0;
 
-  /// Warm-started search: seeds a θ₀ pruning bound from `warm` (the
-  /// previous round's survivors) and records this round's survivors back
-  /// into it for the next round. Results are byte-identical to Search —
-  /// θ₀ only tightens an exact bound — across metrics, thread counts, and
-  /// SIMD tiers. The default forwards to Search and records the result, so
-  /// every index keeps the session cache fresh even without a warm fast
-  /// path of its own.
+  /// Search with the session cache `warm`. When `warm` holds this index's
+  /// answer for k under a metric bit-for-bit equal to `dist`, returns it:
+  /// no distance is evaluated and no node or page is read (`stats` gains
+  /// nothing). Otherwise runs SearchUncached and records its answer. Results
+  /// are byte-identical to Search across metrics, thread counts, and SIMD
+  /// tiers. Virtual only so a forwarding decorator can wrap it; an index
+  /// specializes SearchUncached.
   [[nodiscard]] virtual std::vector<Neighbor> SearchWarm(
       const DistanceFunction& dist, int k, WarmStart& warm,
       SearchStats* stats = nullptr) const;
+
+  std::uint64_t serial() const { return serial_; }
+
+ protected:
+  /// A SearchWarm round the recorded answer could not serve; may use what
+  /// else `warm` holds for this index. The default is Search.
+  [[nodiscard]] virtual std::vector<Neighbor> SearchUncached(
+      const DistanceFunction& dist, int k, WarmStart& warm,
+      SearchStats* stats) const;
+
+ private:
+  const std::uint64_t serial_;
 };
 
 }  // namespace qcluster::index

@@ -19,28 +19,6 @@ constexpr std::size_t kMinShardPoints = 1024;
 
 }  // namespace
 
-BoundedTopK::BoundedTopK(int k) : k_(static_cast<std::size_t>(k)) {
-  QCLUSTER_CHECK(k > 0);
-  heap_.reserve(k_);
-}
-
-void BoundedTopK::Push(const Neighbor& candidate) {
-  if (heap_.size() < k_) {
-    heap_.push_back(candidate);
-    std::push_heap(heap_.begin(), heap_.end(), NeighborOrder{});
-    return;
-  }
-  if (!NeighborOrder{}(candidate, heap_.front())) return;
-  std::pop_heap(heap_.begin(), heap_.end(), NeighborOrder{});
-  heap_.back() = candidate;
-  std::push_heap(heap_.begin(), heap_.end(), NeighborOrder{});
-}
-
-std::vector<Neighbor> BoundedTopK::TakeSorted() && {
-  std::sort_heap(heap_.begin(), heap_.end(), NeighborOrder{});
-  return std::move(heap_);
-}
-
 LinearScanIndex::LinearScanIndex(linalg::FlatView view, ThreadPool* pool)
     : view_(view), pool_(pool) {}
 
@@ -49,18 +27,28 @@ std::vector<Neighbor> LinearScanIndex::Search(const DistanceFunction& dist,
   return SearchImpl(dist, k, /*seed=*/nullptr, /*rejected_out=*/nullptr, stats);
 }
 
-std::vector<Neighbor> LinearScanIndex::SearchWarm(const DistanceFunction& dist,
-                                                  int k, WarmStart& warm,
-                                                  SearchStats* stats) const {
-  const WarmStart::Seed seed = warm.Reseed(dist, k, view_);
+std::vector<Neighbor> LinearScanIndex::SearchUncached(
+    const DistanceFunction& dist, int k, WarmStart& warm,
+    SearchStats* stats) const {
+  const WarmStart::Seed seed = warm.Reseed(dist, k, serial(), view_);
   long long rejected = 0;
   std::vector<Neighbor> result =
       SearchImpl(dist, k, seed.valid() ? &seed : nullptr, &rejected, stats);
-  warm.Record(dist, result);
-  FinishWarmSearch("index.linear_scan", seed, result,
-                   view_.n > 0 ? static_cast<double>(rejected) /
-                                     static_cast<double>(view_.n)
-                               : -1.0);
+  if (seed.valid() && MetricsEnabled()) {
+    // `hits`: scans run with a finite θ₀; `seed_theta_ratio`: θ₀ ÷ the final
+    // k-th distance (≥ 1; 1.0 = a perfectly tight certificate);
+    // `pruned_frac`: the fraction of the database θ₀ kept out of the heaps.
+    MetricAdd("index.linear_scan.warm.hits");
+    if (!result.empty() && result.back().distance > 0.0) {
+      MetricRecord("index.linear_scan.warm.seed_theta_ratio",
+                   seed.theta0 / result.back().distance);
+    }
+    if (view_.n > 0) {
+      MetricRecord("index.linear_scan.warm.pruned_frac",
+                   static_cast<double>(rejected) /
+                       static_cast<double>(view_.n));
+    }
+  }
   return result;
 }
 

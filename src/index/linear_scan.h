@@ -1,7 +1,6 @@
 #ifndef QCLUSTER_INDEX_LINEAR_SCAN_H_
 #define QCLUSTER_INDEX_LINEAR_SCAN_H_
 
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -31,15 +30,15 @@ class LinearScanIndex final : public KnnIndex {
       const DistanceFunction& dist, int k,
       SearchStats* stats = nullptr) const override;
 
-  /// Warm-started scan: re-scores the previous round's survivors for a
-  /// certified θ₀, then rejects candidates with distance > θ₀ before heap
-  /// admission in every shard. Byte-identical to Search — rejected points
-  /// can never reach the merged top-k.
-  [[nodiscard]] std::vector<Neighbor> SearchWarm(
-      const DistanceFunction& dist, int k, WarmStart& warm,
-      SearchStats* stats = nullptr) const override;
-
  private:
+  /// Warm scan: re-scores the recorded answer for a certified θ₀
+  /// (WarmStart::Reseed), then rejects candidates with distance > θ₀ before
+  /// heap admission in every shard. Byte-identical to Search — rejected
+  /// points can never reach the merged top-k.
+  std::vector<Neighbor> SearchUncached(const DistanceFunction& dist, int k,
+                                       WarmStart& warm,
+                                       SearchStats* stats) const override;
+
   /// Shared scan body; `seed` (nullable) supplies the θ₀ admission bound
   /// and `rejected_out` (nullable) receives the count of points it skipped.
   std::vector<Neighbor> SearchImpl(const DistanceFunction& dist, int k,
@@ -49,26 +48,6 @@ class LinearScanIndex final : public KnnIndex {
 
   linalg::FlatView view_;
   ThreadPool* const pool_;   ///< nullptr = ThreadPool::Global().
-};
-
-/// A fixed-capacity max-heap of the k closest neighbors seen so far under
-/// NeighborOrder, so ties resolve deterministically. The shard-local
-/// accumulator of the parallel scan.
-class BoundedTopK {
- public:
-  explicit BoundedTopK(int k);
-
-  /// Offers one candidate; keeps it only if it beats the current k-th.
-  void Push(const Neighbor& candidate);
-
-  /// Destructively returns the retained neighbors sorted ascending.
-  std::vector<Neighbor> TakeSorted() &&;
-
-  int size() const { return static_cast<int>(heap_.size()); }
-
- private:
-  std::size_t k_;
-  std::vector<Neighbor> heap_;  ///< Max-heap: worst retained entry on top.
 };
 
 /// Selects the k smallest of `all` under NeighborOrder, sorted: shared

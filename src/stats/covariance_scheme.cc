@@ -41,8 +41,13 @@ linalg::Matrix InvertCovariance(const linalg::Matrix& s,
   QCLUSTER_CHECK(s.rows() == s.cols());
   // Eq. 7/10: classification quadratic forms need a symmetric PSD
   // covariance; a violated input here means an upstream scatter update or
-  // pooling broke the algebra.
-  QCLUSTER_AUDIT(core::ValidateSymmetricPsd(s, "InvertCovariance input"));
+  // pooling broke the algebra. NaN or ∞ features are defined input
+  // (docs/CORRECTNESS.md) and reach here as non-finite entries, their
+  // propagation rather than broken algebra, so only a finite input is
+  // audited.
+  QCLUSTER_AUDIT(core::AllFinite(s)
+                     ? core::ValidateSymmetricPsd(s, "InvertCovariance input")
+                     : Status::OK());
   const int p = s.rows();
   if (scheme == CovarianceScheme::kDiagonal) {
     linalg::Vector inv_diag(static_cast<std::size_t>(p));

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -260,6 +261,42 @@ TEST(QclusterEngineTest, BrTreeAndLinearScanAgree) {
   r1 = engine_scan.Feedback(marked);
   r2 = engine_tree.Feedback(marked);
   EXPECT_EQ(r1, r2);
+}
+
+TEST(QclusterEngineTest, RoundWithoutNewPointsReturnsThePreviousAnswer) {
+  // Marking only images already marked adds no point: the clusters, the
+  // variance floor and so the metric are rebuilt bit for bit, and the
+  // session cache serves the previous answer without searching.
+  Rng rng(152);
+  const BimodalWorld world(rng);
+  const index::LinearScanIndex scan(world.points.view());
+  const index::BrTree tree(&world.points);
+  for (const index::KnnIndex* idx :
+       {static_cast<const index::KnnIndex*>(&scan),
+        static_cast<const index::KnnIndex*>(&tree)}) {
+    SCOPED_TRACE(idx == &scan ? "linear_scan" : "br_tree");
+    QclusterEngine engine(&world.points, idx, SmallOptions());
+    const std::vector<index::Neighbor> first =
+        engine.InitialQuery(world.points[0]);
+    std::vector<RelevantItem> marked;
+    for (const auto& n : first) {
+      if (world.IsRelevant(n.id)) marked.push_back({n.id, 1.0});
+    }
+    const std::vector<index::Neighbor> result = engine.Feedback(marked);
+    ASSERT_GT(engine.last_search_stats().distance_evaluations, 0);
+    const std::vector<index::Neighbor> again = engine.Feedback(marked);
+    ASSERT_EQ(again.size(), result.size());
+    for (std::size_t i = 0; i < result.size(); ++i) {
+      EXPECT_EQ(again[i].id, result[i].id) << i;
+      EXPECT_EQ(std::memcmp(&again[i].distance, &result[i].distance,
+                            sizeof(double)),
+                0)
+          << i;
+    }
+    EXPECT_EQ(engine.last_search_stats().distance_evaluations, 0);
+    EXPECT_EQ(engine.last_search_stats().nodes_visited, 0);
+    EXPECT_EQ(engine.last_search_stats().leaves_visited, 0);
+  }
 }
 
 TEST(QclusterEngineTest, NameIsQcluster) {

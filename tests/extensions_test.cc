@@ -34,7 +34,7 @@ TEST(QueryCacheTest, WarmSearchSkipsCachedLeafReads) {
   // Cold run executed to populate the cache and cost counters only.
   DiscardResult(tree.SearchWarm(q1, 50, warm, &cold));
   EXPECT_GT(cold.leaves_visited, 0);
-  EXPECT_GT(warm.leaves().size(), 0u);
+  EXPECT_GT(warm.pages().size(), 0u);
 
   // The *same* query warm-started must hit only cached leaves: zero IO.
   index::SearchStats warm_stats;
@@ -75,8 +75,8 @@ TEST(QueryCacheTest, CacheAccumulatesAcrossIterations) {
     // Each round is run to accumulate cached leaves; only the cache growth
     // is under test.
     DiscardResult(tree.SearchWarm(index::EuclideanDistance(q), 30, warm));
-    EXPECT_GE(warm.leaves().size(), previous);
-    previous = warm.leaves().size();
+    EXPECT_GE(warm.pages().size(), previous);
+    previous = warm.pages().size();
   }
 }
 

@@ -74,6 +74,20 @@ TEST(ValidateSymmetricPsdTest, RejectsIndefinite) {
   EXPECT_NE(s.message().find("semi-definiteness"), std::string::npos);
 }
 
+TEST(ValidateSymmetricPsdTest, RejectsNanAndInfiniteEntriesAlike) {
+  // std::max drops a NaN operand, so an entry-folding check passed a NaN
+  // diagonal that it rejected as +inf.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    Matrix m(2, 2, 0.0);
+    m(0, 0) = bad;
+    m(1, 1) = 1.0;
+    const Status s = ValidateSymmetricPsd(m, "test");
+    ASSERT_FALSE(s.ok()) << bad;
+    EXPECT_NE(s.message().find("non-finite"), std::string::npos) << bad;
+  }
+}
+
 const Vector kFiniteDiff = {1.0, -2.0};
 const Matrix kFiniteInverse = Matrix::Identity(2);
 

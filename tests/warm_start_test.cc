@@ -1,17 +1,18 @@
-// Warm-vs-cold exactness for the cross-round candidate cache: every exact
-// index path warm-started from an index::WarmStart must return *exactly*
+// Warm-vs-cold exactness for the cross-round session cache: every exact
+// index path served through an index::WarmStart must return *exactly*
 // (bit for bit, ties included) what the cold search returns — across every
 // metric family, metric-changing feedback rounds, thread counts, and SIMD
 // dispatch tiers. The data is deliberately tie-heavy (coarse grid plus
 // exact duplicate points) so any pruning rule that drops a tied candidate
 // shows up as an ordering or membership diff.
 //
-// The invalidation contract is also pinned down at the unit level: a seed
-// is reused without re-scoring only on exact structural equality of the
-// metric's quadratic decomposition; a covariance update (or any parameter
-// change) forces a re-score under the new metric, and an opaque metric
-// never stores a key at all — stale-seed use is impossible by construction,
-// not by tolerance.
+// The invalidation contract is also pinned down at the unit level: an
+// answer is reused without any search only for the index that recorded it,
+// at the same k, on exact structural equality of the metric's quadratic
+// decomposition; a covariance update (or any parameter change, down to one
+// ulp) forces a search under the new metric, and an opaque metric never
+// stores a key at all — stale reuse is impossible by construction, not by
+// tolerance.
 
 #include <cmath>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -246,24 +248,27 @@ void ExpectWarmMatchesCold(
   EXPECT_GE(warm.size(), kK) << context;
 }
 
+/// True when a search did no work at all: no distance, node or page.
+bool NoWork(const index::SearchStats& s) {
+  return s.distance_evaluations == 0 && s.nodes_visited == 0 &&
+         s.leaves_visited == 0;
+}
+
 TEST(WarmStartUnitTest, IdenticalKeyReusesWithoutRescoring) {
   const auto& pts = TieHeavyPoints();
   const index::LinearScanIndex scan(pts.view());
   const index::EuclideanDistance dist(pts[0]);
   index::WarmStart warm;
   DiscardResult(scan.SearchWarm(dist, kK, warm));
-  ASSERT_GE(warm.size(), kK);
+  ASSERT_EQ(warm.size(), kK);
 
   // The same metric rebuilt from the same query: decompositions are equal
-  // bit for bit, so the seed reuses the stored distances untouched.
+  // bit for bit, so the recorded answer comes back without a re-score.
   const index::EuclideanDistance same(pts[0]);
-  const index::WarmStart::Seed seed = warm.Reseed(same, kK, pts.view());
-  ASSERT_TRUE(seed.valid());
-  EXPECT_TRUE(seed.reused);
-  EXPECT_EQ(seed.evaluations, 0);
-  // theta0 is the k-th smallest cached distance == the true k-th distance.
-  const auto cold = scan.Search(dist, kK);
-  EXPECT_EQ(seed.theta0, cold.back().distance);
+  ASSERT_NE(warm.Find(same, kK, scan.serial()), nullptr);
+  index::SearchStats stats;
+  EXPECT_EQ(scan.SearchWarm(same, kK, warm, &stats), scan.Search(dist, kK));
+  EXPECT_TRUE(NoWork(stats));
 }
 
 TEST(WarmStartUnitTest, CovarianceUpdateInvalidatesAndRescores) {
@@ -274,16 +279,21 @@ TEST(WarmStartUnitTest, CovarianceUpdateInvalidatesAndRescores) {
   DiscardResult(scan.SearchWarm(before, kK, warm));
 
   // One extra member per cluster: centroids and covariances both move, the
-  // stored key no longer matches, and the seed must re-score every cached
-  // candidate under the *new* metric.
+  // stored key no longer matches, and the scan must re-score every recorded
+  // entry under the *new* metric.
   const DisjunctiveDistance after = MakeDisjunctive(0, 19);
-  const index::WarmStart::Seed seed = warm.Reseed(after, kK, pts.view());
+  EXPECT_EQ(warm.Find(after, kK, scan.serial()), nullptr);
+  const index::WarmStart::Seed seed =
+      warm.Reseed(after, kK, scan.serial(), pts.view());
   ASSERT_TRUE(seed.valid());
-  EXPECT_FALSE(seed.reused);
   EXPECT_EQ(seed.evaluations, warm.size());
   // The re-scored bound certifies against the new metric's true k-th.
   const auto cold = scan.Search(after, kK);
   EXPECT_GE(seed.theta0, cold.back().distance);
+  index::SearchStats stats;
+  EXPECT_EQ(scan.SearchWarm(after, kK, warm, &stats), cold);
+  EXPECT_EQ(stats.distance_evaluations,
+            static_cast<long long>(pts.size()) + kK);
 }
 
 TEST(WarmStartUnitTest, OpaqueMetricStoresNoKey) {
@@ -293,15 +303,16 @@ TEST(WarmStartUnitTest, OpaqueMetricStoresNoKey) {
   const OpaqueMetric opaque(&base);
   index::WarmStart warm;
   DiscardResult(scan.SearchWarm(opaque, kK, warm));
-  ASSERT_GE(warm.size(), kK);
+  ASSERT_EQ(warm.size(), kK);
   EXPECT_FALSE(warm.has_key());
 
   // Even the *same* opaque metric cannot match: with no key stored, reuse
-  // is impossible and every reseed re-scores — stale seeds cannot exist.
-  const index::WarmStart::Seed seed = warm.Reseed(opaque, kK, pts.view());
-  ASSERT_TRUE(seed.valid());
-  EXPECT_FALSE(seed.reused);
-  EXPECT_EQ(seed.evaluations, warm.size());
+  // is impossible and every round searches — stale answers cannot exist.
+  EXPECT_EQ(warm.Find(opaque, kK, scan.serial()), nullptr);
+  index::SearchStats stats;
+  EXPECT_EQ(scan.SearchWarm(opaque, kK, warm, &stats), scan.Search(base, kK));
+  EXPECT_EQ(stats.distance_evaluations,
+            static_cast<long long>(pts.size()) + kK);
 }
 
 TEST(WarmStartUnitTest, TooFewCachedCandidatesYieldsInvalidSeed) {
@@ -311,12 +322,12 @@ TEST(WarmStartUnitTest, TooFewCachedCandidatesYieldsInvalidSeed) {
   index::WarmStart warm;
   DiscardResult(scan.SearchWarm(dist, 5, warm));
   ASSERT_EQ(warm.size(), 5);
-  // Fewer than k cached candidates cannot certify a k-th-distance bound.
-  EXPECT_FALSE(warm.Reseed(dist, kK, pts.view()).valid());
+  // Fewer than k recorded entries cannot certify a k-th-distance bound.
+  EXPECT_FALSE(warm.Reseed(dist, kK, scan.serial(), pts.view()).valid());
   // And an empty cache seeds nothing at all.
   warm.Clear();
   EXPECT_TRUE(warm.empty());
-  EXPECT_FALSE(warm.Reseed(dist, 1, pts.view()).valid());
+  EXPECT_FALSE(warm.Reseed(dist, 1, scan.serial(), pts.view()).valid());
 }
 
 TEST(WarmStartUnitTest, ThetaUpperBoundsTrueKthDistance) {
@@ -326,13 +337,48 @@ TEST(WarmStartUnitTest, ThetaUpperBoundsTrueKthDistance) {
   index::WarmStart warm;
   DiscardResult(scan.SearchWarm(*rounds[0], kK, warm));
   for (std::size_t t = 1; t < rounds.size(); ++t) {
-    const index::WarmStart::Seed seed = warm.Reseed(*rounds[t], kK, pts.view());
+    const index::WarmStart::Seed seed =
+        warm.Reseed(*rounds[t], kK, scan.serial(), pts.view());
     ASSERT_TRUE(seed.valid()) << t;
     const auto cold = scan.Search(*rounds[t], kK);
-    // The certificate: a k-th smallest over a >= k subset of the database
-    // can never undercut the true k-th distance.
+    // The certificate: a k-th smallest over >= k distinct points of the
+    // database can never undercut the true k-th distance.
     EXPECT_GE(seed.theta0, cold.back().distance) << t;
     DiscardResult(scan.SearchWarm(*rounds[t], kK, warm));
+  }
+}
+
+TEST(WarmStartUnitTest, RepeatedIdsInARecordedAnswerKeepOneEntry) {
+  // Ten copies of the nearest point recorded as an answer for k = 10: the
+  // k-th smallest re-scored distance of that multiset would be the nearest
+  // distance itself, a θ₀ below the true 10th distance that rejects nine
+  // true neighbours. The cache keeps one entry per id, so it certifies no
+  // θ₀ and serves no answer from the record.
+  constexpr int kTen = 10;
+  const auto& pts = TieHeavyPoints();
+  const index::LinearScanIndex scan(pts.view());
+  const index::BrTree tree(&pts);
+  Vector moved = pts[0];
+  moved[1] += 0.05;
+  const index::EuclideanDistance same(pts[0]);
+  const index::EuclideanDistance shifted(moved);
+  for (const KnnIndex* index : {static_cast<const KnnIndex*>(&scan),
+                                static_cast<const KnnIndex*>(&tree)}) {
+    for (const DistanceFunction* dist :
+         {static_cast<const DistanceFunction*>(&same),
+          static_cast<const DistanceFunction*>(&shifted)}) {
+      const std::vector<Neighbor> nearest = index->Search(same, 1);
+      index::WarmStart warm;
+      warm.Record(same, kTen, index->serial(),
+                  std::vector<Neighbor>(kTen, nearest[0]));
+      EXPECT_EQ(warm.size(), 1);
+      EXPECT_FALSE(warm.Reseed(*dist, kTen, index->serial(), pts.view())
+                       .valid());
+      EXPECT_EQ(index->SearchWarm(*dist, kTen, warm),
+                index->Search(*dist, kTen))
+          << (index == &scan ? "scan" : "tree")
+          << (dist == &same ? ", same metric" : ", moved query");
+    }
   }
 }
 
@@ -409,8 +455,9 @@ bool SameBits(const std::vector<Neighbor>& a, const std::vector<Neighbor>& b) {
 /// BR-tree work on HostilePoints, summed over the five rounds of one
 /// family, for a leaf size (kHostileRows: one leaf holds every row): cold
 /// Search at k = kK, then a warm session. Pinned from the per-point
-/// DistanceRow loop the leaf batches replaced; a leaf point counts only
-/// when it is offered.
+/// DistanceRow loop the leaf batches replaced. The warm session runs the
+/// cold traversal over its page cache, so it evaluates and visits what
+/// cold does and reads only the pages it has not read before.
 struct PinnedWork {
   const char* family;
   int leaf_size;
@@ -420,36 +467,36 @@ struct PinnedWork {
 
 // clang-format off
 constexpr PinnedWork kPinnedWork[] = {
-    {"euclidean", 1, {135, 1005, 135}, {363, 1005, 102}},
-    {"euclidean", 7, {1359, 511, 204}, {1878, 511, 68}},
-    {"euclidean", 32, {2155, 151, 76}, {2242, 151, 16}},
+    {"euclidean", 1, {135, 1005, 135}, {135, 1005, 102}},
+    {"euclidean", 7, {1359, 511, 204}, {1359, 511, 68}},
+    {"euclidean", 32, {2155, 151, 76}, {2155, 151, 16}},
     {"euclidean", 454, {2270, 5, 5}, {2270, 5, 1}},
-    {"weighted", 1, {135, 836, 135}, {198, 836, 57}},
-    {"weighted", 7, {1055, 454, 164}, {1400, 454, 58}},
-    {"weighted", 32, {2101, 147, 74}, {2214, 147, 16}},
+    {"weighted", 1, {135, 836, 135}, {135, 836, 57}},
+    {"weighted", 7, {1055, 454, 164}, {1055, 454, 58}},
+    {"weighted", 32, {2101, 147, 74}, {2101, 147, 16}},
     {"weighted", 454, {2270, 5, 5}, {2270, 5, 1}},
-    {"mahalanobis_diag", 1, {135, 913, 135}, {363, 913, 102}},
-    {"mahalanobis_diag", 7, {1193, 476, 182}, {1848, 476, 66}},
-    {"mahalanobis_diag", 32, {2130, 148, 75}, {2214, 148, 16}},
+    {"mahalanobis_diag", 1, {135, 913, 135}, {135, 913, 102}},
+    {"mahalanobis_diag", 7, {1193, 476, 182}, {1193, 476, 66}},
+    {"mahalanobis_diag", 32, {2130, 148, 75}, {2130, 148, 16}},
     {"mahalanobis_diag", 454, {2270, 5, 5}, {2270, 5, 1}},
-    {"mahalanobis_full", 1, {399, 1637, 399}, {939, 1637, 249}},
-    {"mahalanobis_full", 7, {1869, 627, 285}, {2157, 627, 69}},
+    {"mahalanobis_full", 1, {399, 1637, 399}, {399, 1637, 249}},
+    {"mahalanobis_full", 7, {1869, 627, 285}, {1869, 627, 69}},
     {"mahalanobis_full", 32, {2270, 155, 80}, {2270, 155, 16}},
     {"mahalanobis_full", 454, {2270, 5, 5}, {2270, 5, 1}},
-    {"disjunctive", 1, {135, 1385, 135}, {165, 1385, 36}},
-    {"disjunctive", 7, {1997, 646, 302}, {2037, 646, 63}},
+    {"disjunctive", 1, {135, 1385, 135}, {135, 1385, 36}},
+    {"disjunctive", 7, {1997, 646, 302}, {1997, 646, 63}},
     {"disjunctive", 32, {2270, 155, 80}, {2270, 155, 16}},
     {"disjunctive", 454, {2270, 5, 5}, {2270, 5, 1}},
     {"disjunctive_full", 1, {2250, 4515, 2250}, {2250, 4515, 450}},
     {"disjunctive_full", 7, {2270, 695, 350}, {2270, 695, 70}},
     {"disjunctive_full", 32, {2270, 155, 80}, {2270, 155, 16}},
     {"disjunctive_full", 454, {2270, 5, 5}, {2270, 5, 1}},
-    {"qex", 1, {135, 1226, 135}, {156, 1226, 36}},
-    {"qex", 7, {1701, 587, 258}, {1809, 587, 56}},
+    {"qex", 1, {135, 1226, 135}, {135, 1226, 36}},
+    {"qex", 7, {1701, 587, 258}, {1701, 587, 56}},
     {"qex", 32, {2270, 155, 80}, {2270, 155, 16}},
     {"qex", 454, {2270, 5, 5}, {2270, 5, 1}},
-    {"falcon", 1, {135, 1055, 135}, {348, 1055, 99}},
-    {"falcon", 7, {1498, 557, 226}, {1896, 557, 67}},
+    {"falcon", 1, {135, 1055, 135}, {135, 1055, 99}},
+    {"falcon", 7, {1498, 557, 226}, {1498, 557, 67}},
     {"falcon", 32, {2270, 155, 80}, {2270, 155, 16}},
     {"falcon", 454, {2270, 5, 5}, {2270, 5, 1}},
     {"row_only", 1, {2270, 4535, 2270}, {2270, 4535, 454}},
@@ -497,6 +544,9 @@ TEST(WarmExactnessTest, LeafBatchesMatchSerialScanBitsAndPinnedWork) {
                a.nodes_visited == b.nodes_visited &&
                a.leaves_visited == b.leaves_visited;
       };
+      // The page cache saves reads, never evaluations or node visits.
+      EXPECT_LE(warm.distance_evaluations, cold.distance_evaluations) << ctx;
+      EXPECT_EQ(warm.nodes_visited, cold.nodes_visited) << ctx;
       // On a mismatch the message is this case's row as it would be pinned.
       EXPECT_TRUE(pin != nullptr && family == pin->family &&
                   leaf_size == pin->leaf_size && same(cold, pin->cold) &&
@@ -544,6 +594,150 @@ TEST(WarmExactnessTest, CacheRecordedByAnotherIndexStaysExact) {
       EXPECT_EQ(tree_b.SearchWarm(qb, kSearchK, warm),
                 tree_b.Search(qb, kSearchK));
     }
+  }
+}
+
+/// The families whose metrics Decompose: the only ones a WarmStart can key.
+bool Keyed(const std::string& family) {
+  return family != "qex" && family != "falcon" && family != "row_only";
+}
+
+TEST(WarmReuseTest, ReusedAnswerEqualsColdSearchWithNoWork) {
+  // Every round is asked twice: once fresh, then under the same metric
+  // rebuilt from the same inputs. The second ask must return the cold
+  // answer (ids and distance bits) without evaluating a distance or
+  // visiting a node; an opaque metric has no key and is searched again.
+  const auto& pts = TieHeavyPoints();
+  ThreadPool pool(4);
+  index::BrTree::Options single;
+  single.leaf_size = 1;
+  const index::BrTree tree1(&pts, single);
+  const index::BrTree tree32(&pts);
+  const index::LinearScanIndex scan1(pts.view());
+  const index::LinearScanIndex scan4(pts.view(), &pool);
+  const std::pair<const char*, const KnnIndex*> indexes[] = {
+      {"br_tree/leaf1", &tree1},
+      {"br_tree/leaf32", &tree32},
+      {"scan/t1", &scan1},
+      {"scan/t4", &scan4}};
+  for (const auto& [name, index] : indexes) {
+    for (const std::string& family : Families()) {
+      const auto rounds = MetricRounds(family);
+      const auto again = MetricRounds(family);
+      index::WarmStart warm;
+      for (std::size_t t = 0; t < rounds.size(); ++t) {
+        const std::string ctx = std::string(name) + "/" + family + "/round" +
+                                std::to_string(t);
+        const std::vector<Neighbor> cold = index->Search(*rounds[t], kK);
+        EXPECT_TRUE(SameBits(index->SearchWarm(*rounds[t], kK, warm), cold))
+            << ctx;
+        index::SearchStats stats;
+        EXPECT_TRUE(SameBits(index->SearchWarm(*again[t], kK, warm, &stats),
+                             cold))
+            << ctx << " (asked again)";
+        EXPECT_EQ(NoWork(stats), Keyed(family)) << ctx;
+      }
+    }
+  }
+}
+
+TEST(WarmReuseTest, NoReuseUnlessIndexKAndKeyAllMatch) {
+  // Pairs of metrics one ulp apart in one field of their decomposition,
+  // then the same metric under another k, after Clear, or recorded by
+  // another index: each second ask must search, and find the cold answer.
+  const auto& pts = TieHeavyPoints();
+  const index::LinearScanIndex scan(pts.view());
+  const index::BrTree tree(&pts);
+  const index::BrTree other_tree(&pts);
+  const double up = std::numeric_limits<double>::infinity();
+
+  // A query coordinate (a centroid) one ulp off.
+  const Vector q = pts[4];
+  Vector q_ulp = q;
+  q_ulp[2] = std::nextafter(q_ulp[2], up);
+  // A diagonal entry one ulp off.
+  Vector w(kDim, 1.5);
+  Vector w_ulp = w;
+  w_ulp[5] = std::nextafter(w_ulp[5], up);
+  // A cluster weight mᵢ one ulp off: one-point clusters keep their centroid
+  // and floored variance whatever the point's score.
+  const auto weighted_clusters = [&](double score) {
+    std::vector<Cluster> clusters;
+    for (int c = 0; c < 2; ++c) {
+      Cluster cluster(kDim);
+      cluster.Add(pts[static_cast<std::size_t>(60 * c + 3)],
+                  c == 0 ? score : 2.0);
+      clusters.push_back(std::move(cluster));
+    }
+    return DisjunctiveDistance(clusters, stats::CovarianceScheme::kDiagonal,
+                               1e-4);
+  };
+  struct Case {
+    const char* what;
+    std::unique_ptr<DistanceFunction> first;
+    std::unique_ptr<DistanceFunction> second;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"centroid", std::make_unique<index::EuclideanDistance>(q),
+                   std::make_unique<index::EuclideanDistance>(q_ulp)});
+  cases.push_back(
+      {"diagonal",
+       std::make_unique<index::WeightedEuclideanDistance>(q, w),
+       std::make_unique<index::WeightedEuclideanDistance>(q, w_ulp)});
+  cases.push_back(
+      {"weight", std::make_unique<DisjunctiveDistance>(weighted_clusters(1.0)),
+       std::make_unique<DisjunctiveDistance>(
+           weighted_clusters(std::nextafter(1.0, up)))});
+  index::QuadraticDecomposition a;
+  index::QuadraticDecomposition b;
+  ASSERT_TRUE(cases.back().first->Decompose(&a));
+  ASSERT_TRUE(cases.back().second->Decompose(&b));
+  ASSERT_EQ(a.components.size(), 2u);
+  EXPECT_EQ(a.components[0].query, b.components[0].query);
+  EXPECT_EQ(a.components[0].diagonal, b.components[0].diagonal);
+  EXPECT_NE(a.components[0].weight, b.components[0].weight);
+
+  for (const KnnIndex* index : {static_cast<const KnnIndex*>(&scan),
+                                static_cast<const KnnIndex*>(&tree)}) {
+    const std::string name = index == &scan ? "scan" : "br_tree";
+    for (const Case& c : cases) {
+      index::WarmStart warm;
+      DiscardResult(index->SearchWarm(*c.first, kK, warm));
+      index::SearchStats stats;
+      EXPECT_EQ(index->SearchWarm(*c.second, kK, warm, &stats),
+                index->Search(*c.second, kK))
+          << name << "/" << c.what;
+      EXPECT_GT(stats.distance_evaluations, 0) << name << "/" << c.what;
+    }
+    const index::EuclideanDistance dist(q);
+    const auto asked_again = [&](index::WarmStart& warm, int k) {
+      index::SearchStats stats;
+      EXPECT_EQ(index->SearchWarm(dist, k, warm, &stats),
+                index->Search(dist, k))
+          << name << " k = " << k;
+      return stats.distance_evaluations > 0;
+    };
+    // Another k.
+    index::WarmStart warm;
+    DiscardResult(index->SearchWarm(dist, kK, warm));
+    EXPECT_TRUE(asked_again(warm, kK - 1)) << name;
+    // After Clear.
+    DiscardResult(index->SearchWarm(dist, kK, warm));
+    warm.Clear();
+    EXPECT_TRUE(asked_again(warm, kK)) << name;
+    // The same metric and k, but the answer of another index over the same
+    // block: a second tree, or the scan for the tree and the tree for the
+    // scan.
+    for (const KnnIndex* recorder :
+         {static_cast<const KnnIndex*>(&other_tree),
+          index == &scan ? static_cast<const KnnIndex*>(&tree)
+                         : static_cast<const KnnIndex*>(&scan)}) {
+      index::WarmStart foreign;
+      DiscardResult(recorder->SearchWarm(dist, kK, foreign));
+      EXPECT_TRUE(asked_again(foreign, kK)) << name;
+    }
+    // And the control: the same index, k and metric reuse.
+    EXPECT_FALSE(asked_again(warm, kK)) << name;
   }
 }
 

@@ -1,12 +1,13 @@
-// Concurrent-session stress for the cross-round candidate cache: several
+// Concurrent-session stress for the cross-round session cache: several
 // QclusterEngines, one per session and thread, share one FeatureDatabase
 // and one index but carry *independent* WarmStart caches, so feedback
 // rounds driven from parallel threads must produce exactly the results of
 // the same rounds replayed single-threaded. Run under TSan this also
 // proves the warm path adds no data race: the shared database and index
 // are immutable, each cache is touched only by its own engine's thread,
-// and the BR-tree's leaf-scoring scratch and seed marks are per thread.
-// Every test runs its sessions over both indexes.
+// and the BR-tree's leaf-scoring scratch is per thread. Every session ends
+// with a round that adds no point, which the cache answers without a
+// search. Every test runs its sessions over both indexes.
 
 #include <memory>
 #include <string>
@@ -73,8 +74,9 @@ std::vector<std::vector<index::Neighbor>> DriveSession(
   auto result = engine.InitialQuery(
       db.features()[static_cast<std::size_t>(category * kPerCluster)]);
   per_round.push_back(result);
+  std::vector<RelevantItem> marked;
   for (int round = 0; round < kRounds; ++round) {
-    std::vector<RelevantItem> marked;
+    marked.clear();
     for (const auto& n : result) {
       if (n.id / kPerCluster == category) marked.push_back({n.id, 1.0});
     }
@@ -82,6 +84,12 @@ std::vector<std::vector<index::Neighbor>> DriveSession(
     result = engine.Feedback(marked);
     per_round.push_back(result);
   }
+  // The last marks again: no new point, the same metric, so the session
+  // cache serves the previous answer without a search.
+  result = engine.Feedback(marked);
+  EXPECT_EQ(engine.last_search_stats().distance_evaluations, 0);
+  EXPECT_EQ(result, per_round.back());
+  per_round.push_back(result);
   return per_round;
 }
 
