@@ -17,7 +17,7 @@ using qcluster::bench::BenchScale;
 
 int main() {
   const BenchScale scale = BenchScale::FromEnv();
-  const qcluster::dataset::FeatureSet set = qcluster::bench::BuildOrLoadFeatures(
+  const qcluster::dataset::FeatureSet set = qcluster::bench::BuildFeatures(
       qcluster::dataset::FeatureType::kColorMoments, scale);
   const qcluster::index::BrTree tree(&set.features);
   const std::vector<int> queries =

@@ -13,7 +13,7 @@
 int main() {
   const qcluster::bench::BenchScale scale =
       qcluster::bench::BenchScale::FromEnv();
-  const qcluster::dataset::FeatureSet set = qcluster::bench::BuildOrLoadFeatures(
+  const qcluster::dataset::FeatureSet set = qcluster::bench::BuildFeatures(
       qcluster::dataset::FeatureType::kColorMoments, scale);
   const qcluster::index::BrTree tree(&set.features);
   const std::vector<int> queries =

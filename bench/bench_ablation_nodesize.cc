@@ -13,7 +13,7 @@
 int main() {
   const qcluster::bench::BenchScale scale =
       qcluster::bench::BenchScale::FromEnv();
-  const qcluster::dataset::FeatureSet set = qcluster::bench::BuildOrLoadFeatures(
+  const qcluster::dataset::FeatureSet set = qcluster::bench::BuildFeatures(
       qcluster::dataset::FeatureType::kColorMoments, scale);
   const std::vector<int> queries =
       qcluster::bench::BenchQueryIds(set, scale.queries);

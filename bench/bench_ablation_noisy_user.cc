@@ -12,7 +12,7 @@
 int main() {
   using qcluster::bench::BenchScale;
   const BenchScale scale = BenchScale::FromEnv();
-  const qcluster::dataset::FeatureSet set = qcluster::bench::BuildOrLoadFeatures(
+  const qcluster::dataset::FeatureSet set = qcluster::bench::BuildFeatures(
       qcluster::dataset::FeatureType::kColorMoments, scale);
   const qcluster::index::BrTree tree(&set.features);
   const std::vector<int> queries =

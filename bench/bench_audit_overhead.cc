@@ -25,7 +25,7 @@ using qcluster::dataset::FeatureSet;
 
 const FeatureSet& Features() {
   static const FeatureSet* set = [] {
-    return new FeatureSet(qcluster::bench::BuildOrLoadFeatures(
+    return new FeatureSet(qcluster::bench::BuildFeatures(
         qcluster::dataset::FeatureType::kColorMoments,
         BenchScale::FromEnv()));
   }();

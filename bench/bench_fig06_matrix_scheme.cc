@@ -20,7 +20,7 @@ using qcluster::stats::CovarianceScheme;
 
 const FeatureSet& Features() {
   static const FeatureSet* set = [] {
-    return new FeatureSet(qcluster::bench::BuildOrLoadFeatures(
+    return new FeatureSet(qcluster::bench::BuildFeatures(
         qcluster::dataset::FeatureType::kColorMoments,
         BenchScale::FromEnv()));
   }();

@@ -27,21 +27,10 @@ BenchScale BenchScale::FromEnv() {
   return scale;
 }
 
-dataset::FeatureSet BuildOrLoadFeatures(dataset::FeatureType type,
-                                        const BenchScale& scale) {
-  char path[256];
-  std::snprintf(path, sizeof(path), "qcluster_features_%s_%dx%d.bin",
-                type == dataset::FeatureType::kColorMoments ? "color"
-                                                            : "texture",
-                scale.categories, scale.images_per_category);
-  Result<dataset::FeatureSet> cached = dataset::LoadFeatureSet(path);
-  if (cached.ok()) {
-    QCLUSTER_LOG(kInfo) << "loaded cached features from " << path;
-    return std::move(cached).value();
-  }
-
+dataset::FeatureSet BuildFeatures(dataset::FeatureType type,
+                                  const BenchScale& scale) {
   QCLUSTER_LOG(kInfo) << "extracting features for " << scale.total_images()
-                      << " images (cached to " << path << ")";
+                      << " images";
   dataset::ImageCollectionOptions opt;
   opt.num_categories = scale.categories;
   opt.images_per_category = scale.images_per_category;
@@ -52,10 +41,6 @@ dataset::FeatureSet BuildOrLoadFeatures(dataset::FeatureType type,
   set.features = db.features();
   set.categories = db.categories();
   set.themes = db.themes();
-  const Status save = dataset::SaveFeatureSet(set, path);
-  if (!save.ok()) {
-    QCLUSTER_LOG(kWarning) << "feature cache not written: " << save.ToString();
-  }
   return set;
 }
 
@@ -100,7 +85,7 @@ void PrintSeries(const std::string& name, const std::vector<double>& values) {
 void RunPrCurveExperiment(dataset::FeatureType type,
                           const std::string& title) {
   const BenchScale scale = BenchScale::FromEnv();
-  const dataset::FeatureSet set = BuildOrLoadFeatures(type, scale);
+  const dataset::FeatureSet set = BuildFeatures(type, scale);
   const index::BrTree tree(&set.features);
   core::QclusterOptions opt;
   opt.k = scale.k;
@@ -139,7 +124,7 @@ void RunPrCurveExperiment(dataset::FeatureType type,
 void RunQualityComparison(dataset::FeatureType type, bool report_precision,
                           const std::string& title) {
   const BenchScale scale = BenchScale::FromEnv();
-  const dataset::FeatureSet set = BuildOrLoadFeatures(type, scale);
+  const dataset::FeatureSet set = BuildFeatures(type, scale);
   const index::BrTree tree(&set.features);
   const std::vector<int> queries = BenchQueryIds(set, scale.queries);
 

@@ -32,11 +32,11 @@ struct BenchScale {
   int total_images() const { return categories * images_per_category; }
 };
 
-/// Extracts (or loads from the on-disk cache next to the binary) the
-/// feature set of the synthetic collection at the given scale. The cache
-/// file name encodes the scale, so mixed runs never collide.
-dataset::FeatureSet BuildOrLoadFeatures(dataset::FeatureType type,
-                                        const BenchScale& scale);
+/// Renders the synthetic collection at the given scale and extracts its
+/// features. Built on every run, so a bench always measures what the
+/// current rendering, extraction and reduction compute.
+dataset::FeatureSet BuildFeatures(dataset::FeatureType type,
+                                  const BenchScale& scale);
 
 /// Deterministic query sample for a feature set (ids drawn without
 /// replacement with a fixed seed so every binary sees the same queries).

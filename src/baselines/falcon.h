@@ -1,7 +1,6 @@
 #ifndef QCLUSTER_BASELINES_FALCON_H_
 #define QCLUSTER_BASELINES_FALCON_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "core/retrieval_method.h"
@@ -35,39 +34,24 @@ class FalconDistance final : public index::DistanceFunction {
   double Aggregate(const std::vector<double>& distances) const;
 
   int dim_;
-  std::vector<linalg::Vector> good_set_;
+  std::vector<linalg::Vector> points_;
   double alpha_;
 };
 
-/// The FALCON feedback loop: the good set is the union of all relevant
-/// images marked so far; each round queries with the aggregate
-/// dissimilarity. Used in the execution-cost comparison (Fig. 7).
+/// The FALCON feedback loop: the good set is the session's relevant set
+/// (relevant_points(), scores unused); each round queries with the
+/// aggregate dissimilarity. Used in the execution-cost comparison (Fig. 7).
 class Falcon final : public core::RetrievalMethod {
  public:
   Falcon(const linalg::FlatBlock* database,
          const index::KnnIndex* knn, const FalconOptions& options);
 
   std::string name() const override { return "falcon"; }
-  std::vector<index::Neighbor> InitialQuery(
-      const linalg::Vector& query) override;
   std::vector<index::Neighbor> Feedback(
       const std::vector<core::RelevantItem>& marked) override;
-  void Reset() override;
-  const index::SearchStats& last_search_stats() const override {
-    return last_stats_;
-  }
-
-  /// Current good set size.
-  int good_set_size() const { return static_cast<int>(good_set_.size()); }
 
  private:
-  const linalg::FlatBlock* database_;
-  const index::KnnIndex* knn_;
   FalconOptions options_;
-
-  std::vector<linalg::Vector> good_set_;
-  std::unordered_set<int> seen_ids_;
-  index::SearchStats last_stats_;
 };
 
 }  // namespace qcluster::baselines

@@ -1,7 +1,6 @@
 #ifndef QCLUSTER_BASELINES_MINDREADER_H_
 #define QCLUSTER_BASELINES_MINDREADER_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "core/retrieval_method.h"
@@ -36,9 +35,6 @@ class MindReader final : public core::RetrievalMethod {
   std::vector<index::Neighbor> Feedback(
       const std::vector<core::RelevantItem>& marked) override;
   void Reset() override;
-  const index::SearchStats& last_search_stats() const override {
-    return last_stats_;
-  }
 
   /// Current query point (valid after a Feedback round).
   const linalg::Vector& query_point() const { return query_point_; }
@@ -46,16 +42,9 @@ class MindReader final : public core::RetrievalMethod {
   const linalg::Matrix& metric() const { return metric_; }
 
  private:
-  const linalg::FlatBlock* database_;
-  const index::KnnIndex* knn_;
   MindReaderOptions options_;
-
-  std::vector<linalg::Vector> relevant_points_;
-  std::vector<double> relevant_scores_;
-  std::unordered_set<int> seen_ids_;
   linalg::Vector query_point_;
   linalg::Matrix metric_;
-  index::SearchStats last_stats_;
 };
 
 }  // namespace qcluster::baselines

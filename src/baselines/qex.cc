@@ -68,50 +68,24 @@ double QexDistance::MinDistance(const index::Rect& rect) const {
 QueryExpansion::QueryExpansion(const linalg::FlatBlock* database,
                                const index::KnnIndex* knn,
                                const QexOptions& options)
-    : database_(database), knn_(knn), options_(options) {
-  QCLUSTER_CHECK(database != nullptr && knn != nullptr);
-  QCLUSTER_CHECK(options.k > 0);
+    : RetrievalMethod(database, knn, options.k), options_(options) {
   QCLUSTER_CHECK(options.num_representatives >= 1);
-}
-
-std::vector<index::Neighbor> QueryExpansion::InitialQuery(
-    const Vector& query) {
-  Reset();
-  last_stats_ = index::SearchStats{};
-  const index::EuclideanDistance dist(query);
-  return knn_->Search(dist, options_.k, &last_stats_);
 }
 
 std::vector<index::Neighbor> QueryExpansion::Feedback(
     const std::vector<core::RelevantItem>& marked) {
-  for (const core::RelevantItem& item : marked) {
-    QCLUSTER_CHECK(0 <= item.id &&
-                   item.id < static_cast<int>(database_->size()));
-    QCLUSTER_CHECK(item.score > 0.0);
-    if (!seen_ids_.insert(item.id).second) continue;
-    relevant_points_.push_back((*database_)[static_cast<std::size_t>(item.id)]);
-    relevant_scores_.push_back(item.score);
-  }
-  QCLUSTER_CHECK_MSG(!relevant_points_.empty(),
-                     "QEX feedback requires at least one relevant image");
-
+  AddMarked(marked);
   // Re-cluster the full relevant set from scratch each iteration — the
   // costlier scheme [13] uses, contrasted with Qcluster's incremental
   // classification.
-  clusters_ = core::HierarchicalCluster(relevant_points_, relevant_scores_,
+  clusters_ = core::HierarchicalCluster(relevant_points(), relevant_scores(),
                                        options_.num_representatives);
-
-  last_stats_ = index::SearchStats{};
-  const QexDistance dist(clusters_, options_.min_variance);
-  return knn_->Search(dist, options_.k, &last_stats_);
+  return Search(QexDistance(clusters_, options_.min_variance));
 }
 
 void QueryExpansion::Reset() {
-  relevant_points_.clear();
-  relevant_scores_.clear();
-  seen_ids_.clear();
+  RetrievalMethod::Reset();
   clusters_.clear();
-  last_stats_ = index::SearchStats{};
 }
 
 }  // namespace qcluster::baselines

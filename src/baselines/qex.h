@@ -1,7 +1,6 @@
 #ifndef QCLUSTER_BASELINES_QEX_H_
 #define QCLUSTER_BASELINES_QEX_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "core/cluster.h"
@@ -52,28 +51,16 @@ class QueryExpansion final : public core::RetrievalMethod {
                  const index::KnnIndex* knn, const QexOptions& options);
 
   std::string name() const override { return "qex"; }
-  std::vector<index::Neighbor> InitialQuery(
-      const linalg::Vector& query) override;
   std::vector<index::Neighbor> Feedback(
       const std::vector<core::RelevantItem>& marked) override;
   void Reset() override;
-  const index::SearchStats& last_search_stats() const override {
-    return last_stats_;
-  }
 
   /// Current representatives (valid after a Feedback round).
   const std::vector<core::Cluster>& clusters() const { return clusters_; }
 
  private:
-  const linalg::FlatBlock* database_;
-  const index::KnnIndex* knn_;
   QexOptions options_;
-
-  std::vector<linalg::Vector> relevant_points_;
-  std::vector<double> relevant_scores_;
-  std::unordered_set<int> seen_ids_;
   std::vector<core::Cluster> clusters_;
-  index::SearchStats last_stats_;
 };
 
 }  // namespace qcluster::baselines

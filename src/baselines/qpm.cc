@@ -19,10 +19,7 @@ constexpr double kMinStddev = 1e-3;
 QueryPointMovement::QueryPointMovement(const linalg::FlatBlock* database,
                                        const index::KnnIndex* knn,
                                        const QpmOptions& options)
-    : database_(database), knn_(knn), options_(options) {
-  QCLUSTER_CHECK(database != nullptr && knn != nullptr);
-  QCLUSTER_CHECK(options.k > 0);
-}
+    : RetrievalMethod(database, knn, options.k), options_(options) {}
 
 std::vector<index::Neighbor> QueryPointMovement::InitialQuery(
     const Vector& query) {
@@ -34,26 +31,19 @@ std::vector<index::Neighbor> QueryPointMovement::InitialQuery(
 
 std::vector<index::Neighbor> QueryPointMovement::Feedback(
     const std::vector<core::RelevantItem>& marked) {
-  for (const core::RelevantItem& item : marked) {
-    QCLUSTER_CHECK(0 <= item.id &&
-                   item.id < static_cast<int>(database_->size()));
-    QCLUSTER_CHECK(item.score > 0.0);
-    if (!seen_ids_.insert(item.id).second) continue;
-    relevant_points_.push_back((*database_)[static_cast<std::size_t>(item.id)]);
-    relevant_scores_.push_back(item.score);
-  }
-  QCLUSTER_CHECK_MSG(!relevant_points_.empty(),
-                     "QPM feedback requires at least one relevant image");
+  AddMarked(marked);
+  const std::vector<Vector>& points = relevant_points();
+  const std::vector<double>& scores = relevant_scores();
 
-  const std::size_t dim = relevant_points_.front().size();
+  const std::size_t dim = points.front().size();
   // Rocchio [14]: blend the current query point toward the score-weighted
   // centroid of the relevant set. With the classic coefficients the query
   // stays anchored near the original example, as in MARS [15].
   Vector centroid(dim, 0.0);
   double total_score = 0.0;
-  for (std::size_t i = 0; i < relevant_points_.size(); ++i) {
-    linalg::Axpy(relevant_scores_[i], relevant_points_[i], centroid);
-    total_score += relevant_scores_[i];
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    linalg::Axpy(scores[i], points[i], centroid);
+    total_score += scores[i];
   }
   centroid = linalg::Scale(centroid, 1.0 / total_score);
 
@@ -69,10 +59,10 @@ std::vector<index::Neighbor> QueryPointMovement::Feedback(
   // (pure scale has no effect on ranking; normalization keeps values
   // interpretable).
   Vector variance(dim, 0.0);
-  for (std::size_t i = 0; i < relevant_points_.size(); ++i) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
     for (std::size_t j = 0; j < dim; ++j) {
-      const double d = relevant_points_[i][j] - centroid[j];
-      variance[j] += relevant_scores_[i] * d * d;
+      const double d = points[i][j] - centroid[j];
+      variance[j] += scores[i] * d * d;
     }
   }
   weights_.assign(dim, 1.0);
@@ -90,18 +80,13 @@ std::vector<index::Neighbor> QueryPointMovement::Feedback(
 }
 
 void QueryPointMovement::Reset() {
-  relevant_points_.clear();
-  relevant_scores_.clear();
-  seen_ids_.clear();
+  RetrievalMethod::Reset();
   query_point_.clear();
   weights_.clear();
-  last_stats_ = index::SearchStats{};
 }
 
 std::vector<index::Neighbor> QueryPointMovement::RunQuery() {
-  last_stats_ = index::SearchStats{};
-  const index::WeightedEuclideanDistance dist(query_point_, weights_);
-  return knn_->Search(dist, options_.k, &last_stats_);
+  return Search(index::WeightedEuclideanDistance(query_point_, weights_));
 }
 
 }  // namespace qcluster::baselines

@@ -1,7 +1,6 @@
 #ifndef QCLUSTER_BASELINES_QPM_H_
 #define QCLUSTER_BASELINES_QPM_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "core/retrieval_method.h"
@@ -42,11 +41,7 @@ class QueryPointMovement final : public core::RetrievalMethod {
       const linalg::Vector& query) override;
   std::vector<index::Neighbor> Feedback(
       const std::vector<core::RelevantItem>& marked) override;
-
   void Reset() override;
-  const index::SearchStats& last_search_stats() const override {
-    return last_stats_;
-  }
 
   /// The current single query point (valid after a Feedback round).
   const linalg::Vector& query_point() const { return query_point_; }
@@ -56,16 +51,9 @@ class QueryPointMovement final : public core::RetrievalMethod {
  private:
   std::vector<index::Neighbor> RunQuery();
 
-  const linalg::FlatBlock* database_;
-  const index::KnnIndex* knn_;
   QpmOptions options_;
-
-  std::vector<linalg::Vector> relevant_points_;
-  std::vector<double> relevant_scores_;
-  std::unordered_set<int> seen_ids_;
   linalg::Vector query_point_;
   linalg::Vector weights_;
-  index::SearchStats last_stats_;
 };
 
 }  // namespace qcluster::baselines

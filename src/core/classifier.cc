@@ -127,8 +127,8 @@ ClassificationDecision Classify(const std::vector<Cluster>& clusters,
 }
 
 std::vector<ClassificationDecision> ClassifyBatch(
-    std::vector<Cluster>& clusters, const std::vector<Vector>& points,
-    const std::vector<double>& scores, const ClassifierOptions& options) {
+    std::vector<Cluster>& clusters, std::span<const Vector> points,
+    std::span<const double> scores, const ClassifierOptions& options) {
   QCLUSTER_CHECK(points.size() == scores.size());
   QCLUSTER_TRACE_SPAN(span, "classifier.batch");
   span.AddAttr("points", points.size());

@@ -1,6 +1,7 @@
 #ifndef QCLUSTER_CORE_CLASSIFIER_H_
 #define QCLUSTER_CORE_CLASSIFIER_H_
 
+#include <span>
 #include <vector>
 
 #include "core/cluster.h"
@@ -56,8 +57,8 @@ ClassificationDecision Classify(const std::vector<Cluster>& clusters,
 /// singleton cluster. Starts a first cluster when `clusters` is empty.
 /// Returns the per-point decisions.
 std::vector<ClassificationDecision> ClassifyBatch(
-    std::vector<Cluster>& clusters, const std::vector<linalg::Vector>& points,
-    const std::vector<double>& scores, const ClassifierOptions& options);
+    std::vector<Cluster>& clusters, std::span<const linalg::Vector> points,
+    std::span<const double> scores, const ClassifierOptions& options);
 
 }  // namespace qcluster::core
 

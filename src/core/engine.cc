@@ -1,5 +1,7 @@
 #include "core/engine.h"
 
+#include <span>
+
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -22,10 +24,7 @@ constexpr double kAdaptiveFloorFraction = 0.1;
 QclusterEngine::QclusterEngine(const linalg::FlatBlock* database,
                                const index::KnnIndex* knn,
                                const QclusterOptions& options)
-    : database_(database), knn_(knn), options_(options) {
-  QCLUSTER_CHECK(database != nullptr);
-  QCLUSTER_CHECK(knn != nullptr);
-  QCLUSTER_CHECK(options.k > 0);
+    : RetrievalMethod(database, knn, options.k), options_(options) {
   QCLUSTER_CHECK(0.0 < options.alpha && options.alpha < 1.0);
   QCLUSTER_CHECK(options.max_clusters >= 1);
   QCLUSTER_CHECK(options.initial_clusters >= 1);
@@ -54,19 +53,12 @@ std::vector<index::Neighbor> QclusterEngine::Feedback(
   QCLUSTER_TRACE_ROUND(trace_round, EnsureTraceId(), iteration_ + 1);
   QCLUSTER_TRACE_SPAN(round_span, "feedback.total");
   round_span.AddAttr("marked", marked.size());
-  // Collect the genuinely new relevant points.
-  std::vector<Vector> points;
-  std::vector<double> scores;
-  for (const RelevantItem& item : marked) {
-    QCLUSTER_CHECK(0 <= item.id &&
-                   item.id < static_cast<int>(database_->size()));
-    QCLUSTER_CHECK(item.score > 0.0);
-    if (!seen_ids_.insert(item.id).second) continue;
-    points.push_back((*database_)[static_cast<std::size_t>(item.id)]);
-    scores.push_back(item.score);
-  }
-  QCLUSTER_CHECK_MSG(!clusters_.empty() || !points.empty(),
-                     "feedback requires at least one relevant image");
+  // The marks new this round; every earlier one is already in a cluster.
+  const std::size_t first = AddMarked(marked);
+  const std::span<const Vector> points =
+      std::span(relevant_points()).subspan(first);
+  const std::span<const double> scores =
+      std::span(relevant_scores()).subspan(first);
   MetricAdd("engine.feedback.new_points",
             static_cast<long long>(points.size()));
 
@@ -76,8 +68,8 @@ std::vector<index::Neighbor> QclusterEngine::Feedback(
     if (clusters_.empty()) {
       // First round: hierarchical clustering of the relevant set
       // (Algorithm 1 step 1).
-      clusters_ =
-          HierarchicalCluster(points, scores, options_.initial_clusters);
+      clusters_ = HierarchicalCluster(relevant_points(), relevant_scores(),
+                                      options_.initial_clusters);
     } else if (!points.empty()) {
       // Later rounds: adaptive classification (Algorithm 2), under the floor
       // established by the previous round's clusters.
@@ -141,10 +133,9 @@ DisjunctiveDistance QclusterEngine::CurrentDistance() const {
 }
 
 void QclusterEngine::Reset() {
+  RetrievalMethod::Reset();
   clusters_.clear();
-  seen_ids_.clear();
   warm_.Clear();
-  last_stats_ = index::SearchStats{};
   iteration_ = 0;
   floor_ = 0.0;
   trace_id_ = 0;  // The next query sequence records under a fresh trace.
@@ -152,14 +143,10 @@ void QclusterEngine::Reset() {
 
 std::vector<index::Neighbor> QclusterEngine::RunQuery(
     const index::DistanceFunction& dist) {
-  last_stats_ = index::SearchStats{};
-  if (options_.use_query_cache) {
-    // One cached path for every index: round t's answer (recorded into
-    // warm_ by SearchWarm itself) serves round t+1 as is under an unchanged
-    // metric. Results stay bit-for-bit identical to cold searches.
-    return knn_->SearchWarm(dist, options_.k, warm_, &last_stats_);
-  }
-  return knn_->Search(dist, options_.k, &last_stats_);
+  // One cached path for every index: round t's answer (recorded into warm_
+  // by SearchWarm itself) serves round t+1 as is under an unchanged metric.
+  // Results stay bit-for-bit identical to cold searches.
+  return Search(dist, options_.use_query_cache ? &warm_ : nullptr);
 }
 
 }  // namespace qcluster::core

@@ -2,7 +2,6 @@
 #define QCLUSTER_CORE_ENGINE_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "core/classifier.h"
@@ -77,11 +76,10 @@ class QclusterEngine final : public RetrievalMethod {
   std::vector<index::Neighbor> InitialQuery(
       const linalg::Vector& query) override;
 
-  /// One relevance feedback round: incorporates the newly marked relevant
-  /// images (previously seen ids are ignored — they are already inside the
-  /// clusters), reruns classification + merging, and answers the refined
-  /// disjunctive k-NN query. Requires at least one *total* relevant point
-  /// across all rounds so far.
+  /// One relevance feedback round: classifies the marks new this round
+  /// (previously seen ids are ignored — they are already inside the
+  /// clusters), reruns merging, and answers the refined disjunctive k-NN
+  /// query.
   std::vector<index::Neighbor> Feedback(
       const std::vector<RelevantItem>& marked) override;
 
@@ -90,11 +88,6 @@ class QclusterEngine final : public RetrievalMethod {
 
   /// 0 before feedback, then the number of completed feedback rounds.
   int iteration() const { return iteration_; }
-
-  /// Cost counters of the most recent k-NN round.
-  const index::SearchStats& last_search_stats() const override {
-    return last_stats_;
-  }
 
   /// The current disjunctive metric; valid once clusters exist.
   DisjunctiveDistance CurrentDistance() const;
@@ -117,17 +110,13 @@ class QclusterEngine final : public RetrievalMethod {
   /// while tracing is on.
   std::uint64_t EnsureTraceId();
 
-  const linalg::FlatBlock* database_;
-  const index::KnnIndex* knn_;
   QclusterOptions options_;
 
   std::vector<Cluster> clusters_;
-  std::unordered_set<int> seen_ids_;
   /// Cross-round cache (see index::WarmStart): round t's answer, reused
   /// as is when round t+1's metric is unchanged, plus what the index keeps
   /// for the other rounds. One per engine, i.e. one per retrieval session.
   index::WarmStart warm_;
-  index::SearchStats last_stats_;
   int iteration_ = 0;
   double floor_ = 0.0;
   /// Trace id the engine's rounds record under; allocated lazily, cleared

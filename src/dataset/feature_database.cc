@@ -7,6 +7,7 @@
 #include "image/color_moments.h"
 #include "image/color_histogram.h"
 #include "image/glcm.h"
+#include "linalg/pca.h"
 
 namespace qcluster::dataset {
 
@@ -130,7 +131,7 @@ FeatureDatabase FeatureDatabase::FromRawFeatures(std::vector<Vector> raw,
         }
       });
   return FeatureDatabase(std::move(reduced), std::move(categories),
-                         std::move(themes), std::move(pca).value());
+                         std::move(themes));
 }
 
 }  // namespace qcluster::dataset

@@ -6,7 +6,6 @@
 
 #include "dataset/image_collection.h"
 #include "linalg/flat_view.h"
-#include "linalg/pca.h"
 #include "linalg/vector.h"
 
 namespace qcluster::dataset {
@@ -55,20 +54,17 @@ class FeatureDatabase {
 
   const std::vector<int>& categories() const { return categories_; }
   const std::vector<int>& themes() const { return themes_; }
-  const linalg::Pca& pca() const { return pca_; }
 
  private:
   FeatureDatabase(linalg::FlatBlock features, std::vector<int> categories,
-                  std::vector<int> themes, linalg::Pca pca)
+                  std::vector<int> themes)
       : features_(std::move(features)),
         categories_(std::move(categories)),
-        themes_(std::move(themes)),
-        pca_(std::move(pca)) {}
+        themes_(std::move(themes)) {}
 
   linalg::FlatBlock features_;
   std::vector<int> categories_;
   std::vector<int> themes_;
-  linalg::Pca pca_;
 };
 
 }  // namespace qcluster::dataset

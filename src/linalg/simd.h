@@ -29,9 +29,8 @@ enum class Tier : int {
 };
 
 /// One quadratic component of a harmonic (Eq. 5) aggregate, viewed as raw
-/// pointers so kernels stay allocation-free. At most one of `diagonal`
-/// (diag(Aᵢ), length dim) and `full` (row-major dim×dim Aᵢ) is non-null;
-/// with both null the component is plain Euclidean against `query`.
+/// pointers so kernels stay allocation-free. Exactly one of `diagonal`
+/// (diag(Aᵢ), length dim) and `full` (row-major dim×dim Aᵢ) is non-null.
 struct QuadComponentView {
   const double* query = nullptr;
   const double* diagonal = nullptr;
@@ -62,8 +61,6 @@ struct KernelTable {
   /// Σ (w[i]·(x[i] − q[i]))·(x[i] − q[i]) — the weighted/diagonal form.
   double (*weighted_sq_row)(const double* w, const double* q, const double* x,
                             int d);
-  /// Σ a[i]·b[i].
-  double (*dot_row)(const double* a, const double* b, int d);
   /// vᵀ A v for a row-major d×d matrix: Σ_r v[r]·dot(A_r, v), outer sum and
   /// inner dots both sequential.
   double (*quadratic_form_row)(const double* a, const double* v, int d);

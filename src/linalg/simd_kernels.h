@@ -109,11 +109,8 @@ inline double MahalanobisRowRef(const double* a, const double* aq,
 inline double ComponentDistanceRef(const QuadComponentView& c,
                                    const double* x, int d, double* scratch) {
   if (c.diagonal != nullptr) return WeightedSqRowRef(c.diagonal, c.query, x, d);
-  if (c.full != nullptr) {
-    for (int i = 0; i < d; ++i) scratch[i] = x[i] - c.query[i];
-    return QuadraticFormRowRef(c.full, scratch, d);
-  }
-  return SquaredL2RowRef(c.query, x, d);
+  for (int i = 0; i < d; ++i) scratch[i] = x[i] - c.query[i];
+  return QuadraticFormRowRef(c.full, scratch, d);
 }
 
 inline double HarmonicRowRef(const HarmonicSpec& spec, const double* x, int d,
@@ -270,19 +267,11 @@ struct KernelImpl {
       }
       return acc;
     }
-    if (c.full != nullptr) {
-      for (int i = 0; i < d; ++i) {
-        P::Store(dt + i * kWidth, P::Sub(P::Load(xt + i * kWidth),
-                                         P::Broadcast(c.query[i])));
-      }
-      return QuadraticFormLanes(c.full, dt, d);
-    }
-    V acc = P::Zero();
     for (int i = 0; i < d; ++i) {
-      const V diff = P::Sub(P::Broadcast(c.query[i]), P::Load(xt + i * kWidth));
-      acc = P::Add(acc, P::Mul(diff, diff));
+      P::Store(dt + i * kWidth, P::Sub(P::Load(xt + i * kWidth),
+                                       P::Broadcast(c.query[i])));
     }
-    return acc;
+    return QuadraticFormLanes(c.full, dt, d);
   }
 
   /// Eq. 5 across lanes. The scalar early-exit on d²ⱼ <= 0 becomes a
@@ -338,7 +327,6 @@ constexpr KernelTable MakeTable(Tier tier) {
       tier,
       &SquaredL2RowRef,
       &WeightedSqRowRef,
-      &DotRowRef,
       &QuadraticFormRowRef,
       &MahalanobisRowRef,
       &HarmonicRowRef,

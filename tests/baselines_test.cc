@@ -219,9 +219,9 @@ TEST(FalconTest, GoodSetAccumulatesDistinctIds) {
   Falcon falcon(&world.points, &idx, FalconOptions{});
   falcon.InitialQuery(world.points[0]);
   falcon.Feedback({{0, 1.0}, {1, 1.0}});
-  EXPECT_EQ(falcon.good_set_size(), 2);
+  EXPECT_EQ(falcon.relevant_points().size(), 2u);
   falcon.Feedback({{0, 1.0}, {2, 1.0}});
-  EXPECT_EQ(falcon.good_set_size(), 3);
+  EXPECT_EQ(falcon.relevant_points().size(), 3u);
   EXPECT_EQ(falcon.name(), "falcon");
 }
 

@@ -100,7 +100,8 @@ TEST(ClassifyBatchTest, StartsFirstClusterWhenEmpty) {
   std::vector<Cluster> clusters;
   const ClassifierOptions opt;
   const auto decisions =
-      ClassifyBatch(clusters, {{1.0, 1.0}}, {2.0}, opt);
+      ClassifyBatch(clusters, std::vector<Vector>{{1.0, 1.0}},
+                    std::vector<double>{2.0}, opt);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(decisions[0].cluster, 0);
   EXPECT_DOUBLE_EQ(clusters[0].weight(), 2.0);
@@ -124,7 +125,8 @@ TEST(ClassifyBatchTest, GroupsPointsAtTheDataScale) {
   EXPECT_LE(after_clump, 5u);
 
   // A far-away point must open a new cluster.
-  ClassifyBatch(clusters, {{50.0, 50.0}}, {1.0}, opt);
+  ClassifyBatch(clusters, std::vector<Vector>{{50.0, 50.0}},
+                std::vector<double>{1.0}, opt);
   EXPECT_EQ(clusters.size(), after_clump + 1);
 }
 
@@ -156,7 +158,8 @@ TEST(ClassifyBatchTest, DecisionsAlignWithClusterMembership) {
   std::vector<Cluster> clusters = TwoGaussianClusters(rng, 12.0);
   const std::size_t size_a = static_cast<std::size_t>(clusters[0].size());
   const ClassifierOptions opt;
-  const auto decisions = ClassifyBatch(clusters, {{0.1, 0.0}}, {1.0}, opt);
+  const auto decisions = ClassifyBatch(
+      clusters, std::vector<Vector>{{0.1, 0.0}}, std::vector<double>{1.0}, opt);
   EXPECT_EQ(decisions[0].cluster, 0);
   EXPECT_EQ(static_cast<std::size_t>(clusters[0].size()), size_a + 1);
 }
