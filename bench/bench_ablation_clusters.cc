@@ -13,15 +13,15 @@
 int main() {
   const qcluster::bench::BenchScale scale =
       qcluster::bench::BenchScale::FromEnv();
-  const qcluster::dataset::FeatureSet set = qcluster::bench::BuildFeatures(
+  const qcluster::dataset::FeatureDatabase db = qcluster::bench::BuildFeatures(
       qcluster::dataset::FeatureType::kColorMoments, scale);
-  const qcluster::index::BrTree tree(&set.features);
+  const qcluster::index::BrTree tree(&db.features());
   const std::vector<int> queries =
-      qcluster::bench::BenchQueryIds(set, scale.queries);
+      qcluster::bench::BenchQueryIds(db, scale.queries);
 
   std::printf("=== Ablation: cluster-count cap (max_clusters) ===\n");
   std::printf("database: %d images, k = %d, %d queries, %d iterations\n\n",
-              set.size(), scale.k, scale.queries, scale.iterations);
+              db.size(), scale.k, scale.queries, scale.iterations);
   std::printf("%-14s %-12s %-12s\n", "max_clusters", "recall@k",
               "precision@k");
   for (int max_clusters : {1, 2, 3, 5, 8}) {
@@ -29,9 +29,9 @@ int main() {
     opt.k = scale.k;
     opt.max_clusters = max_clusters;
     opt.initial_clusters = max_clusters < 3 ? max_clusters : 3;
-    qcluster::core::QclusterEngine engine(&set.features, &tree, opt);
+    qcluster::core::QclusterEngine engine(&db.features(), &tree, opt);
     const qcluster::eval::SessionResult avg = qcluster::bench::RunSessions(
-        engine, set, queries, scale.iterations, scale.k);
+        engine, db, queries, scale.iterations, scale.k);
     std::printf("%-14d %-12.4f %-12.4f\n", max_clusters,
                 avg.iterations.back().recall, avg.iterations.back().precision);
   }

@@ -13,25 +13,25 @@
 int main() {
   const qcluster::bench::BenchScale scale =
       qcluster::bench::BenchScale::FromEnv();
-  const qcluster::dataset::FeatureSet set = qcluster::bench::BuildFeatures(
+  const qcluster::dataset::FeatureDatabase db = qcluster::bench::BuildFeatures(
       qcluster::dataset::FeatureType::kColorMoments, scale);
   const std::vector<int> queries =
-      qcluster::bench::BenchQueryIds(set, scale.queries);
+      qcluster::bench::BenchQueryIds(db, scale.queries);
 
   std::printf("=== Ablation: BR-tree leaf capacity ===\n");
-  std::printf("database: %d images, k = %d, %d queries\n\n", set.size(),
+  std::printf("database: %d images, k = %d, %d queries\n\n", db.size(),
               scale.k, scale.queries);
   std::printf("%-12s %-10s %-16s %-14s %-12s\n", "leaf_size", "nodes",
               "distance evals", "leaf reads", "mean us");
   for (int leaf_size : {8, 16, 32, 64, 128}) {
     qcluster::index::BrTree::Options opt;
     opt.leaf_size = leaf_size;
-    const qcluster::index::BrTree tree(&set.features, opt);
+    const qcluster::index::BrTree tree(&db.features(), opt);
     qcluster::index::SearchStats stats;
     const auto t0 = std::chrono::steady_clock::now();
     for (int id : queries) {
       const qcluster::index::EuclideanDistance dist(
-          set.features[static_cast<std::size_t>(id)]);
+          db.features()[static_cast<std::size_t>(id)]);
       // Run for cost accounting (stats) and wall time; results unused.
       qcluster::DiscardResult(tree.Search(dist, scale.k, &stats));
     }

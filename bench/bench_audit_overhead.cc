@@ -21,37 +21,37 @@
 namespace {
 
 using qcluster::bench::BenchScale;
-using qcluster::dataset::FeatureSet;
+using qcluster::dataset::FeatureDatabase;
 
-const FeatureSet& Features() {
-  static const FeatureSet* set = [] {
-    return new FeatureSet(qcluster::bench::BuildFeatures(
+const FeatureDatabase& Features() {
+  static const FeatureDatabase* db = [] {
+    return new FeatureDatabase(qcluster::bench::BuildFeatures(
         qcluster::dataset::FeatureType::kColorMoments,
         BenchScale::FromEnv()));
   }();
-  return *set;
+  return *db;
 }
 
 const qcluster::index::BrTree& Tree() {
   static const qcluster::index::BrTree* tree =
-      new qcluster::index::BrTree(&Features().features);
+      new qcluster::index::BrTree(&Features().features());
   return *tree;
 }
 
 double MeasureSessionMillis(bool audit) {
-  const FeatureSet& set = Features();
+  const FeatureDatabase& db = Features();
   const BenchScale scale = BenchScale::FromEnv();
   const std::vector<int> queries =
-      qcluster::bench::BenchQueryIds(set, scale.queries);
+      qcluster::bench::BenchQueryIds(db, scale.queries);
 
   qcluster::core::QclusterOptions opt;
   opt.k = scale.k;
-  qcluster::core::QclusterEngine engine(&set.features, &Tree(), opt);
+  qcluster::core::QclusterEngine engine(&db.features(), &Tree(), opt);
 
   qcluster::SetAuditEnabled(audit);
   const auto start = std::chrono::steady_clock::now();
   const qcluster::eval::SessionResult avg = qcluster::bench::RunSessions(
-      engine, set, queries, scale.iterations, scale.k);
+      engine, db, queries, scale.iterations, scale.k);
   const auto end = std::chrono::steady_clock::now();
   qcluster::SetAuditEnabled(false);
   benchmark::DoNotOptimize(avg);
@@ -80,17 +80,17 @@ void PrintOverheadTable() {
 }
 
 void RunSessionBenchmark(benchmark::State& state, bool audit) {
-  const FeatureSet& set = Features();
+  const FeatureDatabase& db = Features();
   const BenchScale scale = BenchScale::FromEnv();
   const std::vector<int> queries =
-      qcluster::bench::BenchQueryIds(set, scale.queries);
+      qcluster::bench::BenchQueryIds(db, scale.queries);
   qcluster::core::QclusterOptions opt;
   opt.k = scale.k;
   qcluster::SetAuditEnabled(audit);
   for (auto _ : state) {
-    qcluster::core::QclusterEngine engine(&set.features, &Tree(), opt);
+    qcluster::core::QclusterEngine engine(&db.features(), &Tree(), opt);
     const qcluster::eval::SessionResult avg = qcluster::bench::RunSessions(
-        engine, set, {queries[0]}, scale.iterations, scale.k);
+        engine, db, {queries[0]}, scale.iterations, scale.k);
     benchmark::DoNotOptimize(avg);
   }
   qcluster::SetAuditEnabled(false);

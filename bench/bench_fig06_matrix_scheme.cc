@@ -15,41 +15,41 @@ namespace {
 using qcluster::bench::BenchScale;
 using qcluster::core::QclusterEngine;
 using qcluster::core::QclusterOptions;
-using qcluster::dataset::FeatureSet;
+using qcluster::dataset::FeatureDatabase;
 using qcluster::stats::CovarianceScheme;
 
-const FeatureSet& Features() {
-  static const FeatureSet* set = [] {
-    return new FeatureSet(qcluster::bench::BuildFeatures(
+const FeatureDatabase& Features() {
+  static const FeatureDatabase* db = [] {
+    return new FeatureDatabase(qcluster::bench::BuildFeatures(
         qcluster::dataset::FeatureType::kColorMoments,
         BenchScale::FromEnv()));
   }();
-  return *set;
+  return *db;
 }
 
 void BM_FeedbackLoop(benchmark::State& state, CovarianceScheme scheme) {
-  const FeatureSet& set = Features();
-  const qcluster::index::BrTree tree(&set.features);
+  const FeatureDatabase& db = Features();
+  const qcluster::index::BrTree tree(&db.features());
   const int iterations = static_cast<int>(state.range(0));
   const BenchScale scale = BenchScale::FromEnv();
 
   QclusterOptions opt;
   opt.k = scale.k;
   opt.scheme = scheme;
-  QclusterEngine engine(&set.features, &tree, opt);
-  const std::vector<int> queries = qcluster::bench::BenchQueryIds(set, 10);
+  QclusterEngine engine(&db.features(), &tree, opt);
+  const std::vector<int> queries = qcluster::bench::BenchQueryIds(db, 10);
 
-  qcluster::eval::OracleUser oracle(&set.categories, &set.themes,
+  qcluster::eval::OracleUser oracle(&db.categories(), &db.themes(),
                                     qcluster::eval::OracleOptions{});
   std::size_t query_index = 0;
   for (auto _ : state) {
     const int id = queries[query_index++ % queries.size()];
     auto result =
-        engine.InitialQuery(set.features[static_cast<std::size_t>(id)]);
+        engine.InitialQuery(db.features()[static_cast<std::size_t>(id)]);
     for (int it = 0; it < iterations; ++it) {
       const auto marked =
-          oracle.Judge(result, set.categories[static_cast<std::size_t>(id)],
-                       set.themes[static_cast<std::size_t>(id)]);
+          oracle.Judge(result, db.categories()[static_cast<std::size_t>(id)],
+                       db.themes()[static_cast<std::size_t>(id)]);
       if (marked.empty()) break;
       result = engine.Feedback(marked);
     }

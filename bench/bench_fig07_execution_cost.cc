@@ -21,49 +21,49 @@
 namespace {
 
 using qcluster::bench::BenchScale;
-using qcluster::dataset::FeatureSet;
+using qcluster::dataset::FeatureDatabase;
 
-const FeatureSet& Features() {
-  static const FeatureSet* set = [] {
-    return new FeatureSet(qcluster::bench::BuildFeatures(
+const FeatureDatabase& Features() {
+  static const FeatureDatabase* db = [] {
+    return new FeatureDatabase(qcluster::bench::BuildFeatures(
         qcluster::dataset::FeatureType::kColorMoments,
         BenchScale::FromEnv()));
   }();
-  return *set;
+  return *db;
 }
 
 const qcluster::index::BrTree& Tree() {
   static const qcluster::index::BrTree* tree =
-      new qcluster::index::BrTree(&Features().features);
+      new qcluster::index::BrTree(&Features().features());
   return *tree;
 }
 
 void PrintCostTable() {
-  const FeatureSet& set = Features();
+  const FeatureDatabase& db = Features();
   const BenchScale scale = BenchScale::FromEnv();
   const std::vector<int> queries =
-      qcluster::bench::BenchQueryIds(set, scale.queries);
+      qcluster::bench::BenchQueryIds(db, scale.queries);
 
   qcluster::core::QclusterOptions qopt;
   qopt.k = scale.k;
-  qcluster::core::QclusterEngine qcluster_cached(&set.features, &Tree(), qopt);
+  qcluster::core::QclusterEngine qcluster_cached(&db.features(), &Tree(), qopt);
   qcluster::core::QclusterOptions qopt_cold = qopt;
   qopt_cold.use_query_cache = false;
-  qcluster::core::QclusterEngine qcluster_cold(&set.features, &Tree(),
+  qcluster::core::QclusterEngine qcluster_cold(&db.features(), &Tree(),
                                                qopt_cold);
   qcluster::baselines::QpmOptions popt;
   popt.k = scale.k;
-  qcluster::baselines::QueryPointMovement qpm(&set.features, &Tree(), popt);
+  qcluster::baselines::QueryPointMovement qpm(&db.features(), &Tree(), popt);
   qcluster::baselines::QexOptions xopt;
   xopt.k = scale.k;
-  qcluster::baselines::QueryExpansion qex(&set.features, &Tree(), xopt);
+  qcluster::baselines::QueryExpansion qex(&db.features(), &Tree(), xopt);
   qcluster::baselines::FalconOptions fopt;
   fopt.k = scale.k;
-  qcluster::baselines::Falcon falcon(&set.features, &Tree(), fopt);
+  qcluster::baselines::Falcon falcon(&db.features(), &Tree(), fopt);
 
   std::printf("=== Figure 7: execution cost per iteration ===\n");
   std::printf("database: %d images, k = %d, %d queries averaged\n\n",
-              set.size(), scale.k, scale.queries);
+              db.size(), scale.k, scale.queries);
   struct Row {
     const char* name;
     qcluster::core::RetrievalMethod* method;
@@ -75,7 +75,7 @@ void PrintCostTable() {
                 {"falcon", &falcon}};
   for (const Row& row : rows) {
     const qcluster::eval::SessionResult avg = qcluster::bench::RunSessions(
-        *row.method, set, queries, scale.iterations, scale.k);
+        *row.method, db, queries, scale.iterations, scale.k);
     std::vector<double> millis, evals, leaves;
     for (const auto& it : avg.iterations) {
       millis.push_back(it.wall_seconds * 1e3);
@@ -94,21 +94,21 @@ void PrintCostTable() {
 
 template <typename MakeMethod>
 void RunSessionBenchmark(benchmark::State& state, MakeMethod make) {
-  const FeatureSet& set = Features();
+  const FeatureDatabase& db = Features();
   const BenchScale scale = BenchScale::FromEnv();
   auto method = make();
-  const std::vector<int> queries = qcluster::bench::BenchQueryIds(set, 8);
-  qcluster::eval::OracleUser oracle(&set.categories, &set.themes,
+  const std::vector<int> queries = qcluster::bench::BenchQueryIds(db, 8);
+  qcluster::eval::OracleUser oracle(&db.categories(), &db.themes(),
                                     qcluster::eval::OracleOptions{});
   std::size_t qi = 0;
   for (auto _ : state) {
     const int id = queries[qi++ % queries.size()];
     auto result =
-        method->InitialQuery(set.features[static_cast<std::size_t>(id)]);
+        method->InitialQuery(db.features()[static_cast<std::size_t>(id)]);
     for (int it = 0; it < scale.iterations; ++it) {
       const auto marked =
-          oracle.Judge(result, set.categories[static_cast<std::size_t>(id)],
-                       set.themes[static_cast<std::size_t>(id)]);
+          oracle.Judge(result, db.categories()[static_cast<std::size_t>(id)],
+                       db.themes()[static_cast<std::size_t>(id)]);
       if (marked.empty()) break;
       result = method->Feedback(marked);
     }
@@ -121,7 +121,7 @@ void BM_QclusterSession(benchmark::State& state) {
     qcluster::core::QclusterOptions opt;
     opt.k = BenchScale::FromEnv().k;
     return std::make_unique<qcluster::core::QclusterEngine>(
-        &Features().features, &Tree(), opt);
+        &Features().features(), &Tree(), opt);
   });
 }
 void BM_QpmSession(benchmark::State& state) {
@@ -129,7 +129,7 @@ void BM_QpmSession(benchmark::State& state) {
     qcluster::baselines::QpmOptions opt;
     opt.k = BenchScale::FromEnv().k;
     return std::make_unique<qcluster::baselines::QueryPointMovement>(
-        &Features().features, &Tree(), opt);
+        &Features().features(), &Tree(), opt);
   });
 }
 void BM_QexSession(benchmark::State& state) {
@@ -137,14 +137,14 @@ void BM_QexSession(benchmark::State& state) {
     qcluster::baselines::QexOptions opt;
     opt.k = BenchScale::FromEnv().k;
     return std::make_unique<qcluster::baselines::QueryExpansion>(
-        &Features().features, &Tree(), opt);
+        &Features().features(), &Tree(), opt);
   });
 }
 void BM_FalconSession(benchmark::State& state) {
   RunSessionBenchmark(state, [] {
     qcluster::baselines::FalconOptions opt;
     opt.k = BenchScale::FromEnv().k;
-    return std::make_unique<qcluster::baselines::Falcon>(&Features().features,
+    return std::make_unique<qcluster::baselines::Falcon>(&Features().features(),
                                                          &Tree(), opt);
   });
 }

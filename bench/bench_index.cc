@@ -40,31 +40,31 @@
 namespace {
 
 using qcluster::bench::BenchScale;
-using qcluster::dataset::FeatureSet;
+using qcluster::dataset::FeatureDatabase;
 
-const FeatureSet& Features() {
-  static const FeatureSet* set = [] {
-    return new FeatureSet(qcluster::bench::BuildFeatures(
+const FeatureDatabase& Features() {
+  static const FeatureDatabase* db = [] {
+    return new FeatureDatabase(qcluster::bench::BuildFeatures(
         qcluster::dataset::FeatureType::kColorMoments,
         BenchScale::FromEnv()));
   }();
-  return *set;
+  return *db;
 }
 
 const qcluster::index::BrTree& Tree() {
-  static const auto* tree = new qcluster::index::BrTree(&Features().features);
+  static const auto* tree = new qcluster::index::BrTree(&Features().features());
   return *tree;
 }
 
 const qcluster::index::LinearScanIndex& Scan() {
   static const auto* scan =
-      new qcluster::index::LinearScanIndex(Features().features.view());
+      new qcluster::index::LinearScanIndex(Features().features().view());
   return *scan;
 }
 
 void BM_LinearScanEuclidean(benchmark::State& state) {
-  const FeatureSet& set = Features();
-  const qcluster::index::EuclideanDistance dist(set.features[0]);
+  const FeatureDatabase& db = Features();
+  const qcluster::index::EuclideanDistance dist(db.features()[0]);
   for (auto _ : state) {
     benchmark::DoNotOptimize(Scan().Search(dist, 100));
   }
@@ -72,12 +72,12 @@ void BM_LinearScanEuclidean(benchmark::State& state) {
 
 const std::vector<qcluster::core::Cluster>& BenchClusters() {
   static const auto* clusters = [] {
-    const FeatureSet& set = Features();
+    const FeatureDatabase& db = Features();
     auto* out = new std::vector<qcluster::core::Cluster>();
     for (int c = 0; c < 3; ++c) {
-      qcluster::core::Cluster cluster(set.dim());
+      qcluster::core::Cluster cluster(db.dim());
       for (int i = 0; i < 20; ++i) {
-        cluster.Add(set.features[static_cast<std::size_t>(c * 400 + i)], 1.0);
+        cluster.Add(db.features()[static_cast<std::size_t>(c * 400 + i)], 1.0);
       }
       out->push_back(std::move(cluster));
     }
@@ -106,7 +106,7 @@ void BM_LinearScanDisjunctive(benchmark::State& state) {
 /// below read it: they measure the layout the batched pipeline replaced.
 const std::vector<qcluster::linalg::Vector>& SeedLayoutFeatures() {
   static const auto* rows = [] {
-    const qcluster::linalg::FlatBlock& block = Features().features;
+    const qcluster::linalg::FlatBlock& block = Features().features();
     auto* out = new std::vector<qcluster::linalg::Vector>();
     for (std::size_t i = 0; i < block.size(); ++i) out->push_back(block[i]);
     return out;
@@ -221,12 +221,12 @@ void RunBrTree(benchmark::State& state, const std::string& label,
   benchmark::DoNotOptimize(search(&work));
   RecordBrTreeWork(label, work);
   RunThroughputMetric(state, "bench.br_tree." + label,
-                      Features().features.size(),
+                      Features().features().size(),
                       [&] { return search(nullptr); });
 }
 
 void BM_BrTreeEuclidean(benchmark::State& state) {
-  const qcluster::index::EuclideanDistance dist(Features().features[0]);
+  const qcluster::index::EuclideanDistance dist(Features().features()[0]);
   RunBrTree(state, "euclidean", [&](qcluster::index::SearchStats* stats) {
     return Tree().Search(dist, 100, stats);
   });
@@ -245,7 +245,7 @@ void BM_BrTreeWarmRefinement(benchmark::State& state) {
   // feedback-iteration pattern. One iteration times both searches; the work
   // gauges count the warm one.
   using qcluster::index::EuclideanDistance;
-  const qcluster::linalg::Vector& q = Features().features[0];
+  const qcluster::linalg::Vector& q = Features().features()[0];
   qcluster::linalg::Vector q2 = q;
   q2[0] += 0.05;
   RunBrTree(state, "warm_refinement", [&](qcluster::index::SearchStats* stats) {
@@ -278,7 +278,7 @@ template <typename Body>
 void RunThroughput(benchmark::State& state, const std::string& label,
                    const Body& body) {
   RunThroughputMetric(state, "bench.linear_scan." + label,
-                      Features().features.size(), body);
+                      Features().features().size(), body);
 }
 
 qcluster::ThreadPool& PoolWithThreads(int threads) {
@@ -319,19 +319,19 @@ void BM_LinearScanSeedDisjunctive(benchmark::State& state) {
 }
 
 void BM_LinearScanBatchEuclidean(benchmark::State& state) {
-  const FeatureSet& set = Features();
+  const FeatureDatabase& db = Features();
   const int threads = static_cast<int>(state.range(0));
-  qcluster::index::LinearScanIndex scan(set.features.view(),
+  qcluster::index::LinearScanIndex scan(db.features().view(),
                                         &PoolWithThreads(threads));
-  const qcluster::index::EuclideanDistance dist(set.features[0]);
+  const qcluster::index::EuclideanDistance dist(db.features()[0]);
   RunThroughput(state, "batch_euclidean.t" + std::to_string(threads),
                 [&] { return scan.Search(dist, 100); });
 }
 
 void BM_LinearScanBatchDisjunctive(benchmark::State& state) {
-  const FeatureSet& set = Features();
+  const FeatureDatabase& db = Features();
   const int threads = static_cast<int>(state.range(0));
-  qcluster::index::LinearScanIndex scan(set.features.view(),
+  qcluster::index::LinearScanIndex scan(db.features().view(),
                                         &PoolWithThreads(threads));
   const auto dist = MakeDisjunctive();
   RunThroughput(state, "batch_disjunctive.t" + std::to_string(threads),
@@ -437,7 +437,8 @@ void BM_KernelWeighted(benchmark::State& state) {
     qcluster::linalg::Vector w(static_cast<std::size_t>(kWideDim));
     qcluster::Rng rng(991);
     for (double& x : w) x = rng.Uniform(0.1, 4.0);
-    return qcluster::index::WeightedEuclideanDistance(WideFeatures()[0], w);
+    return qcluster::index::MahalanobisDistance(
+        WideFeatures()[0], qcluster::linalg::Matrix::Diagonal(w));
   });
 }
 
@@ -469,7 +470,7 @@ void BM_KernelDisjunctiveNarrow(benchmark::State& state) {
     }
     return;
   }
-  const qcluster::linalg::FlatBlock* narrow = &Features().features;
+  const qcluster::linalg::FlatBlock* narrow = &Features().features();
   const auto dist = MakeDisjunctive();
   std::vector<double> out(narrow->size());
   RunThroughputMetric(

@@ -27,41 +27,35 @@ BenchScale BenchScale::FromEnv() {
   return scale;
 }
 
-dataset::FeatureSet BuildFeatures(dataset::FeatureType type,
-                                  const BenchScale& scale) {
+dataset::FeatureDatabase BuildFeatures(dataset::FeatureType type,
+                                       const BenchScale& scale) {
   QCLUSTER_LOG(kInfo) << "extracting features for " << scale.total_images()
                       << " images";
   dataset::ImageCollectionOptions opt;
   opt.num_categories = scale.categories;
   opt.images_per_category = scale.images_per_category;
   const dataset::ImageCollection collection(opt);
-  const dataset::FeatureDatabase db =
-      dataset::FeatureDatabase::Build(collection, type);
-  dataset::FeatureSet set;
-  set.features = db.features();
-  set.categories = db.categories();
-  set.themes = db.themes();
-  return set;
+  return dataset::FeatureDatabase::Build(collection, type);
 }
 
-std::vector<int> BenchQueryIds(const dataset::FeatureSet& set, int count) {
+std::vector<int> BenchQueryIds(const dataset::FeatureDatabase& db, int count) {
   Rng rng(0xBEEF);
-  QCLUSTER_CHECK(count <= set.size());
-  return rng.SampleWithoutReplacement(set.size(), count);
+  QCLUSTER_CHECK(count <= db.size());
+  return rng.SampleWithoutReplacement(db.size(), count);
 }
 
 eval::SessionResult RunSessions(core::RetrievalMethod& method,
-                                const dataset::FeatureSet& set,
+                                const dataset::FeatureDatabase& db,
                                 const std::vector<int>& query_ids,
                                 int iterations, int k) {
   return eval::AverageSessions(
-      RunSessionsPerQuery(method, set, query_ids, iterations, k));
+      RunSessionsPerQuery(method, db, query_ids, iterations, k));
 }
 
 std::vector<eval::SessionResult> RunSessionsPerQuery(
-    core::RetrievalMethod& method, const dataset::FeatureSet& set,
+    core::RetrievalMethod& method, const dataset::FeatureDatabase& db,
     const std::vector<int>& query_ids, int iterations, int k) {
-  eval::OracleUser oracle(&set.categories, &set.themes,
+  eval::OracleUser oracle(&db.categories(), &db.themes(),
                           eval::OracleOptions{});
   eval::SimulationOptions sim;
   sim.iterations = iterations;
@@ -69,8 +63,8 @@ std::vector<eval::SessionResult> RunSessionsPerQuery(
   std::vector<eval::SessionResult> sessions;
   sessions.reserve(query_ids.size());
   for (int id : query_ids) {
-    sessions.push_back(eval::SimulateSession(method, set.features, oracle,
-                                             set.categories, set.themes, id,
+    sessions.push_back(eval::SimulateSession(method, db.features(), oracle,
+                                             db.categories(), db.themes(), id,
                                              sim));
   }
   return sessions;
@@ -85,18 +79,18 @@ void PrintSeries(const std::string& name, const std::vector<double>& values) {
 void RunPrCurveExperiment(dataset::FeatureType type,
                           const std::string& title) {
   const BenchScale scale = BenchScale::FromEnv();
-  const dataset::FeatureSet set = BuildFeatures(type, scale);
-  const index::BrTree tree(&set.features);
+  const dataset::FeatureDatabase db = BuildFeatures(type, scale);
+  const index::BrTree tree(&db.features());
   core::QclusterOptions opt;
   opt.k = scale.k;
-  core::QclusterEngine engine(&set.features, &tree, opt);
-  const std::vector<int> queries = BenchQueryIds(set, scale.queries);
+  core::QclusterEngine engine(&db.features(), &tree, opt);
+  const std::vector<int> queries = BenchQueryIds(db, scale.queries);
   const eval::SessionResult avg =
-      RunSessions(engine, set, queries, scale.iterations, scale.k);
+      RunSessions(engine, db, queries, scale.iterations, scale.k);
 
   std::printf("=== %s ===\n", title.c_str());
   std::printf("database: %d images, k = %d, %d queries averaged\n",
-              set.size(), scale.k, scale.queries);
+              db.size(), scale.k, scale.queries);
   std::printf("one curve per retrieval round; points sampled every 5 "
               "cutoffs\n\n");
   std::printf("%-10s", "round");
@@ -124,27 +118,27 @@ void RunPrCurveExperiment(dataset::FeatureType type,
 void RunQualityComparison(dataset::FeatureType type, bool report_precision,
                           const std::string& title) {
   const BenchScale scale = BenchScale::FromEnv();
-  const dataset::FeatureSet set = BuildFeatures(type, scale);
-  const index::BrTree tree(&set.features);
-  const std::vector<int> queries = BenchQueryIds(set, scale.queries);
+  const dataset::FeatureDatabase db = BuildFeatures(type, scale);
+  const index::BrTree tree(&db.features());
+  const std::vector<int> queries = BenchQueryIds(db, scale.queries);
 
   core::QclusterOptions qopt;
   qopt.k = scale.k;
-  core::QclusterEngine qcluster(&set.features, &tree, qopt);
+  core::QclusterEngine qcluster(&db.features(), &tree, qopt);
   baselines::QpmOptions popt;
   popt.k = scale.k;
-  baselines::QueryPointMovement qpm(&set.features, &tree, popt);
+  baselines::QueryPointMovement qpm(&db.features(), &tree, popt);
   baselines::QexOptions xopt;
   xopt.k = scale.k;
-  baselines::QueryExpansion qex(&set.features, &tree, xopt);
+  baselines::QueryExpansion qex(&db.features(), &tree, xopt);
   baselines::MindReaderOptions mopt;
   mopt.k = scale.k;
-  baselines::MindReader mindreader(&set.features, &tree, mopt);
+  baselines::MindReader mindreader(&db.features(), &tree, mopt);
 
   std::printf("=== %s ===\n", title.c_str());
   std::printf("database: %d images, k = %d, %d queries averaged, "
               "%d feedback iterations\n\n",
-              set.size(), scale.k, scale.queries, scale.iterations);
+              db.size(), scale.k, scale.queries, scale.iterations);
 
   struct Row {
     const char* name;
@@ -158,7 +152,7 @@ void RunQualityComparison(dataset::FeatureType type, bool report_precision,
                 {"mindreader", &mindreader, {}, {}}};
   for (Row& row : rows) {
     const std::vector<eval::SessionResult> sessions = RunSessionsPerQuery(
-        *row.method, set, queries, scale.iterations, scale.k);
+        *row.method, db, queries, scale.iterations, scale.k);
     const eval::SessionResult avg = eval::AverageSessions(sessions);
     for (const auto& it : avg.iterations) {
       row.values.push_back(report_precision ? it.precision : it.recall);

@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "core/retrieval_method.h"
 #include "dataset/feature_database.h"
-#include "dataset/feature_io.h"
 #include "eval/oracle.h"
 #include "eval/simulator.h"
 
@@ -35,24 +34,24 @@ struct BenchScale {
 /// Renders the synthetic collection at the given scale and extracts its
 /// features. Built on every run, so a bench always measures what the
 /// current rendering, extraction and reduction compute.
-dataset::FeatureSet BuildFeatures(dataset::FeatureType type,
-                                  const BenchScale& scale);
+dataset::FeatureDatabase BuildFeatures(dataset::FeatureType type,
+                                       const BenchScale& scale);
 
-/// Deterministic query sample for a feature set (ids drawn without
+/// Deterministic query sample for a feature database (ids drawn without
 /// replacement with a fixed seed so every binary sees the same queries).
-std::vector<int> BenchQueryIds(const dataset::FeatureSet& set, int count);
+std::vector<int> BenchQueryIds(const dataset::FeatureDatabase& db, int count);
 
 /// Runs `method` through full oracle-driven sessions for every query id and
 /// returns the across-query average (element r = retrieval round r).
 eval::SessionResult RunSessions(core::RetrievalMethod& method,
-                                const dataset::FeatureSet& set,
+                                const dataset::FeatureDatabase& db,
                                 const std::vector<int>& query_ids,
                                 int iterations, int k);
 
 /// Like RunSessions but returns every per-query session, for significance
 /// testing between methods.
 std::vector<eval::SessionResult> RunSessionsPerQuery(
-    core::RetrievalMethod& method, const dataset::FeatureSet& set,
+    core::RetrievalMethod& method, const dataset::FeatureDatabase& db,
     const std::vector<int>& query_ids, int iterations, int k);
 
 /// Prints a "name: v0 v1 v2 ..." row of per-iteration values.

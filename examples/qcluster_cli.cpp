@@ -14,8 +14,8 @@
 // Commands:
 //   build <categories> <images_per_category> [color|texture]
 //                             at most 100,000 images in all
-//   save <path>               cache the current feature set to disk
-//   load <path>               restore a cached feature set
+//   save <path>               cache the current feature database to disk
+//   load <path>               restore a cached feature database
 //   method <qcluster|qpm|qex|falcon|mindreader>
 //   query <image_id>          initial query-by-example
 //   mark auto                 oracle marks relevant in current result, feedback
@@ -67,7 +67,7 @@ namespace {
 using qcluster::core::RetrievalMethod;
 
 struct CliState {
-  std::unique_ptr<qcluster::dataset::FeatureSet> db;
+  std::unique_ptr<qcluster::dataset::FeatureDatabase> db;
   std::unique_ptr<qcluster::index::BrTree> tree;
   std::unique_ptr<RetrievalMethod> method;
   std::unique_ptr<qcluster::eval::OracleUser> oracle;
@@ -83,7 +83,7 @@ struct CliState {
 
 void MakeMethod(CliState& state) {
   if (!state.db) return;
-  const auto* features = &state.db->features;
+  const auto* features = &state.db->features();
   const auto* knn = state.tree.get();
   if (state.method_name == "qpm") {
     qcluster::baselines::QpmOptions opt;
@@ -116,13 +116,14 @@ void MakeMethod(CliState& state) {
 
 bool RequireDb(const CliState& state);
 
-/// Installs a feature set and rebuilds the index, oracle, and method.
-void AdoptFeatureSet(CliState& state,
-                     std::unique_ptr<qcluster::dataset::FeatureSet> set) {
-  state.db = std::move(set);
-  state.tree = std::make_unique<qcluster::index::BrTree>(&state.db->features);
+/// Installs a feature database and rebuilds the index, oracle, and method.
+void AdoptDatabase(CliState& state, qcluster::dataset::FeatureDatabase db) {
+  state.db = std::make_unique<qcluster::dataset::FeatureDatabase>(
+      std::move(db));
+  state.tree =
+      std::make_unique<qcluster::index::BrTree>(&state.db->features());
   state.oracle = std::make_unique<qcluster::eval::OracleUser>(
-      &state.db->categories, &state.db->themes,
+      &state.db->categories(), &state.db->themes(),
       qcluster::eval::OracleOptions{});
   MakeMethod(state);
   state.result.clear();
@@ -182,16 +183,12 @@ void CmdBuild(CliState& state, std::istringstream& args) {
   opt.num_categories = categories;
   opt.images_per_category = images;
   const qcluster::dataset::ImageCollection collection(opt);
-  const qcluster::dataset::FeatureDatabase built =
-      qcluster::dataset::FeatureDatabase::Build(
-          collection, feature == "texture"
-                          ? qcluster::dataset::FeatureType::kTexture
-                          : qcluster::dataset::FeatureType::kColorMoments);
-  auto set = std::make_unique<qcluster::dataset::FeatureSet>();
-  set->features = built.features();
-  set->categories = built.categories();
-  set->themes = built.themes();
-  AdoptFeatureSet(state, std::move(set));
+  AdoptDatabase(state,
+                qcluster::dataset::FeatureDatabase::Build(
+                    collection,
+                    feature == "texture"
+                        ? qcluster::dataset::FeatureType::kTexture
+                        : qcluster::dataset::FeatureType::kColorMoments));
   std::printf("built %d images (%d categories), %s features, dim %d\n",
               state.db->size(), categories, feature.c_str(), state.db->dim());
 }
@@ -203,8 +200,8 @@ void CmdSave(CliState& state, std::istringstream& args) {
     std::printf("error: save needs a path\n");
     return;
   }
-  const qcluster::Status status = qcluster::dataset::SaveFeatureSet(
-      *state.db, path);
+  const qcluster::Status status =
+      qcluster::dataset::SaveFeatureDatabase(*state.db, path);
   std::printf("%s\n", status.ok() ? ("saved to " + path).c_str()
                                   : status.ToString().c_str());
 }
@@ -215,14 +212,13 @@ void CmdLoad(CliState& state, std::istringstream& args) {
     std::printf("error: load needs a path\n");
     return;
   }
-  qcluster::Result<qcluster::dataset::FeatureSet> loaded =
-      qcluster::dataset::LoadFeatureSet(path);
+  qcluster::Result<qcluster::dataset::FeatureDatabase> loaded =
+      qcluster::dataset::LoadFeatureDatabase(path);
   if (!loaded.ok()) {
     std::printf("%s\n", loaded.status().ToString().c_str());
     return;
   }
-  AdoptFeatureSet(state, std::make_unique<qcluster::dataset::FeatureSet>(
-                             std::move(loaded).value()));
+  AdoptDatabase(state, std::move(loaded).value());
   std::printf("loaded %d features (dim %d) from %s\n", state.db->size(),
               state.db->dim(), path.c_str());
 }
@@ -246,9 +242,9 @@ void CmdQuery(CliState& state, std::istringstream& args) {
   }
   state.query_id = id;
   state.result = state.method->InitialQuery(
-      state.db->features[static_cast<std::size_t>(id)]);
+      state.db->features()[static_cast<std::size_t>(id)]);
   std::printf("initial query at image %d (category %d): %d results\n", id,
-              state.db->categories[static_cast<std::size_t>(id)],
+              state.db->categories()[static_cast<std::size_t>(id)],
               static_cast<int>(state.result.size()));
 }
 
@@ -293,9 +289,9 @@ void CmdMark(CliState& state, std::istringstream& args) {
   args >> token;
   if (token == "auto") {
     const int cat =
-        state.db->categories[static_cast<std::size_t>(state.query_id)];
+        state.db->categories()[static_cast<std::size_t>(state.query_id)];
     const int theme =
-        state.db->themes[static_cast<std::size_t>(state.query_id)];
+        state.db->themes()[static_cast<std::size_t>(state.query_id)];
     marked = state.oracle->Judge(state.result, cat, theme);
   } else {
     // Validate every token before any feedback runs, so a bad one leaves
@@ -325,7 +321,7 @@ void CmdShow(CliState& state, std::istringstream& args) {
   for (int i = 0; i < limit; ++i) {
     const auto& r = state.result[static_cast<std::size_t>(i)];
     std::printf("%-6d %-8d %-10d %-10.4f\n", i + 1, r.id,
-                state.db->categories[static_cast<std::size_t>(r.id)],
+                state.db->categories()[static_cast<std::size_t>(r.id)],
                 r.distance);
   }
 }
@@ -352,7 +348,7 @@ void CmdClusters(CliState& state) {
 void CmdMetrics(CliState& state) {
   if (!RequireDb(state) || state.query_id < 0) return;
   const int cat =
-      state.db->categories[static_cast<std::size_t>(state.query_id)];
+      state.db->categories()[static_cast<std::size_t>(state.query_id)];
   auto relevant = [&](int id) { return state.oracle->IsRelevant(id, cat); };
   const int total = state.oracle->CategorySize(cat);
   std::printf("precision@%d = %.4f, recall@%d = %.4f (category %d, %d "

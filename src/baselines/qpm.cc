@@ -86,7 +86,8 @@ void QueryPointMovement::Reset() {
 }
 
 std::vector<index::Neighbor> QueryPointMovement::RunQuery() {
-  return Search(index::WeightedEuclideanDistance(query_point_, weights_));
+  return Search(index::MahalanobisDistance(
+      query_point_, linalg::Matrix::Diagonal(weights_)));
 }
 
 }  // namespace qcluster::baselines

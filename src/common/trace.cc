@@ -84,14 +84,17 @@ std::vector<std::size_t> SortedOrder(const std::vector<SpanRecord>& spans) {
 }
 
 /// Emits the round's summary line and, past the slow threshold, its full
-/// span tree — called by the owning ScopedTraceContext as it closes.
-void EmitRoundEnd(std::uint64_t trace_id, int round, double elapsed_ms) {
+/// span tree — called by the owning ScopedTraceContext as it closes, with
+/// the recorder's mark from when it opened: the round's spans can only have
+/// been retained past it.
+void EmitRoundEnd(std::uint64_t trace_id, int round, double elapsed_ms,
+                  std::uint64_t mark) {
   TraceRecorder& recorder = TraceRecorder::Global();
-  QCLUSTER_LOG(kInfo) << recorder.RoundSummary(trace_id, round);
+  QCLUSTER_LOG(kInfo) << recorder.RoundSummary(trace_id, round, mark);
   const double slow_ms = SlowRoundThresholdMs();
   if (slow_ms > 0.0 && elapsed_ms >= slow_ms) {
     const std::vector<SpanRecord> spans =
-        recorder.SpansForRound(trace_id, round);
+        recorder.SpansForRound(trace_id, round, mark);
     std::fprintf(stderr,
                  "qcluster: SLOW round: %.3f ms >= QCLUSTER_SLOW_MS=%.3f "
                  "(trace=%llu round=%d)\n%s",
@@ -186,6 +189,7 @@ ScopedTraceContext::ScopedTraceContext(std::uint64_t trace_id, int round) {
   installed_ = TraceContext{trace_id, round};
   ts.context = installed_;
   ts.active_span = 0;
+  mark_ = TraceRecorder::Global().Mark();
   begin_ns_ = NowNs();
   owner_ = true;
 }
@@ -197,7 +201,7 @@ ScopedTraceContext::~ScopedTraceContext() {
   ts.active_span = saved_span_;
   const double elapsed_ms =
       static_cast<double>(NowNs() - begin_ns_) / 1e6;
-  EmitRoundEnd(installed_.trace_id, installed_.round, elapsed_ms);
+  EmitRoundEnd(installed_.trace_id, installed_.round, elapsed_ms, mark_);
 }
 
 PropagatedContext CaptureContext() {
@@ -344,6 +348,7 @@ void TraceRecorder::Drain() {
   for (const auto& buffer : buffers) buffer->DrainInto(&drained);
   MutexLock lock(mu_);
   for (const SpanRecord& rec : drained) retained_.push_back(rec);
+  appended_ += drained.size();
   while (retained_.size() > kMaxRetained) {
     retained_.pop_front();
     ++retained_dropped_;
@@ -357,15 +362,27 @@ std::vector<SpanRecord> TraceRecorder::Snapshot() {
 }
 
 std::vector<SpanRecord> TraceRecorder::SpansForRound(std::uint64_t trace_id,
-                                                     int round) {
-  std::vector<SpanRecord> all = Snapshot();
+                                                     int round,
+                                                     std::uint64_t since) {
+  Drain();
+  MutexLock lock(mu_);
+  // retained_[i] is the span retained at position appended_ - size + i.
+  const std::uint64_t first = appended_ - retained_.size();
+  const auto begin = static_cast<std::size_t>(std::min<std::uint64_t>(
+      since > first ? since - first : 0, retained_.size()));
   std::vector<SpanRecord> out;
-  for (const SpanRecord& rec : all) {
+  for (std::size_t i = begin; i < retained_.size(); ++i) {
+    const SpanRecord& rec = retained_[i];
     if (rec.trace_id == trace_id && (round < 0 || rec.round == round)) {
       out.push_back(rec);
     }
   }
   return out;
+}
+
+std::uint64_t TraceRecorder::Mark() {
+  MutexLock lock(mu_);
+  return appended_;
 }
 
 long long TraceRecorder::dropped() const {
@@ -443,8 +460,9 @@ Status TraceRecorder::DumpChromeTrace(const std::string& path) {
   return Status::OK();
 }
 
-std::string TraceRecorder::RoundSummary(std::uint64_t trace_id, int round) {
-  const std::vector<SpanRecord> spans = SpansForRound(trace_id, round);
+std::string TraceRecorder::RoundSummary(std::uint64_t trace_id, int round,
+                                        std::uint64_t since) {
+  const std::vector<SpanRecord> spans = SpansForRound(trace_id, round, since);
   std::ostringstream out;
   out << "trace=" << trace_id << " round=" << round;
   if (spans.empty()) {

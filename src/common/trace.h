@@ -143,6 +143,9 @@ class ScopedSpan {
 /// context for the scope and, on destruction, restores the previous one,
 /// drains the recorder and emits the round's compact summary line, plus the
 /// full span tree to stderr when the round exceeded the slow threshold.
+/// Both read only the spans retained since the scope opened
+/// (TraceRecorder::Mark), so a round's cost does not grow with the spans
+/// earlier rounds left behind.
 class ScopedTraceContext {
  public:
   ScopedTraceContext(std::uint64_t trace_id, int round);
@@ -157,6 +160,7 @@ class ScopedTraceContext {
   TraceContext saved_;
   std::uint64_t saved_span_ = 0;
   std::int64_t begin_ns_ = 0;
+  std::uint64_t mark_ = 0;  ///< TraceRecorder::Mark() when installed.
 };
 
 /// Snapshot of the submitting thread's context + active span, captured
@@ -250,9 +254,16 @@ class TraceRecorder {
   /// per-thread oldest-first; use begin_ns to order globally).
   std::vector<SpanRecord> Snapshot();
 
-  /// Drains, then returns the spans of one (trace, round); round -1
-  /// matches every round of the trace.
-  std::vector<SpanRecord> SpansForRound(std::uint64_t trace_id, int round);
+  /// Drains, then returns the spans of one (trace, round) among those
+  /// retained at or past `since`, a Mark() (0, the default, reads every
+  /// retained span); round -1 matches every round of the trace.
+  std::vector<SpanRecord> SpansForRound(std::uint64_t trace_id, int round,
+                                        std::uint64_t since = 0);
+
+  /// The count of spans ever retained: the position the next drained span
+  /// takes. A span recorded after this call can only be retained at or
+  /// past it.
+  std::uint64_t Mark();
 
   /// Total spans dropped so far: ring-buffer overwrites plus retained-set
   /// evictions.
@@ -276,7 +287,9 @@ class TraceRecorder {
   /// durations of every span within two levels of the round's root, e.g.
   ///   trace=3 round=1 total=12.4ms feedback.total=12.2ms
   ///   feedback.knn_query=10.1ms ... spans=42
-  std::string RoundSummary(std::uint64_t trace_id, int round);
+  /// over the spans SpansForRound(trace_id, round, since) returns.
+  std::string RoundSummary(std::uint64_t trace_id, int round,
+                           std::uint64_t since = 0);
 
   /// Indented rendering of a span forest (children under parents, siblings
   /// by begin time), one span per line with duration and attributes.
@@ -290,6 +303,8 @@ class TraceRecorder {
   std::vector<std::shared_ptr<internal::ThreadBuffer>> buffers_
       QCLUSTER_GUARDED_BY(mu_);
   std::deque<SpanRecord> retained_ QCLUSTER_GUARDED_BY(mu_);
+  /// Spans ever appended to retained_; never reset, so marks stay valid.
+  std::uint64_t appended_ QCLUSTER_GUARDED_BY(mu_) = 0;
   long long retained_dropped_ QCLUSTER_GUARDED_BY(mu_) = 0;
 };
 

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "core/invariants.h"
-#include "linalg/eigen_sym.h"
 
 namespace qcluster::core {
 
@@ -12,19 +11,14 @@ using linalg::Vector;
 
 DisjunctiveDistance::DisjunctiveDistance(const std::vector<Cluster>& clusters,
                                          stats::CovarianceScheme scheme,
-                                         double min_variance)
-    : DisjunctiveDistance(clusters, scheme, min_variance, 0.0) {}
-
-DisjunctiveDistance::DisjunctiveDistance(const std::vector<Cluster>& clusters,
-                                         stats::CovarianceScheme scheme,
-                                         double min_variance, double shrinkage)
-    : dim_(0), total_weight_(0.0) {
+                                         double min_variance,
+                                         double shrinkage) {
   QCLUSTER_CHECK_MSG(!clusters.empty(), "need at least one cluster");
   QCLUSTER_CHECK(0.0 <= shrinkage && shrinkage < 1.0);
-  dim_ = clusters.front().dim();
+  const int dim = clusters.front().dim();
 
   // Pooled covariance for the shrinkage target (Eq. 7 across clusters).
-  linalg::Matrix pooled(dim_, dim_, 0.0);
+  linalg::Matrix pooled(dim, dim, 0.0);
   if (shrinkage > 0.0) {
     std::vector<const stats::WeightedStats*> groups;
     groups.reserve(clusters.size());
@@ -32,70 +26,61 @@ DisjunctiveDistance::DisjunctiveDistance(const std::vector<Cluster>& clusters,
     pooled = stats::PooledCovariance(groups);
   }
 
+  terms_.harmonic = true;
+  terms_.components.reserve(clusters.size());
+  weights_.reserve(clusters.size());
   for (const Cluster& c : clusters) {
-    QCLUSTER_CHECK(c.dim() == dim_);
+    QCLUSTER_CHECK(c.dim() == dim);
     QCLUSTER_CHECK(c.weight() > 0.0);
-    centroids_.push_back(c.centroid());
-    weights_.push_back(c.weight());
+    linalg::Matrix inverse;
     if (shrinkage > 0.0) {
       linalg::Matrix blended = c.Covariance().Scale(1.0 - shrinkage)
                                    .Add(pooled.Scale(shrinkage));
-      for (int d = 0; d < dim_; ++d) {
+      for (int d = 0; d < dim; ++d) {
         if (blended(d, d) < min_variance) blended(d, d) = min_variance;
       }
-      inverse_covs_.push_back(stats::InvertCovariance(blended, scheme));
+      inverse = stats::InvertCovariance(blended, scheme);
     } else {
-      inverse_covs_.push_back(c.InverseCovariance(scheme, min_variance));
+      inverse = c.InverseCovariance(scheme, min_variance);
     }
-    total_weight_ += c.weight();
-
-    // Tight rectangle bounds: exact per-dimension weights for diagonal
-    // metrics (the adopted scheme), spectral fallback otherwise. Diagonal
-    // metrics never pay the O(d³) eigendecomposition.
-    const linalg::Matrix& inv = inverse_covs_.back();
-    if (inv.IsDiagonal()) {
-      diagonal_weights_.push_back(inv.Diag());
-      min_eigenvalues_.push_back(0.0);
-      continue;
-    }
-    diagonal_weights_.emplace_back();
-    min_eigenvalues_.push_back(linalg::MinEigenvalueLowerBound(inv));
+    terms_.components.push_back(index::QuadraticComponent::Of(
+        c.centroid(), std::move(inverse), c.weight()));
+    weights_.push_back(c.weight());
+    terms_.total_weight += c.weight();
   }
 }
 
 double DisjunctiveDistance::ClusterDistance(std::size_t i,
                                             const double* x) const {
   const auto& kernels = linalg::simd::Kernels();
-  const Vector& centroid = centroids_[i];
-  const Vector& diag = diagonal_weights_[i];
-  if (!diag.empty()) {
+  const index::QuadraticComponent& term = terms_.components[i];
+  const int dim = this->dim();
+  if (!term.diagonal.empty()) {
     // Diagonal metric fast path: O(d), no scratch at all.
-    return kernels.weighted_sq_row(diag.data(), centroid.data(), x, dim_);
+    return kernels.weighted_sq_row(term.diagonal.data(), term.query.data(), x,
+                                   dim);
   }
   // Full metric: reuse a per-thread diff buffer instead of allocating one
   // per point; the quadratic-form kernel itself is allocation-free.
   static thread_local Vector diff;
-  diff.resize(static_cast<std::size_t>(dim_));
-  for (int d = 0; d < dim_; ++d) {
-    const std::size_t sd = static_cast<std::size_t>(d);
-    diff[sd] = x[sd] - centroid[sd];
-  }
-  return kernels.quadratic_form_row(inverse_covs_[i].data(), diff.data(),
-                                    dim_);
+  diff.resize(static_cast<std::size_t>(dim));
+  for (std::size_t d = 0; d < diff.size(); ++d) diff[d] = x[d] - term.query[d];
+  return kernels.quadratic_form_row(term.full.data(), diff.data(), dim);
 }
 
 linalg::simd::HarmonicSpec DisjunctiveDistance::BuildHarmonicSpec() const {
   static thread_local std::vector<linalg::simd::QuadComponentView> views;
-  views.resize(centroids_.size());
-  for (std::size_t i = 0; i < centroids_.size(); ++i) {
+  views.resize(terms_.components.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const index::QuadraticComponent& term = terms_.components[i];
     linalg::simd::QuadComponentView& v = views[i];
-    v.query = centroids_[i].data();
-    v.diagonal =
-        diagonal_weights_[i].empty() ? nullptr : diagonal_weights_[i].data();
-    v.full = diagonal_weights_[i].empty() ? inverse_covs_[i].data() : nullptr;
-    v.weight = weights_[i];
+    v.query = term.query.data();
+    v.diagonal = term.diagonal.empty() ? nullptr : term.diagonal.data();
+    v.full = term.diagonal.empty() ? term.full.data() : nullptr;
+    v.weight = term.weight;
   }
-  return linalg::simd::HarmonicSpec{views.data(), views.size(), total_weight_};
+  return linalg::simd::HarmonicSpec{views.data(), views.size(),
+                                    terms_.total_weight};
 }
 
 double DisjunctiveDistance::DistanceRow(const double* x) const {
@@ -106,8 +91,8 @@ double DisjunctiveDistance::DistanceRow(const double* x) const {
     // the audit. Results are identical — the same ClusterDistance values
     // feed the same accumulation order.
     static thread_local std::vector<double> audit_d2;
-    audit_d2.resize(centroids_.size());
-    for (std::size_t i = 0; i < centroids_.size(); ++i) {
+    audit_d2.resize(terms_.components.size());
+    for (std::size_t i = 0; i < audit_d2.size(); ++i) {
       audit_d2[i] = ClusterDistance(i, x);
     }
     return Aggregate(audit_d2.data(), audit_d2.size());
@@ -116,14 +101,14 @@ double DisjunctiveDistance::DistanceRow(const double* x) const {
   // Eq. 5 fused in the kernel — no per-point d2 buffer, component loop and
   // per-cluster forms in one call.
   static thread_local std::vector<double> scratch;
-  scratch.resize(static_cast<std::size_t>(dim_));
-  return linalg::simd::Kernels().harmonic_row(BuildHarmonicSpec(), x, dim_,
+  scratch.resize(static_cast<std::size_t>(dim()));
+  return linalg::simd::Kernels().harmonic_row(BuildHarmonicSpec(), x, dim(),
                                               scratch.data());
 }
 
 void DisjunctiveDistance::DistanceBatch(const linalg::FlatView& view,
                                         double* out) const {
-  QCLUSTER_CHECK(view.dim == dim_);
+  QCLUSTER_CHECK(view.dim == dim());
 #ifndef NDEBUG
   if (AuditEnabled()) {
     for (std::size_t i = 0; i < view.n; ++i) out[i] = DistanceRow(view.row(i));
@@ -131,7 +116,7 @@ void DisjunctiveDistance::DistanceBatch(const linalg::FlatView& view,
   }
 #endif
   static thread_local std::vector<double> scratch;
-  scratch.resize(static_cast<std::size_t>(dim_));
+  scratch.resize(static_cast<std::size_t>(dim()));
   linalg::simd::Kernels().harmonic_batch(BuildHarmonicSpec(), view.data,
                                          view.n, view.dim, scratch.data(),
                                          out);
@@ -139,38 +124,11 @@ void DisjunctiveDistance::DistanceBatch(const linalg::FlatView& view,
 
 double DisjunctiveDistance::MinDistance(const index::Rect& rect) const {
   static thread_local std::vector<double> d2;
-  d2.resize(centroids_.size());
-  for (std::size_t i = 0; i < centroids_.size(); ++i) {
-    if (!diagonal_weights_[i].empty()) {
-      // Exact lower bound for a diagonal quadratic form: per-dimension
-      // clamped distance, weighted.
-      d2[i] = linalg::simd::Kernels().weighted_rect_row(
-          diagonal_weights_[i].data(), centroids_[i].data(), rect.lo.data(),
-          rect.hi.data(), dim_);
-    } else {
-      d2[i] =
-          min_eigenvalues_[i] * rect.SquaredEuclideanDistance(centroids_[i]);
-    }
+  d2.resize(terms_.components.size());
+  for (std::size_t i = 0; i < d2.size(); ++i) {
+    d2[i] = terms_.components[i].MinDistance(rect);
   }
   return Aggregate(d2.data(), d2.size());
-}
-
-bool DisjunctiveDistance::Decompose(index::QuadraticDecomposition* out) const {
-  out->components.clear();
-  out->harmonic = true;
-  out->total_weight = total_weight_;
-  out->components.reserve(centroids_.size());
-  for (std::size_t i = 0; i < centroids_.size(); ++i) {
-    index::QuadraticComponent& c = out->components.emplace_back();
-    c.query = centroids_[i];
-    if (!diagonal_weights_[i].empty()) {
-      c.diagonal = diagonal_weights_[i];
-    } else {
-      c.full = inverse_covs_[i];
-    }
-    c.weight = weights_[i];
-  }
-  return true;
 }
 
 double DisjunctiveDistance::Aggregate(const double* d2, std::size_t n) const {
@@ -186,12 +144,12 @@ double DisjunctiveDistance::Aggregate(const double* d2, std::size_t n) const {
   }
   if (!zero) {
     result = denom <= 0.0 ? std::numeric_limits<double>::infinity()
-                          : total_weight_ / denom;
+                          : terms_.total_weight / denom;
   }
   // Eq. 5: monotone non-negative aggregation — the fuzzy OR stays within
   // the [min, max] bounds of its per-cluster inputs.
   QCLUSTER_AUDIT(ValidateDisjunctiveAggregate(d2, weights_.data(), n,
-                                              total_weight_, result));
+                                              terms_.total_weight, result));
   return result;
 }
 

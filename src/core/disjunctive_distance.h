@@ -31,22 +31,22 @@ namespace qcluster::core {
 /// batched entry points are safe to call concurrently from the scan pool.
 class DisjunctiveDistance final : public index::DistanceFunction {
  public:
-  /// Captures centroids, weights, and inverse covariances of `clusters`
-  /// under `scheme`. The distance object is self-contained: later changes
-  /// to the clusters do not affect it.
-  DisjunctiveDistance(const std::vector<Cluster>& clusters,
-                      stats::CovarianceScheme scheme, double min_variance);
-
-  /// Like above, with RDA-style covariance shrinkage: each cluster metric
-  /// uses S_i' = (1 − λ) S_i + λ S_pooled, where S_pooled is the pooled
-  /// covariance across all clusters (Eq. 7). Shrinkage stabilizes the
-  /// ellipsoids of small clusters (few marked images) whose sample
-  /// covariances are unreliable. λ = 0 reproduces the plain constructor.
+  /// Captures each cluster's centroid, weight mᵢ and inverse covariance
+  /// under `scheme` as one index::QuadraticComponent. The distance object is
+  /// self-contained: later changes to the clusters do not affect it.
+  ///
+  /// `shrinkage` λ applies RDA-style covariance shrinkage: each cluster
+  /// metric uses S_i' = (1 − λ) S_i + λ S_pooled, where S_pooled is the
+  /// pooled covariance across all clusters (Eq. 7). Shrinkage stabilizes
+  /// the ellipsoids of small clusters (few marked images) whose sample
+  /// covariances are unreliable; λ = 0 uses each S_i as it is.
   DisjunctiveDistance(const std::vector<Cluster>& clusters,
                       stats::CovarianceScheme scheme, double min_variance,
-                      double shrinkage);
+                      double shrinkage = 0.0);
 
-  int dim() const override { return dim_; }
+  int dim() const override {
+    return static_cast<int>(terms_.components[0].query.size());
+  }
   double DistanceRow(const double* x) const override;
   void DistanceBatch(const linalg::FlatView& view,
                      double* out) const override;
@@ -54,13 +54,17 @@ class DisjunctiveDistance final : public index::DistanceFunction {
 
   /// One component per cluster (centroid, Sᵢ⁻¹, mᵢ) under the harmonic
   /// Eq. 5 combine — index::WarmStart's key for an unchanged metric.
-  bool Decompose(index::QuadraticDecomposition* out) const override;
+  const index::QuadraticDecomposition* decomposition() const override {
+    return &terms_;
+  }
 
   /// Number of query points (clusters) in the aggregate.
-  int cluster_count() const { return static_cast<int>(centroids_.size()); }
+  int cluster_count() const {
+    return static_cast<int>(terms_.components.size());
+  }
 
  private:
-  /// Eq. 1 for cluster `i` at the raw point `x` (length dim_): O(d) for
+  /// Eq. 1 for cluster `i` at the raw point `x` (length dim()): O(d) for
   /// diagonal metrics, O(d²) with per-thread scratch for full ones.
   double ClusterDistance(std::size_t i, const double* x) const;
 
@@ -73,15 +77,8 @@ class DisjunctiveDistance final : public index::DistanceFunction {
   /// Eq. 5 over precomputed per-cluster squared distances d2[0..n).
   double Aggregate(const double* d2, std::size_t n) const;
 
-  int dim_;
-  std::vector<linalg::Vector> centroids_;
-  std::vector<double> weights_;                  ///< m_i.
-  std::vector<linalg::Matrix> inverse_covs_;     ///< S_i^{-1}.
-  std::vector<double> min_eigenvalues_;          ///< λ_min(S_i^{-1}) for bounds.
-  /// Exact per-dimension bound weights when S_i^{-1} is diagonal (the
-  /// default scheme); empty vector for full matrices (λ_min fallback).
-  std::vector<linalg::Vector> diagonal_weights_;
-  double total_weight_;
+  index::QuadraticDecomposition terms_;
+  std::vector<double> weights_;  ///< The mᵢ again, contiguous for the audit.
 };
 
 }  // namespace qcluster::core

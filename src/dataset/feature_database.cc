@@ -1,6 +1,7 @@
 #include "dataset/feature_database.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -106,6 +107,16 @@ FeatureDatabase FeatureDatabase::Build(const ImageCollection& collection,
                          std::move(themes),
                          reduced_dim > 0 ? reduced_dim
                                          : DefaultReducedDim(type));
+}
+
+FeatureDatabase::FeatureDatabase(linalg::FlatBlock features,
+                                 std::vector<int> categories,
+                                 std::vector<int> themes)
+    : features_(std::move(features)),
+      categories_(std::move(categories)),
+      themes_(std::move(themes)) {
+  QCLUSTER_CHECK(features_.size() == categories_.size());
+  QCLUSTER_CHECK(features_.size() == themes_.size());
 }
 
 FeatureDatabase FeatureDatabase::FromRawFeatures(std::vector<Vector> raw,

@@ -1,7 +1,6 @@
 #ifndef QCLUSTER_DATASET_FEATURE_DATABASE_H_
 #define QCLUSTER_DATASET_FEATURE_DATABASE_H_
 
-#include <utility>
 #include <vector>
 
 #include "dataset/image_collection.h"
@@ -40,6 +39,12 @@ class FeatureDatabase {
       std::vector<linalg::Vector> raw, std::vector<int> categories,
       std::vector<int> themes, int reduced_dim);
 
+  /// Adopts finished (already reduced) feature rows with one category and
+  /// one theme per row, as LoadFeatureDatabase reads them back. CHECKs that
+  /// the three sizes agree.
+  FeatureDatabase(linalg::FlatBlock features, std::vector<int> categories,
+                  std::vector<int> themes);
+
   int size() const { return static_cast<int>(features_.size()); }
   int dim() const { return features_.dim(); }
 
@@ -56,12 +61,6 @@ class FeatureDatabase {
   const std::vector<int>& themes() const { return themes_; }
 
  private:
-  FeatureDatabase(linalg::FlatBlock features, std::vector<int> categories,
-                  std::vector<int> themes)
-      : features_(std::move(features)),
-        categories_(std::move(categories)),
-        themes_(std::move(themes)) {}
-
   linalg::FlatBlock features_;
   std::vector<int> categories_;
   std::vector<int> themes_;

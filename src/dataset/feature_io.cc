@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-
-#include "common/check.h"
+#include <utility>
+#include <vector>
 
 namespace qcluster::dataset {
 namespace {
@@ -30,32 +30,31 @@ bool ReadU32(std::FILE* f, std::uint32_t* v) {
 
 }  // namespace
 
-Status SaveFeatureSet(const FeatureSet& set, const std::string& path) {
-  QCLUSTER_CHECK(set.features.size() == set.categories.size());
-  QCLUSTER_CHECK(set.features.size() == set.themes.size());
+Status SaveFeatureDatabase(const FeatureDatabase& db,
+                           const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "wb"));
   if (!f) return Status::NotFound("cannot open for writing: " + path);
 
-  const std::uint32_t n = static_cast<std::uint32_t>(set.features.size());
-  const std::uint32_t dim = static_cast<std::uint32_t>(set.dim());
+  const std::uint32_t n = static_cast<std::uint32_t>(db.size());
+  const std::uint32_t dim = static_cast<std::uint32_t>(db.dim());
   if (!WriteU32(f.get(), kMagic) || !WriteU32(f.get(), kVersion) ||
       !WriteU32(f.get(), n) || !WriteU32(f.get(), dim)) {
     return Status::Internal("short write on header: " + path);
   }
   const std::size_t values = std::size_t{n} * dim;
-  if (values > 0 && std::fwrite(set.features.row(0), sizeof(double),
+  if (values > 0 && std::fwrite(db.features().row(0), sizeof(double),
                                 values, f.get()) != values) {
     return Status::Internal("short write on features: " + path);
   }
   if (n > 0 &&
-      (std::fwrite(set.categories.data(), sizeof(int), n, f.get()) != n ||
-       std::fwrite(set.themes.data(), sizeof(int), n, f.get()) != n)) {
+      (std::fwrite(db.categories().data(), sizeof(int), n, f.get()) != n ||
+       std::fwrite(db.themes().data(), sizeof(int), n, f.get()) != n)) {
     return Status::Internal("short write on labels: " + path);
   }
   return Status::OK();
 }
 
-Result<FeatureSet> LoadFeatureSet(const std::string& path) {
+Result<FeatureDatabase> LoadFeatureDatabase(const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return Status::NotFound("cannot open: " + path);
 
@@ -94,21 +93,21 @@ Result<FeatureSet> LoadFeatureSet(const std::string& path) {
     return Status::InvalidArgument("dimension out of range in " + path);
   }
 
-  FeatureSet set;
-  set.features = linalg::FlatBlock(n, static_cast<int>(dim));
+  linalg::FlatBlock features(n, static_cast<int>(dim));
   const std::size_t values = std::size_t{n} * dim;
-  if (values > 0 && std::fread(set.features.mutable_row(0), sizeof(double),
+  if (values > 0 && std::fread(features.mutable_row(0), sizeof(double),
                                values, f.get()) != values) {
     return Status::InvalidArgument("truncated features in " + path);
   }
-  set.categories.resize(n);
-  set.themes.resize(n);
+  std::vector<int> categories(n);
+  std::vector<int> themes(n);
   if (n > 0 &&
-      (std::fread(set.categories.data(), sizeof(int), n, f.get()) != n ||
-       std::fread(set.themes.data(), sizeof(int), n, f.get()) != n)) {
+      (std::fread(categories.data(), sizeof(int), n, f.get()) != n ||
+       std::fread(themes.data(), sizeof(int), n, f.get()) != n)) {
     return Status::InvalidArgument("truncated labels in " + path);
   }
-  return set;
+  return FeatureDatabase(std::move(features), std::move(categories),
+                         std::move(themes));
 }
 
 }  // namespace qcluster::dataset

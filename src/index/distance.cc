@@ -50,141 +50,90 @@ double DistanceFunction::MinDistance(const Rect& rect) const {
   return 0.0;
 }
 
-bool DistanceFunction::Decompose(QuadraticDecomposition* out) const {
-  (void)out;
-  return false;
+QuadraticComponent QuadraticComponent::Of(Vector query, Matrix a,
+                                          double weight) {
+  QCLUSTER_CHECK(static_cast<int>(query.size()) == a.rows());
+  QCLUSTER_CHECK(a.rows() == a.cols());
+  QuadraticComponent term;
+  term.query = std::move(query);
+  term.weight = weight;
+  if (a.IsDiagonal()) {
+    term.diagonal = a.Diag();
+  } else {
+    term.min_eigenvalue = linalg::MinEigenvalueLowerBound(a);
+    term.full = std::move(a);
+  }
+  return term;
 }
 
-EuclideanDistance::EuclideanDistance(Vector query) : query_(std::move(query)) {
-  QCLUSTER_CHECK(!query_.empty());
+double QuadraticComponent::MinDistance(const Rect& rect) const {
+  if (diagonal.empty()) {
+    return min_eigenvalue * rect.SquaredEuclideanDistance(query);
+  }
+  return linalg::simd::Kernels().weighted_rect_row(
+      diagonal.data(), query.data(), rect.lo.data(), rect.hi.data(),
+      static_cast<int>(query.size()));
+}
+
+EuclideanDistance::EuclideanDistance(Vector query) {
+  QCLUSTER_CHECK(!query.empty());
+  QuadraticComponent& term = terms_.components.emplace_back();
+  term.diagonal.assign(query.size(), 1.0);
+  term.query = std::move(query);
 }
 
 double EuclideanDistance::DistanceRow(const double* x) const {
-  return linalg::simd::Kernels().squared_l2_row(query_.data(), x, dim());
+  return linalg::simd::Kernels().squared_l2_row(query().data(), x, dim());
 }
 
 void EuclideanDistance::DistanceBatch(const FlatView& view,
                                       double* out) const {
   QCLUSTER_CHECK(view.dim == dim());
-  linalg::simd::Kernels().squared_l2_batch(query_.data(), view.data, view.n,
+  linalg::simd::Kernels().squared_l2_batch(query().data(), view.data, view.n,
                                            view.dim, out);
 }
 
 double EuclideanDistance::MinDistance(const Rect& rect) const {
-  return rect.SquaredEuclideanDistance(query_);
-}
-
-bool EuclideanDistance::Decompose(QuadraticDecomposition* out) const {
-  out->components.clear();
-  out->harmonic = false;
-  out->total_weight = 0.0;
-  QuadraticComponent& c = out->components.emplace_back();
-  c.query = query_;
-  c.diagonal.assign(query_.size(), 1.0);
-  return true;
-}
-
-WeightedEuclideanDistance::WeightedEuclideanDistance(Vector query,
-                                                     Vector weights)
-    : query_(std::move(query)), weights_(std::move(weights)) {
-  QCLUSTER_CHECK(query_.size() == weights_.size());
-  for (double w : weights_) QCLUSTER_CHECK(w >= 0.0);
-}
-
-double WeightedEuclideanDistance::DistanceRow(const double* x) const {
-  return linalg::simd::Kernels().weighted_sq_row(weights_.data(), query_.data(),
-                                                 x, dim());
-}
-
-void WeightedEuclideanDistance::DistanceBatch(const FlatView& view,
-                                              double* out) const {
-  QCLUSTER_CHECK(view.dim == dim());
-  linalg::simd::Kernels().weighted_sq_batch(weights_.data(), query_.data(),
-                                            view.data, view.n, view.dim, out);
-}
-
-double WeightedEuclideanDistance::MinDistance(const Rect& rect) const {
-  return linalg::simd::Kernels().weighted_rect_row(
-      weights_.data(), query_.data(), rect.lo.data(), rect.hi.data(), dim());
-}
-
-bool WeightedEuclideanDistance::Decompose(QuadraticDecomposition* out) const {
-  out->components.clear();
-  out->harmonic = false;
-  out->total_weight = 0.0;
-  QuadraticComponent& c = out->components.emplace_back();
-  c.query = query_;
-  c.diagonal = weights_;
-  return true;
+  return rect.SquaredEuclideanDistance(query());
 }
 
 MahalanobisDistance::MahalanobisDistance(Vector query,
-                                         Matrix inverse_covariance)
-    : query_(std::move(query)),
-      inverse_covariance_(std::move(inverse_covariance)),
-      diagonal_(false),
-      q_aq_(0.0),
-      min_eigenvalue_(0.0) {
-  QCLUSTER_CHECK(static_cast<int>(query_.size()) == inverse_covariance_.rows());
-  QCLUSTER_CHECK(inverse_covariance_.rows() == inverse_covariance_.cols());
-  diagonal_ = inverse_covariance_.IsDiagonal();
-  a_q_ = inverse_covariance_.MatVec(query_);
-  q_aq_ = linalg::Dot(query_, a_q_);
-  if (diagonal_) {
-    // The scheme the paper adopts: exact per-dimension rectangle bounds, no
-    // O(d³) eigendecomposition.
-    diagonal_weights_ = inverse_covariance_.Diag();
-    return;
+                                         Matrix inverse_covariance) {
+  terms_.components.push_back(QuadraticComponent::Of(
+      std::move(query), std::move(inverse_covariance)));
+  const QuadraticComponent& t = term();
+  if (t.diagonal.empty()) {
+    a_q_ = t.full.MatVec(t.query);
+    q_aq_ = linalg::Dot(t.query, a_q_);
   }
-  min_eigenvalue_ = linalg::MinEigenvalueLowerBound(inverse_covariance_);
 }
 
 double MahalanobisDistance::DistanceRow(const double* x) const {
   const auto& kernels = linalg::simd::Kernels();
-  if (diagonal_) {
-    return kernels.weighted_sq_row(diagonal_weights_.data(), query_.data(), x,
+  const QuadraticComponent& t = term();
+  if (!t.diagonal.empty()) {
+    return kernels.weighted_sq_row(t.diagonal.data(), t.query.data(), x,
                                    dim());
   }
-  return kernels.mahalanobis_row(inverse_covariance_.data(), a_q_.data(), q_aq_,
-                                 x, dim());
+  return kernels.mahalanobis_row(t.full.data(), a_q_.data(), q_aq_, x, dim());
 }
 
 void MahalanobisDistance::DistanceBatch(const FlatView& view,
                                         double* out) const {
   QCLUSTER_CHECK(view.dim == dim());
   const auto& kernels = linalg::simd::Kernels();
-  if (diagonal_) {
-    kernels.weighted_sq_batch(diagonal_weights_.data(), query_.data(),
-                              view.data, view.n, view.dim, out);
+  const QuadraticComponent& t = term();
+  if (!t.diagonal.empty()) {
+    kernels.weighted_sq_batch(t.diagonal.data(), t.query.data(), view.data,
+                              view.n, view.dim, out);
     return;
   }
-  kernels.mahalanobis_batch(inverse_covariance_.data(), a_q_.data(), q_aq_,
-                            view.data, view.n, view.dim, out);
+  kernels.mahalanobis_batch(t.full.data(), a_q_.data(), q_aq_, view.data,
+                            view.n, view.dim, out);
 }
 
 double MahalanobisDistance::MinDistance(const Rect& rect) const {
-  if (diagonal_) {
-    // Exact per-dimension bound for a diagonal quadratic form — tighter
-    // than λ_min · d²_euclid whenever the diagonal is anisotropic.
-    return linalg::simd::Kernels().weighted_rect_row(
-        diagonal_weights_.data(), query_.data(), rect.lo.data(),
-        rect.hi.data(), dim());
-  }
-  return min_eigenvalue_ * rect.SquaredEuclideanDistance(query_);
-}
-
-bool MahalanobisDistance::Decompose(QuadraticDecomposition* out) const {
-  out->components.clear();
-  out->harmonic = false;
-  out->total_weight = 0.0;
-  QuadraticComponent& c = out->components.emplace_back();
-  c.query = query_;
-  if (diagonal_) {
-    c.diagonal = diagonal_weights_;
-  } else {
-    c.full = inverse_covariance_;
-  }
-  return true;
+  return term().MinDistance(rect);
 }
 
 }  // namespace qcluster::index

@@ -26,35 +26,54 @@ struct Rect {
   double SquaredEuclideanDistance(const linalg::Vector& x) const;
 };
 
-/// One quadratic term of a decomposable metric: the component contributes
-/// d²ᵢ(x) = (x − qᵢ)' Aᵢ (x − qᵢ) to the aggregate. `diagonal` holds
-/// diag(Aᵢ) for a diagonal metric (the covariance scheme the paper adopts);
-/// otherwise it is empty and `full` holds the symmetric PSD Aᵢ.
+/// One quadratic term of a metric: dᵢ²(x) = (x − qᵢ)' Aᵢ (x − qᵢ), the one
+/// stored form of every quadratic metric's terms. `diagonal` holds diag(Aᵢ)
+/// when Aᵢ is diagonal (the covariance scheme the paper adopts) and `full`
+/// is then empty; otherwise `diagonal` is empty and `full` holds the
+/// symmetric PSD Aᵢ, with `min_eigenvalue` a lower bound on its smallest
+/// eigenvalue.
 struct QuadraticComponent {
   linalg::Vector query;
   linalg::Vector diagonal;
   linalg::Matrix full;
+  double min_eigenvalue = 0.0;  ///< λ_min(Aᵢ) bound; full Aᵢ only.
   double weight = 1.0;  ///< mᵢ in the Eq. 5 combine; unused otherwise.
 
-  /// Exact structural equality — every entry compared bit for bit, never
-  /// hashed or tolerance-matched. index::WarmStart keys its cross-round
-  /// cache on it, so stored distances are only ever reused under the
-  /// *identical* metric.
+  /// The term of `query` under the PSD matrix `a`: only diag(a) when `a` is
+  /// diagonal, which needs no O(d³) eigendecomposition; else `a` itself
+  /// with its λ_min bound (linalg::MinEigenvalueLowerBound, a Gershgorin
+  /// fallback when the decomposition does not converge).
+  static QuadraticComponent Of(linalg::Vector query, linalg::Matrix a,
+                               double weight = 1.0);
+
+  /// A lower bound of dᵢ²(x) over every x in `rect`: the exact clamped
+  /// per-dimension form for a diagonal term, λ_min · d²_euclid (valid for
+  /// any PSD Aᵢ) otherwise.
+  double MinDistance(const Rect& rect) const;
+
+  /// Structural equality, every entry compared by value — never hashed or
+  /// tolerance-matched. index::WarmStart keys its cross-round cache on it,
+  /// so a recorded answer is only served under an equal metric. A NaN entry
+  /// never compares equal, so such a round is searched again. ±0 compare
+  /// equal, which is safe: every kernel accumulates from +0 and clamps to
+  /// +0, so no distance depends on a zero's sign. `min_eigenvalue` is a
+  /// function of `full`, so comparing it never decides anything.
   friend bool operator==(const QuadraticComponent& a,
                          const QuadraticComponent& b) = default;
 };
 
-/// The quadratic structure of a metric, the key index::WarmStart stores to
-/// recognize an unchanged metric across rounds: either one plain quadratic
-/// form (`harmonic` false, exactly one component) or the paper's
-/// disjunctive aggregate of Eq. 5 over the components (`harmonic` true, the
-/// α = −2 weighted power mean Σmᵢ / Σ(mᵢ/d²ᵢ)).
+/// The quadratic structure of a metric, stored once by the metric itself
+/// and read in place as index::WarmStart's key for an unchanged metric:
+/// either one plain quadratic form (`harmonic` false, exactly one
+/// component) or the paper's disjunctive aggregate of Eq. 5 over the
+/// components (`harmonic` true, the α = −2 weighted power mean
+/// Σmᵢ / Σ(mᵢ/d²ᵢ)).
 struct QuadraticDecomposition {
   std::vector<QuadraticComponent> components;
   bool harmonic = false;
   double total_weight = 0.0;  ///< Σ mᵢ when harmonic.
 
-  /// Exact structural equality (see QuadraticComponent::operator==).
+  /// Structural equality by value (see QuadraticComponent::operator==).
   friend bool operator==(const QuadraticDecomposition& a,
                          const QuadraticDecomposition& b) = default;
 };
@@ -100,81 +119,64 @@ class DistanceFunction {
   /// disables pruning but keeps the search correct.
   virtual double MinDistance(const Rect& rect) const;
 
-  /// Fills `out` with the metric's quadratic structure and returns true when
-  /// the metric is a (combination of) quadratic form(s); index::WarmStart
-  /// reuses cached distances only under an equal decomposition. The default
-  /// returns false: an opaque metric never matches, so its cached rows are
-  /// always re-scored.
-  virtual bool Decompose(QuadraticDecomposition* out) const;
+  /// The metric's own quadratic terms, read in place, when it is a
+  /// (combination of) quadratic form(s); index::WarmStart reuses a recorded
+  /// answer only under an equal decomposition. The default is null: an
+  /// opaque metric never matches, so it is always searched again.
+  virtual const QuadraticDecomposition* decomposition() const {
+    return nullptr;
+  }
 };
 
-/// Squared Euclidean distance to a fixed query point.
+/// Squared Euclidean distance to a fixed query point. Its term is the
+/// identity diagonal, but it scores with its own unweighted kernels.
 class EuclideanDistance final : public DistanceFunction {
  public:
   explicit EuclideanDistance(linalg::Vector query);
 
-  int dim() const override { return static_cast<int>(query_.size()); }
+  int dim() const override { return static_cast<int>(query().size()); }
   double DistanceRow(const double* x) const override;
   void DistanceBatch(const linalg::FlatView& view,
                      double* out) const override;
   double MinDistance(const Rect& rect) const override;
-  bool Decompose(QuadraticDecomposition* out) const override;
+  const QuadraticDecomposition* decomposition() const override {
+    return &terms_;
+  }
 
  private:
-  linalg::Vector query_;
-};
+  const linalg::Vector& query() const { return terms_.components[0].query; }
 
-/// Per-dimension weighted squared Euclidean distance — MARS's metric. All
-/// weights must be non-negative.
-class WeightedEuclideanDistance final : public DistanceFunction {
- public:
-  WeightedEuclideanDistance(linalg::Vector query, linalg::Vector weights);
-
-  int dim() const override { return static_cast<int>(query_.size()); }
-  double DistanceRow(const double* x) const override;
-  void DistanceBatch(const linalg::FlatView& view,
-                     double* out) const override;
-  double MinDistance(const Rect& rect) const override;
-  bool Decompose(QuadraticDecomposition* out) const override;
-
- private:
-  linalg::Vector query_;
-  linalg::Vector weights_;
+  QuadraticDecomposition terms_;
 };
 
 /// Generalized (Mahalanobis) squared distance (x−q)' A (x−q) for a symmetric
-/// positive semi-definite A — MindReader's metric and the per-cluster metric
-/// of Eq. 1. Rectangle pruning uses the exact per-dimension bound when A is
-/// diagonal and λ_min(A) · d²_euclid(rect) — a valid lower bound for any
-/// PSD A — otherwise.
+/// positive semi-definite A — MindReader's metric, the per-cluster metric
+/// of Eq. 1, and with a diagonal A (Matrix::Diagonal(w)) MARS's weighted
+/// Euclidean distance. The one term is a QuadraticComponent, which keeps
+/// only diag(A) for a diagonal A and bounds rectangles with it exactly.
 ///
-/// Construction cost: a diagonal A (the scheme the paper adopts) needs no
-/// λ_min; only a full matrix pays the O(d³) eigendecomposition, with a
-/// Gershgorin-disc lower bound as the fallback when the decomposition does
-/// not converge (linalg::MinEigenvalueLowerBound).
-///
-/// Scoring cost: the quadratic form is evaluated allocation-free as
-/// xᵀAx − 2·xᵀ(Aq) + qᵀAq with A·q and qᵀAq cached at construction (O(d)
-/// per point for diagonal A, O(d²) otherwise), never materializing x − q.
+/// Scoring cost: O(d) per point for a diagonal A. A full A is evaluated
+/// allocation-free as xᵀAx − 2·xᵀ(Aq) + qᵀAq with A·q and qᵀAq cached at
+/// construction (O(d²) per point), never materializing x − q.
 class MahalanobisDistance final : public DistanceFunction {
  public:
   MahalanobisDistance(linalg::Vector query, linalg::Matrix inverse_covariance);
 
-  int dim() const override { return static_cast<int>(query_.size()); }
+  int dim() const override { return static_cast<int>(term().query.size()); }
   double DistanceRow(const double* x) const override;
   void DistanceBatch(const linalg::FlatView& view,
                      double* out) const override;
   double MinDistance(const Rect& rect) const override;
-  bool Decompose(QuadraticDecomposition* out) const override;
+  const QuadraticDecomposition* decomposition() const override {
+    return &terms_;
+  }
 
  private:
-  linalg::Vector query_;
-  linalg::Matrix inverse_covariance_;
-  bool diagonal_;                ///< All off-diagonal entries exactly 0.
-  linalg::Vector diagonal_weights_;  ///< diag(A) when diagonal_.
-  linalg::Vector a_q_;           ///< Cached A·q.
-  double q_aq_;                  ///< Cached qᵀAq.
-  double min_eigenvalue_;        ///< λ_min(A) bound; full A only.
+  const QuadraticComponent& term() const { return terms_.components[0]; }
+
+  QuadraticDecomposition terms_;
+  linalg::Vector a_q_;  ///< Cached A·q; full A only.
+  double q_aq_ = 0.0;   ///< Cached qᵀAq; full A only.
 };
 
 }  // namespace qcluster::index

@@ -76,8 +76,7 @@ void WarmStart::Clear() {
   owner_ = 0;
   k_ = 0;
   answer_.clear();
-  has_key_ = false;
-  key_ = QuadraticDecomposition{};
+  key_.reset();
   pages_.clear();
 }
 
@@ -94,16 +93,21 @@ void WarmStart::Record(const DistanceFunction& dist, int k,
   k_ = k;
   answer_ = answer;
   KeepFirstPerId(answer_);
-  has_key_ = dist.Decompose(&key_);
-  if (!has_key_) key_ = QuadraticDecomposition{};
+  if (const QuadraticDecomposition* terms = dist.decomposition()) {
+    key_ = *terms;
+  } else {
+    key_.reset();
+  }
 }
 
 const std::vector<Neighbor>* WarmStart::Find(const DistanceFunction& dist,
                                              int k,
                                              std::uint64_t owner) const {
-  if (!has_key_ || owner != owner_ || k != k_) return nullptr;
-  QuadraticDecomposition current;
-  if (!dist.Decompose(&current) || !(current == key_)) return nullptr;
+  const QuadraticDecomposition* terms = dist.decomposition();
+  if (!key_ || owner != owner_ || k != k_ || terms == nullptr ||
+      !(*terms == *key_)) {
+    return nullptr;
+  }
   return &answer_;
 }
 

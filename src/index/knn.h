@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "index/distance.h"
@@ -113,13 +114,15 @@ class BoundedTopK {
 /// round's metric is a small perturbation of the last one.
 ///
 /// Answer reuse: Record stores the sorted top-k an index returned, its k,
-/// the index's serial, and the metric's full QuadraticDecomposition as the
-/// key. KnnIndex::SearchWarm returns that answer without searching only
+/// the index's serial, and a copy of the metric's QuadraticDecomposition as
+/// the key. KnnIndex::SearchWarm returns that answer without searching only
 /// when the same index asks for the same k under a metric whose
-/// decomposition compares equal — exact structural equality, every entry
-/// bit for bit, never hashed or tolerance-matched. Opaque metrics
-/// (Decompose → false) store no key and never match, so a stale answer can
-/// never be served by construction.
+/// decomposition, read in place, compares equal — exact structural
+/// equality, every entry compared by value, never hashed or
+/// tolerance-matched (a NaN entry never matches; ±0 match, and no distance
+/// depends on a zero's sign). Opaque metrics (decomposition() null) store
+/// no key and never match, so a stale answer can never be served by
+/// construction.
 ///
 /// On any other round the recorded entries still help: the linear scan
 /// re-scores them under the new metric (Reseed), and the k-th smallest of
@@ -148,7 +151,7 @@ class WarmStart {
 
   bool empty() const { return answer_.empty(); }
   int size() const { return static_cast<int>(answer_.size()); }
-  bool has_key() const { return has_key_; }
+  bool has_key() const { return key_.has_value(); }
 
   /// Drops all cached state (answer, metric key, pages).
   void Clear();
@@ -161,7 +164,8 @@ class WarmStart {
               const std::vector<Neighbor>& answer);
 
   /// The recorded answer when index `owner` recorded it for this `k` under a
-  /// metric whose decomposition equals `dist`'s bit for bit; else nullptr.
+  /// metric whose decomposition equals `dist`'s; else nullptr. Compares in
+  /// place and allocates nothing.
   const std::vector<Neighbor>* Find(const DistanceFunction& dist, int k,
                                     std::uint64_t owner) const;
 
@@ -188,8 +192,7 @@ class WarmStart {
   std::uint64_t owner_ = 0;  ///< Serial of the recording index; 0 = none.
   int k_ = 0;
   std::vector<Neighbor> answer_;
-  bool has_key_ = false;
-  QuadraticDecomposition key_;
+  std::optional<QuadraticDecomposition> key_;  ///< Empty: opaque metric.
   std::vector<int> pages_;
 };
 
@@ -216,8 +219,9 @@ class KnnIndex {
       SearchStats* stats = nullptr) const = 0;
 
   /// Search with the session cache `warm`. When `warm` holds this index's
-  /// answer for k under a metric bit-for-bit equal to `dist`, returns it:
-  /// no distance is evaluated and no node or page is read (`stats` gains
+  /// answer for k under a metric whose decomposition equals `dist`'s (see
+  /// WarmStart), returns a copy of it, the round's one allocation: no
+  /// distance is evaluated and no node or page is read (`stats` gains
   /// nothing). Otherwise runs SearchUncached and records its answer. Results
   /// are byte-identical to Search across metrics, thread counts, and SIMD
   /// tiers. Virtual only so a forwarding decorator can wrap it; an index

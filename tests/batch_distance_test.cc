@@ -4,10 +4,7 @@
 // covariance shapes, so batched and scalar searches rank identically. Also
 // pins the base-class DistanceBatch fallback to zero per-row allocations.
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,40 +12,9 @@
 #include "common/rng.h"
 #include "core/cluster.h"
 #include "core/disjunctive_distance.h"
+#include "counting_new.h"
 #include "index/distance.h"
 #include "linalg/flat_view.h"
-
-// Counts every allocation through global operator new so the fallback-path
-// test below can assert steady-state batch scoring allocates nothing per
-// row. Relaxed atomics: the counter is only read on the test thread.
-namespace {
-std::atomic<long long> g_alloc_count{0};
-}  // namespace
-
-// The replacements are a matched malloc/free pair, but GCC under TSan
-// attributes inlined delete expressions back to these definitions and
-// reports a spurious mismatched-new-delete.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#pragma GCC diagnostic pop
 
 namespace qcluster::index {
 namespace {
@@ -114,12 +80,13 @@ TEST(BatchParityTest, Euclidean) {
 }
 
 TEST(BatchParityTest, WeightedEuclidean) {
+  // MARS's per-dimension weights, drawn from [0, 5), as a diagonal matrix.
   Rng rng(412);
   const std::vector<Vector> pts = RandomPoints(200, 4, rng);
   Vector w(4);
   for (double& x : w) x = rng.Uniform(0.0, 5.0);
   ExpectBatchMatchesScalar(
-      WeightedEuclideanDistance(rng.GaussianVector(4), w), pts);
+      MahalanobisDistance(rng.GaussianVector(4), Matrix::Diagonal(w)), pts);
 }
 
 TEST(BatchParityTest, MahalanobisDiagonal) {

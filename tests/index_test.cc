@@ -44,8 +44,9 @@ TEST(EuclideanDistanceTest, ValuesAndBounds) {
   EXPECT_DOUBLE_EQ(d.MinDistance(r), 1.0);
 }
 
-TEST(WeightedEuclideanDistanceTest, WeightsApply) {
-  const WeightedEuclideanDistance d({0.0, 0.0}, {1.0, 10.0});
+TEST(MahalanobisDistanceTest, DiagonalWeightsApply) {
+  const MahalanobisDistance d({0.0, 0.0},
+                              linalg::Matrix::Diagonal(Vector{1.0, 10.0}));
   EXPECT_DOUBLE_EQ(d.Distance({1.0, 1.0}), 11.0);
   Rect r = Rect::Empty(2);
   r.Expand(Vector{0.0, 2.0}.data());
@@ -233,7 +234,8 @@ TEST(BrTreeTest, MatchesLinearScanWeighted) {
   for (int q = 0; q < 10; ++q) {
     Vector w(4);
     for (double& x : w) x = rng.Uniform(0.1, 5.0);
-    const WeightedEuclideanDistance d(rng.GaussianVector(4), w);
+    const MahalanobisDistance d(rng.GaussianVector(4),
+                                linalg::Matrix::Diagonal(w));
     EXPECT_EQ(tree.Search(d, 11), scan.Search(d, 11));
   }
 }

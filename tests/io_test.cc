@@ -27,29 +27,32 @@ std::string TempPath(const char* name) {
 
 TEST(FeatureIoTest, RoundTrip) {
   Rng rng(231);
-  dataset::FeatureSet set;
   std::vector<linalg::Vector> rows;
+  std::vector<int> categories;
+  std::vector<int> themes;
   for (int i = 0; i < 57; ++i) {
     rows.push_back(rng.GaussianVector(5));
-    set.categories.push_back(i % 7);
-    set.themes.push_back(i % 3);
+    categories.push_back(i % 7);
+    themes.push_back(i % 3);
   }
-  set.features = linalg::FlatBlock::FromPoints(rows);
+  const dataset::FeatureDatabase db(linalg::FlatBlock::FromPoints(rows),
+                                    categories, themes);
   const std::string path = TempPath("features_roundtrip.bin");
-  ASSERT_TRUE(dataset::SaveFeatureSet(set, path).ok());
-  Result<dataset::FeatureSet> loaded = dataset::LoadFeatureSet(path);
+  ASSERT_TRUE(dataset::SaveFeatureDatabase(db, path).ok());
+  Result<dataset::FeatureDatabase> loaded =
+      dataset::LoadFeatureDatabase(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().size(), 57);
   EXPECT_EQ(loaded.value().dim(), 5);
-  EXPECT_EQ(loaded.value().features, set.features);
-  EXPECT_EQ(loaded.value().categories, set.categories);
-  EXPECT_EQ(loaded.value().themes, set.themes);
+  EXPECT_EQ(loaded.value().features(), db.features());
+  EXPECT_EQ(loaded.value().categories(), db.categories());
+  EXPECT_EQ(loaded.value().themes(), db.themes());
   std::remove(path.c_str());
 }
 
 TEST(FeatureIoTest, MissingFileReportsNotFound) {
-  Result<dataset::FeatureSet> r =
-      dataset::LoadFeatureSet(TempPath("does_not_exist.bin"));
+  Result<dataset::FeatureDatabase> r =
+      dataset::LoadFeatureDatabase(TempPath("does_not_exist.bin"));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
@@ -60,7 +63,7 @@ TEST(FeatureIoTest, CorruptMagicRejected) {
   ASSERT_NE(f, nullptr);
   std::fputs("garbage header", f);
   std::fclose(f);
-  Result<dataset::FeatureSet> r = dataset::LoadFeatureSet(path);
+  Result<dataset::FeatureDatabase> r = dataset::LoadFeatureDatabase(path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
@@ -68,12 +71,10 @@ TEST(FeatureIoTest, CorruptMagicRejected) {
 
 TEST(FeatureIoTest, TruncatedPayloadRejected) {
   Rng rng(232);
-  dataset::FeatureSet set;
-  set.features = linalg::FlatBlock::FromPoints({rng.GaussianVector(8)});
-  set.categories.push_back(0);
-  set.themes.push_back(0);
+  const dataset::FeatureDatabase db(
+      linalg::FlatBlock::FromPoints({rng.GaussianVector(8)}), {0}, {0});
   const std::string path = TempPath("truncated.bin");
-  ASSERT_TRUE(dataset::SaveFeatureSet(set, path).ok());
+  ASSERT_TRUE(dataset::SaveFeatureDatabase(db, path).ok());
   // Truncate the file in the middle of the feature payload.
   std::FILE* f = std::fopen(path.c_str(), "rb+");
   ASSERT_NE(f, nullptr);
@@ -81,7 +82,7 @@ TEST(FeatureIoTest, TruncatedPayloadRejected) {
   const long size = std::ftell(f);
   std::fclose(f);
   ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-  EXPECT_FALSE(dataset::LoadFeatureSet(path).ok());
+  EXPECT_FALSE(dataset::LoadFeatureDatabase(path).ok());
   std::remove(path.c_str());
 }
 
@@ -94,7 +95,8 @@ TEST(FeatureIoTest, HeaderClaimingMoreThanTheFileRejected) {
   const std::uint32_t header[] = {0x51434653, 1, (1u << 28) - 1, 65535};
   ASSERT_EQ(std::fwrite(header, sizeof(header), 1, f), 1u);
   std::fclose(f);
-  const Result<dataset::FeatureSet> r = dataset::LoadFeatureSet(path);
+  const Result<dataset::FeatureDatabase> r =
+      dataset::LoadFeatureDatabase(path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
@@ -172,16 +174,18 @@ constexpr int kMutations = 3000;
 
 TEST(FeatureIoTest, SeededMutationsReturnStatusAndStayInBounds) {
   Rng rng(234);
-  dataset::FeatureSet set;
   std::vector<linalg::Vector> rows;
+  std::vector<int> categories;
+  std::vector<int> themes;
   for (int i = 0; i < 6; ++i) {
     rows.push_back(rng.GaussianVector(3));
-    set.categories.push_back(i);
-    set.themes.push_back(i % 2);
+    categories.push_back(i);
+    themes.push_back(i % 2);
   }
-  set.features = linalg::FlatBlock::FromPoints(rows);
+  const dataset::FeatureDatabase db(linalg::FlatBlock::FromPoints(rows),
+                                    categories, themes);
   const std::string path = TempPath("mutated_features.bin");
-  ASSERT_TRUE(dataset::SaveFeatureSet(set, path).ok());
+  ASSERT_TRUE(dataset::SaveFeatureDatabase(db, path).ok());
 
   // Header: four little-endian words — magic, version, n, dim.
   Format format;
@@ -207,17 +211,18 @@ TEST(FeatureIoTest, SeededMutationsReturnStatusAndStayInBounds) {
   for (int c = 0; c < kMutations; ++c) {
     const std::string bytes = Mutate(format, rng);
     WriteBytes(path, bytes);
-    const Result<dataset::FeatureSet> r = dataset::LoadFeatureSet(path);
+    const Result<dataset::FeatureDatabase> r =
+        dataset::LoadFeatureDatabase(path);
     if (!r.ok()) continue;
     ++accepted;
-    const dataset::FeatureSet& got = r.value();
+    const dataset::FeatureDatabase& got = r.value();
     ASSERT_GE(got.size(), 0) << "case " << c;
     ASSERT_GE(got.dim(), 0) << "case " << c;
     const auto n = static_cast<std::uint64_t>(got.size());
     const auto dim = static_cast<std::uint64_t>(got.dim());
-    EXPECT_EQ(got.features.view().n, n) << "case " << c;
-    EXPECT_EQ(got.categories.size(), n) << "case " << c;
-    EXPECT_EQ(got.themes.size(), n) << "case " << c;
+    EXPECT_EQ(got.features().view().n, n) << "case " << c;
+    EXPECT_EQ(got.categories().size(), n) << "case " << c;
+    EXPECT_EQ(got.themes().size(), n) << "case " << c;
     EXPECT_LE(16 + n * (dim * 8 + 8), bytes.size()) << "case " << c;
   }
   // Payload bit flips and small sizes still load: the accept path runs.

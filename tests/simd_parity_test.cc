@@ -97,8 +97,8 @@ std::vector<std::unique_ptr<DistanceFunction>> AllMetrics(int dim, Rng& rng) {
       rng.GaussianVector(dim)));
   Vector w(static_cast<std::size_t>(dim));
   for (double& x : w) x = rng.Uniform(0.0, 5.0);
-  metrics.push_back(std::make_unique<WeightedEuclideanDistance>(
-      rng.GaussianVector(dim), w));
+  metrics.push_back(std::make_unique<MahalanobisDistance>(
+      rng.GaussianVector(dim), linalg::Matrix::Diagonal(w)));
   Vector diag(static_cast<std::size_t>(dim));
   for (double& x : diag) x = rng.Uniform(0.1, 3.0);
   metrics.push_back(std::make_unique<MahalanobisDistance>(

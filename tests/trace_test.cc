@@ -7,47 +7,14 @@
 #include <cstddef>
 #include <cstdlib>
 #include <limits>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
+#include "counting_new.h"
 #include "index/br_tree.h"
-
-// Counts every allocation that goes through global operator new, so the
-// disabled-tracing test below can assert the span sites allocate nothing.
-// Relaxed atomics: the counter is only read on the test thread while no
-// other thread is allocating anything we care about.
-namespace {
-std::atomic<long long> g_alloc_count{0};
-}  // namespace
-
-// The replacements are a matched malloc/free pair, but GCC under TSan
-// attributes inlined delete expressions back to these definitions and
-// reports a spurious mismatched-new-delete.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#pragma GCC diagnostic pop
 
 namespace qcluster::trace {
 namespace {
@@ -373,6 +340,28 @@ TEST_F(TraceTest, RoundSummaryNamesPhasesAndTotal) {
   EXPECT_NE(summary.find("feedback.total="), std::string::npos);
   EXPECT_NE(summary.find("feedback.classify="), std::string::npos);
   EXPECT_NE(summary.find("spans=2"), std::string::npos);
+}
+
+TEST_F(TraceTest, SpansForRoundSinceAMarkSkipsSpansRetainedBefore) {
+  // A round's end reads from the mark its context took when it opened, so
+  // spans retained earlier are not scanned; without a mark SpansForRound
+  // reads the whole retained set.
+  const std::uint64_t trace_id = NewTraceId();
+  {
+    ScopedTraceContext round(trace_id, 2);
+    ScopedSpan span("test.before");
+  }
+  TraceRecorder::Global().Drain();
+  const std::uint64_t mark = TraceRecorder::Global().Mark();
+  {
+    ScopedTraceContext round(trace_id, 2);
+    ScopedSpan span("test.after");
+  }
+  const std::vector<SpanRecord> since =
+      TraceRecorder::Global().SpansForRound(trace_id, 2, mark);
+  ASSERT_EQ(since.size(), 1u);
+  EXPECT_STREQ(since[0].name, "test.after");
+  EXPECT_EQ(TraceRecorder::Global().SpansForRound(trace_id, 2).size(), 2u);
 }
 
 TEST_F(TraceTest, SlowRoundDumpsSpanTreeToStderr) {

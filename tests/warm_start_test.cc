@@ -27,11 +27,13 @@
 
 #include "baselines/falcon.h"
 #include "baselines/qex.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/cluster.h"
 #include "core/disjunctive_distance.h"
+#include "counting_new.h"
 #include "index/br_tree.h"
 #include "index/linear_scan.h"
 #include "linalg/flat_view.h"
@@ -72,7 +74,7 @@ const linalg::FlatBlock& TieHeavyPoints() {
 }
 
 /// Forwards a base metric's values but keeps the DistanceFunction defaults
-/// for MinDistance (no pruning) and Decompose (false): the opaque-metric
+/// for MinDistance (no pruning) and decomposition (null): the opaque-metric
 /// case, where WarmStart can never store a key and must re-score always.
 class OpaqueMetric final : public DistanceFunction {
  public:
@@ -134,7 +136,7 @@ DisjunctiveDistance MakeDisjunctive(
 /// A feedback session's metric sequence for one metric family: four rounds
 /// whose parameters drift, then a fifth that repeats round 1 exactly
 /// (rebuilt from the same inputs), so both the re-score path (key mismatch)
-/// and the reuse path (bitwise key match) run inside every session.
+/// and the reuse path (equal key) run inside every session.
 std::vector<std::unique_ptr<DistanceFunction>> MetricRounds(
     const std::string& family) {
   const auto& pts = TieHeavyPoints();
@@ -154,8 +156,8 @@ std::vector<std::unique_ptr<DistanceFunction>> MetricRounds(
       Vector w(kDim);
       const int drift = t == 4 ? 1 : t;  // Round 4 repeats round 1.
       for (int d = 0; d < kDim; ++d) w[d] = 1.0 + 0.25 * ((d + drift) % 4);
-      rounds.push_back(std::make_unique<index::WeightedEuclideanDistance>(
-          pts[static_cast<std::size_t>(drift)], w));
+      rounds.push_back(std::make_unique<index::MahalanobisDistance>(
+          pts[static_cast<std::size_t>(drift)], linalg::Matrix::Diagonal(w)));
     }
   } else if (family == "mahalanobis_diag" || family == "mahalanobis_full") {
     const bool full = family == "mahalanobis_full";
@@ -401,7 +403,7 @@ TEST(WarmExactnessTest, EveryIndexEveryMetricEveryThreadCount) {
 
 TEST(WarmExactnessTest, OpaqueMetricRoundsStayExactEverywhere) {
   const auto& pts = TieHeavyPoints();
-  // Opaque wrappers around drifting Euclidean queries: no Decompose, no
+  // Opaque wrappers around drifting Euclidean queries: no decomposition, no
   // MinDistance — trees lose pruning, and the warm path must still be
   // byte-identical to cold.
   std::vector<std::unique_ptr<index::EuclideanDistance>> bases;
@@ -597,7 +599,8 @@ TEST(WarmExactnessTest, CacheRecordedByAnotherIndexStaysExact) {
   }
 }
 
-/// The families whose metrics Decompose: the only ones a WarmStart can key.
+/// The families whose metrics have a decomposition: the only ones a
+/// WarmStart can key.
 bool Keyed(const std::string& family) {
   return family != "qex" && family != "falcon" && family != "row_only";
 }
@@ -641,6 +644,37 @@ TEST(WarmReuseTest, ReusedAnswerEqualsColdSearchWithNoWork) {
   }
 }
 
+TEST(WarmReuseTest, ReuseAllocatesOnlyTheReturnedAnswer) {
+  // A round under an unchanged metric compares its decomposition in place
+  // and copies the recorded answer out: one allocation, the returned
+  // vector, however many terms the metric has.
+  const auto& pts = TieHeavyPoints();
+  const index::BrTree tree(&pts);
+  const index::LinearScanIndex scan(pts.view());
+  const DisjunctiveDistance disjunctive = MakeDisjunctive(0, 18);
+  const DisjunctiveDistance disjunctive_again = MakeDisjunctive(0, 18);
+  const index::EuclideanDistance euclidean(pts[0]);
+  const index::EuclideanDistance euclidean_again(pts[0]);
+  const std::pair<const DistanceFunction*, const DistanceFunction*> pairs[] =
+      {{&disjunctive, &disjunctive_again}, {&euclidean, &euclidean_again}};
+  const bool metrics = MetricsEnabled();
+  SetMetricsEnabled(false);  // A reuse counter must not allocate its name.
+  for (const KnnIndex* index : {static_cast<const KnnIndex*>(&tree),
+                                static_cast<const KnnIndex*>(&scan)}) {
+    const std::string name = index == &scan ? "scan" : "br_tree";
+    for (const auto& [first, again] : pairs) {
+      index::WarmStart warm;
+      DiscardResult(index->SearchWarm(*first, kK, warm));
+      const long long before = g_alloc_count.load(std::memory_order_relaxed);
+      const std::vector<Neighbor> reused = index->SearchWarm(*again, kK, warm);
+      const long long after = g_alloc_count.load(std::memory_order_relaxed);
+      EXPECT_EQ(after - before, 1) << name;
+      EXPECT_EQ(reused, index->Search(*again, kK)) << name;
+    }
+  }
+  SetMetricsEnabled(metrics);
+}
+
 TEST(WarmReuseTest, NoReuseUnlessIndexKAndKeyAllMatch) {
   // Pairs of metrics one ulp apart in one field of their decomposition,
   // then the same metric under another k, after Clear, or recorded by
@@ -682,20 +716,23 @@ TEST(WarmReuseTest, NoReuseUnlessIndexKAndKeyAllMatch) {
                    std::make_unique<index::EuclideanDistance>(q_ulp)});
   cases.push_back(
       {"diagonal",
-       std::make_unique<index::WeightedEuclideanDistance>(q, w),
-       std::make_unique<index::WeightedEuclideanDistance>(q, w_ulp)});
+       std::make_unique<index::MahalanobisDistance>(
+           q, linalg::Matrix::Diagonal(w)),
+       std::make_unique<index::MahalanobisDistance>(
+           q, linalg::Matrix::Diagonal(w_ulp))});
   cases.push_back(
       {"weight", std::make_unique<DisjunctiveDistance>(weighted_clusters(1.0)),
        std::make_unique<DisjunctiveDistance>(
            weighted_clusters(std::nextafter(1.0, up)))});
-  index::QuadraticDecomposition a;
-  index::QuadraticDecomposition b;
-  ASSERT_TRUE(cases.back().first->Decompose(&a));
-  ASSERT_TRUE(cases.back().second->Decompose(&b));
-  ASSERT_EQ(a.components.size(), 2u);
-  EXPECT_EQ(a.components[0].query, b.components[0].query);
-  EXPECT_EQ(a.components[0].diagonal, b.components[0].diagonal);
-  EXPECT_NE(a.components[0].weight, b.components[0].weight);
+  const index::QuadraticDecomposition* a = cases.back().first->decomposition();
+  const index::QuadraticDecomposition* b =
+      cases.back().second->decomposition();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(a->components.size(), 2u);
+  EXPECT_EQ(a->components[0].query, b->components[0].query);
+  EXPECT_EQ(a->components[0].diagonal, b->components[0].diagonal);
+  EXPECT_NE(a->components[0].weight, b->components[0].weight);
 
   for (const KnnIndex* index : {static_cast<const KnnIndex*>(&scan),
                                 static_cast<const KnnIndex*>(&tree)}) {
