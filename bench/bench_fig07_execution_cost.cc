@@ -6,8 +6,18 @@
 //
 // Prints per-iteration wall time and distance evaluations for each method,
 // then runs google-benchmark timings of one full session per method.
+//
+// The table's work is deterministic at the bench's seed and scale, so it is
+// also exported as gauges that bench/check_regression.py compares exactly
+// with bench/baselines/BENCH_bench_fig07_execution_cost.json: per method and
+// round, `bench.fig07.<method>.round<r>.evals` and `.leaves` (distance
+// evaluations and leaf page reads summed over the queries), and per method
+// `bench.fig07.<method>.pair_scores.evals` (cluster pairs scored by the
+// initial clustering and the merge passes: Qcluster and QEX; 0 for the
+// others).
 
 #include <cstdio>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +25,7 @@
 #include "baselines/qex.h"
 #include "baselines/qpm.h"
 #include "bench_util.h"
+#include "common/metrics.h"
 #include "core/engine.h"
 #include "index/br_tree.h"
 
@@ -66,21 +77,50 @@ void PrintCostTable() {
               db.size(), scale.k, scale.queries);
   struct Row {
     const char* name;
+    const char* gauge;
     qcluster::core::RetrievalMethod* method;
   };
-  Row rows[] = {{"qcluster (cached index)", &qcluster_cached},
-                {"qcluster (cold index)", &qcluster_cold},
-                {"qpm", &qpm},
-                {"qex", &qex},
-                {"falcon", &falcon}};
+  Row rows[] = {
+      {"qcluster (cached index)", "qcluster_cached", &qcluster_cached},
+      {"qcluster (cold index)", "qcluster_cold", &qcluster_cold},
+      {"qpm", "qpm", &qpm},
+      {"qex", "qex", &qex},
+      {"falcon", "falcon", &falcon}};
+  const auto pair_scores = [] {
+    const qcluster::MetricsRegistry& registry =
+        qcluster::MetricsRegistry::Global();
+    return registry.CounterValue("hierarchical.pair_scores") +
+           registry.CounterValue("merge.pair_scores");
+  };
   for (const Row& row : rows) {
-    const qcluster::eval::SessionResult avg = qcluster::bench::RunSessions(
-        *row.method, db, queries, scale.iterations, scale.k);
+    const long long pair_scores_before = pair_scores();
+    const std::vector<qcluster::eval::SessionResult> sessions =
+        qcluster::bench::RunSessionsPerQuery(*row.method, db, queries,
+                                             scale.iterations, scale.k);
+    const std::string gauge = std::string("bench.fig07.") + row.gauge;
+    qcluster::MetricGauge(gauge + ".pair_scores.evals",
+                          static_cast<double>(pair_scores() -
+                                              pair_scores_before));
+    const qcluster::eval::SessionResult avg =
+        qcluster::eval::AverageSessions(sessions);
     std::vector<double> millis, evals, leaves;
-    for (const auto& it : avg.iterations) {
+    for (std::size_t r = 0; r < avg.iterations.size(); ++r) {
+      const auto& it = avg.iterations[r];
       millis.push_back(it.wall_seconds * 1e3);
-      evals.push_back(static_cast<double>(it.search_stats.distance_evaluations));
+      evals.push_back(
+          static_cast<double>(it.search_stats.distance_evaluations));
       leaves.push_back(static_cast<double>(it.search_stats.leaves_visited));
+      long long total_evals = 0;
+      long long total_leaves = 0;
+      for (const qcluster::eval::SessionResult& session : sessions) {
+        if (r >= session.iterations.size()) continue;
+        total_evals += session.iterations[r].search_stats.distance_evaluations;
+        total_leaves += session.iterations[r].search_stats.leaves_visited;
+      }
+      const std::string round = gauge + ".round" + std::to_string(r);
+      qcluster::MetricGauge(round + ".evals", static_cast<double>(total_evals));
+      qcluster::MetricGauge(round + ".leaves",
+                            static_cast<double>(total_leaves));
     }
     std::printf("%s\n", row.name);
     qcluster::bench::PrintSeries("  wall ms (iter 0..n)", millis);

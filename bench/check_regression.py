@@ -176,7 +176,9 @@ def main():
     if args.update:
         baseline_dir.mkdir(parents=True, exist_ok=True)
         for fresh in fresh_files:
-            if load_metrics(fresh):  # Only baseline files that gate something.
+            # Only baseline files that gate something: a throughput metric
+            # or a work gauge (a work-only export such as Fig. 7's counts).
+            if load_metrics(fresh) or load_work(fresh):
                 shutil.copy(fresh, baseline_dir / fresh.name)
                 print(f"baselined {fresh.name}")
         return 0

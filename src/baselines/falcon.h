@@ -31,8 +31,6 @@ class FalconDistance final : public index::DistanceFunction {
   double MinDistance(const index::Rect& rect) const override;
 
  private:
-  double Aggregate(const std::vector<double>& distances) const;
-
   int dim_;
   std::vector<linalg::Vector> points_;
   double alpha_;

@@ -1,5 +1,8 @@
 #include "core/cluster.h"
 
+#include <iterator>
+#include <utility>
+
 #include "common/check.h"
 #include "core/invariants.h"
 
@@ -17,18 +20,19 @@ Cluster Cluster::FromPoint(const Vector& x, double score) {
   return c;
 }
 
-Cluster Cluster::Merged(const Cluster& a, const Cluster& b) {
+Cluster Cluster::Merged(Cluster a, Cluster b) {
   QCLUSTER_CHECK(a.dim() == b.dim());
-  Cluster out(a.dim());
-  out.stats_ = stats::WeightedStats::Merged(a.stats_, b.stats_);
+  stats::WeightedStats merged =
+      stats::WeightedStats::Merged(a.stats_, b.stats_);
   // Eq. 11-13: the merged summary must close over the operands' weights,
   // means, and scatters (independent recomputation in the validator).
-  QCLUSTER_AUDIT(ValidateMergeClosure(a.stats_, b.stats_, out.stats_));
-  out.points_ = a.points_;
-  out.points_.insert(out.points_.end(), b.points_.begin(), b.points_.end());
-  out.scores_ = a.scores_;
-  out.scores_.insert(out.scores_.end(), b.scores_.begin(), b.scores_.end());
-  return out;
+  QCLUSTER_AUDIT(ValidateMergeClosure(a.stats_, b.stats_, merged));
+  a.stats_ = std::move(merged);
+  a.points_.insert(a.points_.end(), std::make_move_iterator(b.points_.begin()),
+                   std::make_move_iterator(b.points_.end()));
+  a.scores_.insert(a.scores_.end(), b.scores_.begin(), b.scores_.end());
+  a.InvalidateCache();
+  return a;
 }
 
 void Cluster::Add(const Vector& x, double score) {

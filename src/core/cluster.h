@@ -29,8 +29,9 @@ class Cluster {
                                          double score);
 
   /// Merges two clusters using only their summaries (Eq. 11-13). Point lists
-  /// are concatenated for bookkeeping.
-  [[nodiscard]] static Cluster Merged(const Cluster& a, const Cluster& b);
+  /// are concatenated for bookkeeping, `a`'s first; pass the operands with
+  /// std::move to hand their lists over instead of copying them.
+  [[nodiscard]] static Cluster Merged(Cluster a, Cluster b);
 
   /// Adds a point with relevance score `score > 0`.
   void Add(const linalg::Vector& x, double score);

@@ -1,8 +1,8 @@
 #include "core/hierarchical.h"
 
-#include <limits>
-
 #include "common/check.h"
+#include "common/metrics.h"
+#include "core/closest_pair.h"
 
 namespace qcluster::core {
 
@@ -19,30 +19,15 @@ std::vector<Cluster> HierarchicalCluster(const std::vector<Vector>& points,
   for (std::size_t i = 0; i < points.size(); ++i) {
     clusters.push_back(Cluster::FromPoint(points[i], scores[i]));
   }
+  if (static_cast<int>(clusters.size()) <= target_clusters) return clusters;
 
+  ClosestPairTable table(clusters, [](const Cluster& a, const Cluster& b) {
+    return linalg::SquaredDistance(a.centroid(), b.centroid());
+  });
   while (static_cast<int>(clusters.size()) > target_clusters) {
-    // O(g²) closest-pair scan per merge; relevant sets are small (≤ k).
-    // The first pair stands in when no distance is below +inf (NaN or
-    // overflowing features), so every pass still merges.
-    int best_i = 0;
-    int best_j = 1;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < clusters.size(); ++i) {
-      for (std::size_t j = i + 1; j < clusters.size(); ++j) {
-        const double d = linalg::SquaredDistance(clusters[i].centroid(),
-                                                 clusters[j].centroid());
-        if (d < best_d) {
-          best_d = d;
-          best_i = static_cast<int>(i);
-          best_j = static_cast<int>(j);
-        }
-      }
-    }
-    clusters[static_cast<std::size_t>(best_i)] =
-        Cluster::Merged(clusters[static_cast<std::size_t>(best_i)],
-                        clusters[static_cast<std::size_t>(best_j)]);
-    clusters.erase(clusters.begin() + best_j);
+    table.Merge(table.Closest());
   }
+  MetricAdd("hierarchical.pair_scores", table.scores());
   return clusters;
 }
 

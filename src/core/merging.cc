@@ -1,10 +1,9 @@
 #include "core/merging.h"
 
-#include <limits>
-
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "core/closest_pair.h"
 #include "stats/distributions.h"
 #include "stats/hotelling.h"
 
@@ -47,38 +46,6 @@ double PairCriticalDistance(const Cluster& a, const Cluster& b,
                                                   static_cast<double>(dim));
 }
 
-struct ClosestPair {
-  int i = 0;
-  int j = 1;
-  double t2 = std::numeric_limits<double>::infinity();
-};
-
-/// The pair with the smallest T², ties to the earlier pair and NaN after
-/// every number. The first pair stands in when no T² is below +∞ (NaN or
-/// overflowing features); it fails every c² test, so an over-cap pass
-/// relaxes α and then forces it.
-ClosestPair FindClosestPair(const std::vector<Cluster>& clusters,
-                            const MergeOptions& options) {
-  ClosestPair best;
-  const int g = static_cast<int>(clusters.size());
-  for (int i = 0; i < g; ++i) {
-    for (int j = i + 1; j < g; ++j) {
-      const double t2 = PairT2(clusters[static_cast<std::size_t>(i)],
-                               clusters[static_cast<std::size_t>(j)], options);
-      if (t2 < best.t2) best = {i, j, t2};
-    }
-  }
-  return best;
-}
-
-void ApplyMerge(std::vector<Cluster>& clusters, int i, int j) {
-  QCLUSTER_CHECK(i < j);
-  clusters[static_cast<std::size_t>(i)] =
-      Cluster::Merged(clusters[static_cast<std::size_t>(i)],
-                      clusters[static_cast<std::size_t>(j)]);
-  clusters.erase(clusters.begin() + j);
-}
-
 }  // namespace
 
 MergeReport MergeClusters(std::vector<Cluster>& clusters,
@@ -92,15 +59,22 @@ MergeReport MergeClusters(std::vector<Cluster>& clusters,
   double alpha = options.alpha;
   report.final_alpha = alpha;
 
+  ClosestPairTable table(clusters,
+                         [&options](const Cluster& a, const Cluster& b) {
+                           return PairT2(a, b, options);
+                         });
   while (clusters.size() > 1) {
     // c² depends only on α, p and m_i + m_j, so pairs are ranked by T²
-    // alone and c² is computed for the one pair this step acts on.
-    const ClosestPair best = FindClosestPair(clusters, options);
+    // alone and c² is computed for the one pair this step acts on. The
+    // first pair stands in when no T² is below +∞ (NaN or overflowing
+    // features); it fails every c² test, so an over-cap pass relaxes α and
+    // then forces it.
+    const ClosestPairTable::Pair best = table.Closest();
     const Cluster& a = clusters[static_cast<std::size_t>(best.i)];
     const Cluster& b = clusters[static_cast<std::size_t>(best.j)];
     const bool over_cap =
         static_cast<int>(clusters.size()) > options.max_clusters;
-    bool passes = best.t2 <= PairCriticalDistance(a, b, alpha);
+    bool passes = best.score <= PairCriticalDistance(a, b, alpha);
     // Over the cap with the closest pair rejecting H0: Algorithm 3 line 8 —
     // increase the critical distance by relaxing α. The clusters do not
     // change, so neither does the ranking; each relaxation costs one c².
@@ -108,15 +82,16 @@ MergeReport MergeClusters(std::vector<Cluster>& clusters,
       alpha *= kAlphaRelax;
       if (alpha < kMinAlpha) alpha = kMinAlpha;
       report.final_alpha = alpha;
-      passes = best.t2 <= PairCriticalDistance(a, b, alpha);
+      passes = best.score <= PairCriticalDistance(a, b, alpha);
     }
     if (!passes && !over_cap) break;  // Statistically distinct, within cap.
-    ApplyMerge(clusters, best.i, best.j);
+    table.Merge(best);
     ++report.merges;
     // Once α bottoms out the closest pair merges unconditionally.
     if (!passes) ++report.forced_merges;
   }
   MetricAdd("merge.passes");
+  MetricAdd("merge.pair_scores", table.scores());
   MetricAdd("merge.merges", report.merges);
   MetricAdd("merge.forced_merges", report.forced_merges);
   return report;

@@ -38,6 +38,15 @@ struct MergeReport {
 /// When a pair is too small for the F distribution (m_i + m_j ≤ p + 1,
 /// inevitable for fresh singleton clusters), c² degrades to the asymptotic
 /// χ²_p(α) threshold. Mutates `clusters` in place.
+///
+/// Selection rule: the smallest T² wins, ties go to the earlier (i, j)
+/// pair of the current list, and NaN sorts after every number; when no T²
+/// is below +∞ the first pair stands in (it fails every c² test, so only
+/// an over-cap pass forces it). Survivors keep their order, and a merged
+/// cluster takes the lower slot of its pair. A ClosestPairTable computes
+/// each pair's T² once and, after a merge, only the merged cluster's: it
+/// holds g(g − 1)/2 doubles for the pass. c² is computed only for the pair
+/// a step merges, tests or forces.
 MergeReport MergeClusters(std::vector<Cluster>& clusters,
                           const MergeOptions& options);
 

@@ -1,5 +1,7 @@
 #include "core/retrieval_method.h"
 
+#include <cmath>
+
 #include "common/check.h"
 
 namespace qcluster::core {
@@ -32,7 +34,8 @@ std::size_t RetrievalMethod::AddMarked(
     QCLUSTER_CHECK_MSG(
         0 <= item.id && item.id < static_cast<int>(database_->size()),
         "marked id outside the database");
-    QCLUSTER_CHECK_MSG(item.score > 0.0, "a relevance score must be > 0");
+    QCLUSTER_CHECK_MSG(std::isfinite(item.score) && item.score > 0.0,
+                       "a relevance score must be finite and > 0");
     if (!seen_ids_.insert(item.id).second) continue;
     relevant_points_.push_back((*database_)[static_cast<std::size_t>(item.id)]);
     relevant_scores_.push_back(item.score);

@@ -13,7 +13,7 @@
 namespace qcluster::core {
 
 /// An image the user marked as relevant, by database id, with its relevance
-/// score (the paper's v_ij; any positive scale).
+/// score (the paper's v_ij; any finite positive scale).
 struct RelevantItem {
   int id = 0;
   double score = 1.0;
@@ -46,8 +46,8 @@ class RetrievalMethod {
 
   /// Incorporates one round of user judgements and answers the refined
   /// query. Aborts on a mark outside the database or with a score that is
-  /// not positive (NaN included), and when no image has been marked
-  /// relevant in the session so far.
+  /// not finite and positive (NaN and +inf included), and when no image has
+  /// been marked relevant in the session so far.
   virtual std::vector<index::Neighbor> Feedback(
       const std::vector<RelevantItem>& marked) = 0;
 
@@ -72,10 +72,10 @@ class RetrievalMethod {
   RetrievalMethod(const linalg::FlatBlock* database,
                   const index::KnnIndex* knn, int k);
 
-  /// Checks every mark (id in [0, n), score > 0) and appends the marks
-  /// whose id the session has not seen to the relevant set. Aborts if the
-  /// set is still empty. Returns the index of this call's first new point:
-  /// relevant_points()[first, size) are the marks new this round.
+  /// Checks every mark (id in [0, n), score finite and > 0) and appends the
+  /// marks whose id the session has not seen to the relevant set. Aborts if
+  /// the set is still empty. Returns the index of this call's first new
+  /// point: relevant_points()[first, size) are the marks new this round.
   std::size_t AddMarked(const std::vector<RelevantItem>& marked);
 
   /// Answers one k-NN round under `dist` and records its cost: a cold

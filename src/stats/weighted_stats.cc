@@ -35,37 +35,59 @@ WeightedStats WeightedStats::Merged(const WeightedStats& a,
   QCLUSTER_CHECK(a.dim() == b.dim());
   if (a.n_ == 0) return b;
   if (b.n_ == 0) return a;
-  WeightedStats out(a.dim());
+  const int dim = a.dim();
+  WeightedStats out(dim);
   out.n_ = a.n_ + b.n_;
   out.weight_ = a.weight_ + b.weight_;  // Eq. 11.
   // Eq. 12: weight-proportional combination of the means.
   const double wa = a.weight_ / out.weight_;
   const double wb = b.weight_ / out.weight_;
-  out.mean_ = linalg::Add(linalg::Scale(a.mean_, wa),
-                          linalg::Scale(b.mean_, wb));
-  // Scatter identity equivalent to Eq. 13.
-  const Vector diff = linalg::Sub(a.mean_, b.mean_);
+  Vector diff(static_cast<std::size_t>(dim));
+  for (std::size_t i = 0; i < diff.size(); ++i) {
+    out.mean_[i] = wa * a.mean_[i] + wb * b.mean_[i];
+    diff[i] = a.mean_[i] - b.mean_[i];
+  }
+  // Scatter identity equivalent to Eq. 13, entry by entry:
+  // S = (S_a + S_b) + (d_r d_c) · m_a m_b / m.
   const double cross = a.weight_ * b.weight_ / out.weight_;
-  out.scatter_ = a.scatter_.Add(b.scatter_)
-                     .Add(linalg::OuterProduct(diff, diff).Scale(cross));
+  for (int r = 0; r < dim; ++r) {
+    const double dr = diff[static_cast<std::size_t>(r)];
+    for (int c = 0; c < dim; ++c) {
+      out.scatter_(r, c) = a.scatter_(r, c) + b.scatter_(r, c) +
+                           dr * diff[static_cast<std::size_t>(c)] * cross;
+    }
+  }
   return out;
 }
 
 void WeightedStats::AddPoint(const Vector& x, double w) {
   QCLUSTER_CHECK(static_cast<int>(x.size()) == dim());
   QCLUSTER_CHECK(w > 0.0);
-  // Weighted Welford update: exact for mean and scatter.
+  // Weighted Welford update: exact for mean and scatter. delta is x minus
+  // the old mean, delta2 x minus the new one.
   const double new_weight = weight_ + w;
-  const Vector delta = linalg::Sub(x, mean_);
-  const Vector mean_step = linalg::Scale(delta, w / new_weight);
-  mean_ = linalg::Add(mean_, mean_step);
-  const Vector delta2 = linalg::Sub(x, mean_);
+  const double step = w / new_weight;
+  Vector delta(x.size());
+  Vector delta2(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    delta[i] = x[i] - mean_[i];
+    mean_[i] = mean_[i] + step * delta[i];
+    delta2[i] = x[i] - mean_[i];
+  }
   // scatter += w * delta * delta2', symmetrized to stay exactly symmetric
   // under floating point.
-  const Matrix update = linalg::OuterProduct(delta, delta2)
-                            .Add(linalg::OuterProduct(delta2, delta))
-                            .Scale(0.5 * w);
-  scatter_ = scatter_.Add(update);
+  const double half_w = 0.5 * w;
+  const int d = dim();
+  for (int r = 0; r < d; ++r) {
+    const double dr = delta[static_cast<std::size_t>(r)];
+    const double d2r = delta2[static_cast<std::size_t>(r)];
+    for (int c = 0; c < d; ++c) {
+      scatter_(r, c) = scatter_(r, c) +
+                       (dr * delta2[static_cast<std::size_t>(c)] +
+                        d2r * delta[static_cast<std::size_t>(c)]) *
+                           half_w;
+    }
+  }
   weight_ = new_weight;
   ++n_;
 }

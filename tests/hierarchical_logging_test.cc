@@ -1,11 +1,13 @@
 // Coverage for the hierarchical (centroid) clustering and the logging /
 // bootstrap utilities.
 
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/hierarchical.h"
 #include "eval/significance.h"
@@ -64,6 +66,159 @@ TEST(HierarchicalTest, NanPointsStillMergeToTheTarget) {
       HierarchicalCluster(pts, std::vector<double>(pts.size(), 1.0), 1);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(clusters[0].size(), 3);
+}
+
+/// The every-pair loop HierarchicalCluster replaced: every step re-scores
+/// every pair of the current list, the smallest squared centroid distance
+/// wins (ties to the earlier pair, NaN never), and (0, 1) stands in when no
+/// distance is below +inf.
+std::vector<Cluster> ReferenceHierarchicalCluster(
+    const std::vector<Vector>& points, const std::vector<double>& scores,
+    int target_clusters) {
+  std::vector<Cluster> clusters;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    clusters.push_back(Cluster::FromPoint(points[i], scores[i]));
+  }
+  while (static_cast<int>(clusters.size()) > target_clusters) {
+    std::size_t best_i = 0;
+    std::size_t best_j = 1;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < clusters.size(); ++i) {
+      for (std::size_t j = i + 1; j < clusters.size(); ++j) {
+        const double d = linalg::SquaredDistance(clusters[i].centroid(),
+                                                 clusters[j].centroid());
+        if (d < best_d) {
+          best_d = d;
+          best_i = i;
+          best_j = j;
+        }
+      }
+    }
+    clusters[best_i] = Cluster::Merged(clusters[best_i], clusters[best_j]);
+    clusters.erase(clusters.begin() + static_cast<std::ptrdiff_t>(best_j));
+  }
+  return clusters;
+}
+
+bool SameBits(const double* a, const double* b, std::size_t count) {
+  return std::memcmp(a, b, count * sizeof(double)) == 0;
+}
+
+/// Asserts the two lists hold the same clusters in the same order: n,
+/// weight, mean, scatter and member points, by bits.
+void ExpectSameClusters(const std::vector<Cluster>& got,
+                        const std::vector<Cluster>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t c = 0; c < got.size(); ++c) {
+    const stats::WeightedStats& x = got[c].stats();
+    const stats::WeightedStats& y = want[c].stats();
+    EXPECT_EQ(x.n(), y.n()) << "cluster " << c;
+    const double gw = x.weight();
+    const double ww = y.weight();
+    EXPECT_TRUE(SameBits(&gw, &ww, 1)) << "cluster " << c;
+    ASSERT_EQ(x.mean().size(), y.mean().size());
+    EXPECT_TRUE(SameBits(x.mean().data(), y.mean().data(), x.mean().size()))
+        << "cluster " << c << " mean";
+    EXPECT_TRUE(SameBits(x.scatter().data(), y.scatter().data(),
+                         x.mean().size() * x.mean().size()))
+        << "cluster " << c << " scatter";
+    ASSERT_EQ(got[c].points().size(), want[c].points().size());
+    for (std::size_t p = 0; p < got[c].points().size(); ++p) {
+      EXPECT_TRUE(SameBits(got[c].points()[p].data(),
+                           want[c].points()[p].data(), x.mean().size()))
+          << "cluster " << c << " point " << p;
+    }
+    EXPECT_TRUE(SameBits(got[c].scores().data(), want[c].scores().data(),
+                         got[c].scores().size()))
+        << "cluster " << c << " scores";
+  }
+}
+
+/// n points in `dim` dimensions for the bit-for-bit sweep. kind 0: Gaussian
+/// around three modes with varied scores. kind 1: integer coordinates in
+/// [0, 3) with every third point a copy of an earlier one and all scores
+/// 1, so many pairs tie exactly. kind 2: as 0, with every fifth row holding
+/// a NaN, +inf or -inf coordinate. kind 3: every row holds one, so no
+/// distance is below +inf and (0, 1) stands in at every step.
+void SweepInput(Rng& rng, int n, int dim, int kind, std::vector<Vector>* points,
+                std::vector<double>* scores) {
+  std::vector<Vector> modes;
+  for (int m = 0; m < 3; ++m) {
+    modes.push_back(linalg::Scale(rng.GaussianVector(dim), 5.0));
+  }
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  for (int i = 0; i < n; ++i) {
+    Vector x;
+    double score = rng.Uniform(0.5, 3.0);
+    if (kind == 1) {
+      score = 1.0;
+      if (i % 3 == 2) {
+        x = (*points)[rng.UniformInt(points->size())];
+      } else {
+        for (int d = 0; d < dim; ++d) {
+          x.push_back(static_cast<double>(rng.UniformInt(3)));
+        }
+      }
+    } else {
+      x = linalg::Add(rng.GaussianVector(dim),
+                      modes[rng.UniformInt(modes.size())]);
+      if ((kind == 2 && i % 5 == 1) || kind == 3) {
+        x[rng.UniformInt(x.size())] = specials[rng.UniformInt(3)];
+      }
+    }
+    points->push_back(std::move(x));
+    scores->push_back(score);
+  }
+}
+
+TEST(HierarchicalTest, MatchesEveryPairReferenceBitForBit) {
+  int passes = 0;
+  for (const int n : {1, 2, 3, 17, 100, 160}) {
+    for (const int dim : {1, 3, 16, 32}) {
+      for (int kind = 0; kind < 4; ++kind) {
+        Rng rng(0x41e0000u + 1000u * static_cast<unsigned>(n) +
+                10u * static_cast<unsigned>(dim) +
+                static_cast<unsigned>(kind));
+        std::vector<Vector> points;
+        std::vector<double> scores;
+        SweepInput(rng, n, dim, kind, &points, &scores);
+        for (const int target : {1, 3, n}) {
+          SCOPED_TRACE(testing::Message() << "n " << n << " dim " << dim
+                                          << " kind " << kind << " target "
+                                          << target);
+          ExpectSameClusters(HierarchicalCluster(points, scores, target),
+                             ReferenceHierarchicalCluster(points, scores,
+                                                          target));
+          ++passes;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(passes, 6 * 4 * 4 * 3);
+}
+
+TEST(HierarchicalTest, ScoresEachPairOnce) {
+  // 100 points down to 3: C(100, 2) scores when the table is built, then
+  // the merged cluster's g − 2 pairs after each merge from g = 100 … 4,
+  // 4,950 + 4,850 = 9,800 (the every-pair loop scored 166,646).
+  Rng rng(322);
+  std::vector<Vector> pts;
+  for (int i = 0; i < 100; ++i) pts.push_back(rng.GaussianVector(4));
+  MetricsRegistry::Global().Reset();
+  SetMetricsEnabled(true);
+  const auto clusters =
+      HierarchicalCluster(pts, std::vector<double>(pts.size(), 1.0), 3);
+  const auto unchanged =
+      HierarchicalCluster(pts, std::vector<double>(pts.size(), 1.0), 100);
+  SetMetricsEnabled(false);
+  EXPECT_EQ(clusters.size(), 3u);
+  EXPECT_EQ(unchanged.size(), 100u);
+  EXPECT_EQ(
+      MetricsRegistry::Global().CounterValue("hierarchical.pair_scores"),
+      9800);
+  MetricsRegistry::Global().Reset();
 }
 
 TEST(LoggingTest, LevelFilterRoundTrip) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "stats/distributions.h"
 #include "stats/hotelling.h"
@@ -351,6 +352,15 @@ TEST(MergingTest, MatchesEveryPairReferenceBitForBit) {
         ++passes;
         if (r.final_alpha < opt.alpha) ++relaxed;
         if (r.forced_merges > 0) ++forced;
+        // Exact copies of every third cluster, appended: each copy's T² with
+        // its original is 0, and its T² with any other cluster ties the
+        // original's exactly, so ties go to the earlier pair throughout.
+        std::vector<Cluster> duplicated = clusters;
+        for (std::size_t c = 0; c < clusters.size(); c += 3) {
+          duplicated.push_back(clusters[c]);
+        }
+        SCOPED_TRACE("with duplicates");
+        ExpectMatchesReference(duplicated, opt);
       }
     }
   }
@@ -405,6 +415,68 @@ TEST(MergingTest, RelaxationAndForcingMatchReference) {
     EXPECT_GT(r.forced_merges, 0);
     EXPECT_EQ(r.final_alpha, 1e-9);
   }
+}
+
+TEST(MergingTest, TiedT2MergesTheEarlierPair) {
+  // S holds ±p, so its mean is exactly 0; C mirrors B's points through it,
+  // so C's mean is −(B's) and its scatter B's, bit for bit. T²(S, B) and
+  // T²(S, C) are then the same double, both below T²(B, C), and the earlier
+  // pair (S, B) must merge. Duplicate clusters cannot pin this: a copy
+  // merges with its original first, whichever tied pair comes first.
+  Rng rng(132);
+  for (const stats::CovarianceScheme scheme :
+       {stats::CovarianceScheme::kDiagonal,
+        stats::CovarianceScheme::kInverse}) {
+    const Vector p = rng.GaussianVector(3);
+    Cluster s = Cluster::FromPoint(p, 1.0);
+    s.Add(linalg::Scale(p, -1.0), 1.0);
+    Cluster b(3);
+    Cluster c(3);
+    // B and C are tight and far apart, so once S has taken B the pass
+    // stops at the cap with C apart.
+    for (int k = 0; k < 20; ++k) {
+      const Vector x = linalg::Add(linalg::Scale(rng.GaussianVector(3), 0.1),
+                                   {40.0, 10.0, -20.0});
+      b.Add(x, 1.0);
+      c.Add(linalg::Scale(x, -1.0), 1.0);
+    }
+    MergeOptions opt;
+    opt.scheme = scheme;
+    opt.max_clusters = 2;
+    const std::vector<Cluster> clusters = {s, b, c};
+    ExpectMatchesReference(clusters, opt);
+    std::vector<Cluster> got = clusters;
+    EXPECT_EQ(MergeClusters(got, opt).merges, 1);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].size(), 22);  // S merged with B, not with C.
+    EXPECT_GT(got[0].centroid()[0], 0.0);
+    EXPECT_EQ(got[1].centroid(), c.centroid());
+  }
+}
+
+TEST(MergingTest, ScoresEachPairOnce) {
+  // 100 singletons in three groups 1e4 apart, with a cap of 3: the pass
+  // merges within the groups and stops at the three, whose T² no α
+  // accepts. The table scores C(100, 2) pairs once, then the merged
+  // cluster's g − 2 pairs after each merge from g = 100 … 4:
+  // 4,950 + 4,850 = 9,800 T².
+  Rng rng(131);
+  std::vector<Cluster> clusters;
+  for (int c = 0; c < 100; ++c) {
+    Vector x = rng.GaussianVector(4);
+    x[0] += 1e4 * (c % 3);
+    clusters.push_back(Cluster::FromPoint(x, 1.0));
+  }
+  MergeOptions opt;
+  opt.max_clusters = 3;
+  MetricsRegistry::Global().Reset();
+  SetMetricsEnabled(true);
+  const MergeReport r = MergeClusters(clusters, opt);
+  SetMetricsEnabled(false);
+  EXPECT_EQ(r.merges, 97);
+  EXPECT_EQ(clusters.size(), 3u);
+  EXPECT_EQ(MetricsRegistry::Global().CounterValue("merge.pair_scores"), 9800);
+  MetricsRegistry::Global().Reset();
 }
 
 /// Five singletons of weights 1–5 whose every pairwise T² is NaN (a NaN

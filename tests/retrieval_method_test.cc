@@ -116,6 +116,10 @@ TEST_P(FeedbackFrontEndTest, ZeroOrNanScoreAborts) {
       (void)Started()->Feedback(
           {{1, std::numeric_limits<double>::quiet_NaN()}}),
       "score");
+  // +inf passes "> 0" but turns the cluster's Welford step into inf/inf.
+  EXPECT_DEATH((void)Started()->Feedback(
+                   {{1, std::numeric_limits<double>::infinity()}, {2, 1.0}}),
+               "score");
 }
 
 TEST_P(FeedbackFrontEndTest, FirstFeedbackWithoutMarksAborts) {
