@@ -350,41 +350,41 @@ constexpr int kWidePointsPerCategory = 500;
 /// query clusters inside a database of many categories.
 constexpr int kWideQueryClusters[] = {0, 17, 34};
 
+/// kWideCategories elliptical categories of kWidePointsPerCategory points
+/// in `dim` dimensions.
+std::vector<qcluster::linalg::Vector> CategoryPoints(int dim) {
+  qcluster::dataset::GaussianClustersOptions opt;
+  opt.dim = dim;
+  opt.num_clusters = kWideCategories;
+  opt.points_per_cluster = kWidePointsPerCategory;
+  opt.inter_cluster_distance = 6.0;
+  opt.shape = qcluster::dataset::ClusterShape::kElliptical;
+  qcluster::Rng rng(20030612);
+  return qcluster::dataset::GenerateGaussianClusters(opt, rng).points;
+}
+
 const std::vector<qcluster::linalg::Vector>& WideFeatures() {
-  static const auto* points = [] {
-    qcluster::dataset::GaussianClustersOptions opt;
-    opt.dim = kWideDim;
-    opt.num_clusters = kWideCategories;
-    opt.points_per_cluster = kWidePointsPerCategory;
-    opt.inter_cluster_distance = 6.0;
-    opt.shape = qcluster::dataset::ClusterShape::kElliptical;
-    qcluster::Rng rng(20030612);
-    return new std::vector<qcluster::linalg::Vector>(
-        qcluster::dataset::GenerateGaussianClusters(opt, rng).points);
-  }();
+  static const auto* points =
+      new std::vector<qcluster::linalg::Vector>(CategoryPoints(kWideDim));
   return *points;
 }
 
-/// A 3-way disjunctive metric over the wide workload, built the same way
+/// A 3-way disjunctive metric over `pts` under `scheme`, built the same way
 /// the engine builds one after feedback: each query cluster summarizes 20
 /// marked members of one category.
-qcluster::core::DisjunctiveDistance WideDisjunctive() {
-  static const auto* clusters = [] {
-    const auto& pts = WideFeatures();
-    auto* out = new std::vector<qcluster::core::Cluster>();
-    for (int c : kWideQueryClusters) {
-      qcluster::core::Cluster cluster(kWideDim);
-      for (int i = 0; i < 20; ++i) {
-        cluster.Add(pts[static_cast<std::size_t>(c * kWidePointsPerCategory +
-                                                 i)],
-                    1.0);
-      }
-      out->push_back(std::move(cluster));
+qcluster::core::DisjunctiveDistance QueryClusters(
+    const std::vector<qcluster::linalg::Vector>& pts,
+    qcluster::stats::CovarianceScheme scheme) {
+  std::vector<qcluster::core::Cluster> clusters;
+  for (int c : kWideQueryClusters) {
+    qcluster::core::Cluster cluster(static_cast<int>(pts.front().size()));
+    for (int i = 0; i < 20; ++i) {
+      cluster.Add(
+          pts[static_cast<std::size_t>(c * kWidePointsPerCategory + i)], 1.0);
     }
-    return out;
-  }();
-  return qcluster::core::DisjunctiveDistance(
-      *clusters, qcluster::stats::CovarianceScheme::kDiagonal, 1e-4);
+    clusters.push_back(std::move(cluster));
+  }
+  return qcluster::core::DisjunctiveDistance(clusters, scheme, 1e-4);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,8 +404,25 @@ const qcluster::linalg::FlatBlock& PackedFeatures() {
   return *block;
 }
 
+/// The full-covariance arm's shape (Fig. 6, bench_e2e's wide-full): the
+/// same categories in d = 16, where Eq. 5 scores dense d × d forms.
+constexpr int kFullDim = 16;
+
+const std::vector<qcluster::linalg::Vector>& FullFeatures() {
+  static const auto* points =
+      new std::vector<qcluster::linalg::Vector>(CategoryPoints(kFullDim));
+  return *points;
+}
+
+const qcluster::linalg::FlatBlock& PackedFullFeatures() {
+  static const auto* block = new qcluster::linalg::FlatBlock(
+      qcluster::linalg::FlatBlock::FromPoints(FullFeatures()));
+  return *block;
+}
+
 template <typename MakeDist>
 void RunKernelTier(benchmark::State& state, const std::string& metric,
+                   const qcluster::linalg::FlatBlock& block,
                    const MakeDist& make_dist) {
   const auto tier = static_cast<qcluster::linalg::simd::Tier>(state.range(0));
   if (!qcluster::linalg::simd::SetTier(tier)) {
@@ -413,7 +430,6 @@ void RunKernelTier(benchmark::State& state, const std::string& metric,
     }
     return;
   }
-  const qcluster::linalg::FlatBlock& block = PackedFeatures();
   const auto dist = make_dist();
   std::vector<double> out(block.size());
   RunThroughputMetric(
@@ -427,13 +443,13 @@ void RunKernelTier(benchmark::State& state, const std::string& metric,
 }
 
 void BM_KernelEuclidean(benchmark::State& state) {
-  RunKernelTier(state, "euclidean", [] {
+  RunKernelTier(state, "euclidean", PackedFeatures(), [] {
     return qcluster::index::EuclideanDistance(WideFeatures()[0]);
   });
 }
 
 void BM_KernelWeighted(benchmark::State& state) {
-  RunKernelTier(state, "weighted", [] {
+  RunKernelTier(state, "weighted", PackedFeatures(), [] {
     qcluster::linalg::Vector w(static_cast<std::size_t>(kWideDim));
     qcluster::Rng rng(991);
     for (double& x : w) x = rng.Uniform(0.1, 4.0);
@@ -443,7 +459,7 @@ void BM_KernelWeighted(benchmark::State& state) {
 }
 
 void BM_KernelMahalanobisFull(benchmark::State& state) {
-  RunKernelTier(state, "mahalanobis_full", [] {
+  RunKernelTier(state, "mahalanobis_full", PackedFeatures(), [] {
     qcluster::linalg::Matrix g(kWideDim, kWideDim);
     qcluster::Rng rng(992);
     for (int r = 0; r < kWideDim; ++r) {
@@ -456,7 +472,19 @@ void BM_KernelMahalanobisFull(benchmark::State& state) {
 }
 
 void BM_KernelDisjunctive(benchmark::State& state) {
-  RunKernelTier(state, "disjunctive", [] { return WideDisjunctive(); });
+  RunKernelTier(state, "disjunctive", PackedFeatures(), [] {
+    return QueryClusters(WideFeatures(),
+                         qcluster::stats::CovarianceScheme::kDiagonal);
+  });
+}
+
+/// Eq. 5 over three full-covariance (inverse scheme) clusters at d = 16:
+/// the dense quadratic-form kernel that dominates a full-covariance round.
+void BM_KernelDisjunctiveFull(benchmark::State& state) {
+  RunKernelTier(state, "disjunctive_full", PackedFullFeatures(), [] {
+    return QueryClusters(FullFeatures(),
+                         qcluster::stats::CovarianceScheme::kInverse);
+  });
 }
 
 /// The same disjunctive DistanceBatch on the real 3-dim color features:
@@ -691,6 +719,9 @@ BENCHMARK(BM_KernelMahalanobisFull)
     ->Apply(TierSweep)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_KernelDisjunctive)
+    ->Apply(TierSweep)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_KernelDisjunctiveFull)
     ->Apply(TierSweep)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_KernelDisjunctiveNarrow)

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/metrics.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/simd.h"
 
@@ -50,6 +51,16 @@ double DistanceFunction::MinDistance(const Rect& rect) const {
   return 0.0;
 }
 
+double MinEigenvalueBound::Of(const Matrix& a) const {
+  double bound = value_.load(std::memory_order_relaxed);
+  if (bound < 0.0) {
+    bound = linalg::MinEigenvalueLowerBound(a);
+    MetricAdd("index.min_eigenvalue_bounds");
+    value_.store(bound, std::memory_order_relaxed);
+  }
+  return bound;
+}
+
 QuadraticComponent QuadraticComponent::Of(Vector query, Matrix a,
                                           double weight) {
   QCLUSTER_CHECK(static_cast<int>(query.size()) == a.rows());
@@ -60,7 +71,6 @@ QuadraticComponent QuadraticComponent::Of(Vector query, Matrix a,
   if (a.IsDiagonal()) {
     term.diagonal = a.Diag();
   } else {
-    term.min_eigenvalue = linalg::MinEigenvalueLowerBound(a);
     term.full = std::move(a);
   }
   return term;
@@ -68,7 +78,7 @@ QuadraticComponent QuadraticComponent::Of(Vector query, Matrix a,
 
 double QuadraticComponent::MinDistance(const Rect& rect) const {
   if (diagonal.empty()) {
-    return min_eigenvalue * rect.SquaredEuclideanDistance(query);
+    return min_eigenvalue.Of(full) * rect.SquaredEuclideanDistance(query);
   }
   return linalg::simd::Kernels().weighted_rect_row(
       diagonal.data(), query.data(), rect.lo.data(), rect.hi.data(),

@@ -1,6 +1,7 @@
 #ifndef QCLUSTER_INDEX_DISTANCE_H_
 #define QCLUSTER_INDEX_DISTANCE_H_
 
+#include <atomic>
 #include <memory>
 
 #include "linalg/flat_view.h"
@@ -26,23 +27,56 @@ struct Rect {
   double SquaredEuclideanDistance(const linalg::Vector& x) const;
 };
 
+/// A full term's lower bound on λ_min(Aᵢ), computed by the first rectangle
+/// bound that needs it and kept for every later one. Only a tree bounding
+/// a rectangle reads it; a scan never does, so a scanned round runs no
+/// eigendecomposition. Racing first uses each compute the same bits from
+/// the same matrix and store them, so a shared term may be bounded from
+/// several threads. A copy carries the bound if it is known. Equality
+/// ignores it: it is a function of the matrix, which is compared instead.
+class MinEigenvalueBound {
+ public:
+  MinEigenvalueBound() = default;
+  MinEigenvalueBound(const MinEigenvalueBound& other) noexcept
+      : value_(other.value_.load(std::memory_order_relaxed)) {}
+  MinEigenvalueBound& operator=(const MinEigenvalueBound& other) noexcept {
+    value_.store(other.value_.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+    return *this;
+  }
+
+  /// linalg::MinEigenvalueLowerBound(a) (a Gershgorin fallback when the
+  /// decomposition does not converge), computed on the first call and
+  /// counted in `index.min_eigenvalue_bounds`. Every call must pass the
+  /// same matrix.
+  double Of(const linalg::Matrix& a) const;
+
+  friend bool operator==(const MinEigenvalueBound& /*a*/,
+                         const MinEigenvalueBound& /*b*/) {
+    return true;
+  }
+
+ private:
+  /// Negative until computed: a computed bound is clamped to >= 0 (or is
+  /// NaN), so it never reads as unknown.
+  mutable std::atomic<double> value_{-1.0};
+};
+
 /// One quadratic term of a metric: dᵢ²(x) = (x − qᵢ)' Aᵢ (x − qᵢ), the one
 /// stored form of every quadratic metric's terms. `diagonal` holds diag(Aᵢ)
 /// when Aᵢ is diagonal (the covariance scheme the paper adopts) and `full`
 /// is then empty; otherwise `diagonal` is empty and `full` holds the
-/// symmetric PSD Aᵢ, with `min_eigenvalue` a lower bound on its smallest
-/// eigenvalue.
+/// symmetric PSD Aᵢ, whose λ_min bound `min_eigenvalue` computes when
+/// MinDistance first needs it.
 struct QuadraticComponent {
   linalg::Vector query;
   linalg::Vector diagonal;
   linalg::Matrix full;
-  double min_eigenvalue = 0.0;  ///< λ_min(Aᵢ) bound; full Aᵢ only.
+  MinEigenvalueBound min_eigenvalue;  ///< Of(full); full Aᵢ only.
   double weight = 1.0;  ///< mᵢ in the Eq. 5 combine; unused otherwise.
 
   /// The term of `query` under the PSD matrix `a`: only diag(a) when `a` is
-  /// diagonal, which needs no O(d³) eigendecomposition; else `a` itself
-  /// with its λ_min bound (linalg::MinEigenvalueLowerBound, a Gershgorin
-  /// fallback when the decomposition does not converge).
+  /// diagonal, else `a` itself. Neither runs an O(d³) eigendecomposition.
   static QuadraticComponent Of(linalg::Vector query, linalg::Matrix a,
                                double weight = 1.0);
 
@@ -56,8 +90,8 @@ struct QuadraticComponent {
   /// so a recorded answer is only served under an equal metric. A NaN entry
   /// never compares equal, so such a round is searched again. ±0 compare
   /// equal, which is safe: every kernel accumulates from +0 and clamps to
-  /// +0, so no distance depends on a zero's sign. `min_eigenvalue` is a
-  /// function of `full`, so comparing it never decides anything.
+  /// +0, so no distance depends on a zero's sign. `min_eigenvalue` always
+  /// compares equal: it is a function of `full`.
   friend bool operator==(const QuadraticComponent& a,
                          const QuadraticComponent& b) = default;
 };

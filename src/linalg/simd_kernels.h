@@ -210,11 +210,37 @@ struct KernelImpl {
 
   /// xᵀAx with x pre-transposed at `xt` (element i of lane r at
   /// xt[i·kWidth + r]) — per lane the exact sequential order of
-  /// QuadraticFormRowRef.
+  /// QuadraticFormRowRef. Four matrix rows share each pass over x: their
+  /// dot chains are independent, so they overlap instead of each waiting
+  /// out one add latency per element, and every chain still runs its own
+  /// row's sequential order. Their terms then join the outer sum in row
+  /// order. Leftover rows (d mod 4) run one at a time.
   static V QuadraticFormLanes(const double* a, const double* xt, int d) {
     V sum = P::Zero();
     const std::size_t stride = static_cast<std::size_t>(d);
-    for (int r = 0; r < d; ++r) {
+    int r = 0;
+    for (; r + 4 <= d; r += 4) {
+      const double* a0 = a + static_cast<std::size_t>(r) * stride;
+      const double* a1 = a0 + stride;
+      const double* a2 = a1 + stride;
+      const double* a3 = a2 + stride;
+      V dot0 = P::Zero();
+      V dot1 = P::Zero();
+      V dot2 = P::Zero();
+      V dot3 = P::Zero();
+      for (int c = 0; c < d; ++c) {
+        const V x = P::Load(xt + c * kWidth);
+        dot0 = P::Add(dot0, P::Mul(P::Broadcast(a0[c]), x));
+        dot1 = P::Add(dot1, P::Mul(P::Broadcast(a1[c]), x));
+        dot2 = P::Add(dot2, P::Mul(P::Broadcast(a2[c]), x));
+        dot3 = P::Add(dot3, P::Mul(P::Broadcast(a3[c]), x));
+      }
+      sum = P::Add(sum, P::Mul(P::Load(xt + r * kWidth), dot0));
+      sum = P::Add(sum, P::Mul(P::Load(xt + (r + 1) * kWidth), dot1));
+      sum = P::Add(sum, P::Mul(P::Load(xt + (r + 2) * kWidth), dot2));
+      sum = P::Add(sum, P::Mul(P::Load(xt + (r + 3) * kWidth), dot3));
+    }
+    for (; r < d; ++r) {
       const double* a_r = a + static_cast<std::size_t>(r) * stride;
       V dot = P::Zero();
       for (int c = 0; c < d; ++c) {

@@ -1,10 +1,17 @@
 #include "core/disjunctive_distance.h"
 
+#include <bit>
+#include <cstdint>
+#include <thread>
+
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "dataset/synthetic_gaussian.h"
+#include "index/br_tree.h"
 #include "index/linear_scan.h"
+#include "linalg/eigen_sym.h"
 
 namespace qcluster::core {
 namespace {
@@ -119,6 +126,118 @@ TEST(DisjunctiveDistanceTest, MinDistanceIsValidLowerBound) {
       const Vector p{rng.Uniform(r.lo[0], r.hi[0]),
                      rng.Uniform(r.lo[1], r.hi[1])};
       EXPECT_GE(d.Distance(p) + 1e-9, bound);
+    }
+  }
+}
+
+constexpr int kFullDim = 6;
+
+/// Three clusters of 17 members in 6-d: under the inverse scheme every
+/// term is a dense matrix.
+std::vector<Cluster> FullClusters(Rng& rng) {
+  std::vector<Cluster> clusters;
+  for (int c = 0; c < 3; ++c) {
+    Cluster cluster(kFullDim);
+    const Vector center = rng.GaussianVector(kFullDim);
+    for (int i = 0; i < 2 * kFullDim + 5; ++i) {
+      cluster.Add(linalg::Add(center, rng.GaussianVector(kFullDim)), 1.0);
+    }
+    clusters.push_back(std::move(cluster));
+  }
+  return clusters;
+}
+
+/// The rectangle spanned by two random points.
+index::Rect RandomRect(Rng& rng) {
+  index::Rect rect = index::Rect::Empty(kFullDim);
+  rect.Expand(rng.GaussianVector(kFullDim).data());
+  rect.Expand(rng.GaussianVector(kFullDim).data());
+  return rect;
+}
+
+/// Each full term of `d` bounds `rect` with exactly the bits of the eager
+/// formula λ_min(Aᵢ) · d²_euclid(qᵢ, rect).
+void ExpectEagerBounds(const DisjunctiveDistance& d, const index::Rect& rect) {
+  for (const index::QuadraticComponent& term : d.decomposition()->components) {
+    ASSERT_TRUE(term.diagonal.empty());
+    const double want = linalg::MinEigenvalueLowerBound(term.full) *
+                        rect.SquaredEuclideanDistance(term.query);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(term.MinDistance(rect)),
+              std::bit_cast<std::uint64_t>(want));
+  }
+}
+
+TEST(DisjunctiveDistanceTest, FullTermBoundsOnlyWhenATreeBoundsARectangle) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.Reset();
+  SetMetricsEnabled(true);
+  const auto bounds = [&registry] {
+    return registry.CounterValue("index.min_eigenvalue_bounds");
+  };
+  Rng rng(133);
+  const DisjunctiveDistance d(FullClusters(rng), CovarianceScheme::kInverse,
+                              1e-4);
+  const long long terms = d.cluster_count();
+  const DisjunctiveDistance copied_before_use = d;
+  std::vector<Vector> pts;
+  for (int i = 0; i < 400; ++i) pts.push_back(rng.GaussianVector(kFullDim));
+  const linalg::FlatBlock block = linalg::FlatBlock::FromPoints(pts);
+
+  const index::LinearScanIndex scan(block.view());
+  const std::vector<index::Neighbor> scanned = scan.Search(d, 10);
+  EXPECT_EQ(bounds(), 0) << "a scan never bounds a rectangle";
+
+  const index::BrTree tree(&block);
+  const std::vector<index::Neighbor> first = tree.Search(d, 10);
+  EXPECT_EQ(bounds(), terms) << "one bound per full term";
+  const std::vector<index::Neighbor> second = tree.Search(d, 10);
+  EXPECT_EQ(bounds(), terms) << "a known bound is not computed again";
+  ASSERT_EQ(first.size(), scanned.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].id, scanned[i].id);
+    EXPECT_EQ(second[i].id, scanned[i].id);
+  }
+
+  const DisjunctiveDistance copied_after_use = d;
+  const index::Rect rect = RandomRect(rng);
+  ExpectEagerBounds(copied_after_use, rect);
+  EXPECT_EQ(bounds(), terms) << "a copy carries the known bounds";
+  ExpectEagerBounds(copied_before_use, rect);
+  EXPECT_EQ(bounds(), 2 * terms) << "an earlier copy computes its own";
+  SetMetricsEnabled(false);
+  registry.Reset();
+}
+
+TEST(DisjunctiveDistanceTest, ConcurrentFirstBoundsAgree) {
+  // Four threads race to the first bounds of one shared metric; each must
+  // read exactly the value a single thread computes.
+  Rng rng(134);
+  const DisjunctiveDistance reference(FullClusters(rng),
+                                      CovarianceScheme::kInverse, 1e-4);
+  const DisjunctiveDistance shared = reference;
+  std::vector<index::Rect> rects;
+  std::vector<double> want;
+  for (int i = 0; i < 8; ++i) {
+    rects.push_back(RandomRect(rng));
+    want.push_back(reference.MinDistance(rects.back()));
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, &rects, out = &got[t]] {
+      for (const index::Rect& rect : rects) {
+        out->push_back(shared.MinDistance(rect));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t][i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "thread " << t << " rect " << i;
     }
   }
 }

@@ -2,7 +2,9 @@
 // four baselines on the default-scale synthetic collections (60 categories ×
 // 50 images, color and texture), exactly as the Fig. 10–13 benches run them
 // (bench::RunQualityComparison): 30 fixed query ids, a BR-tree, k = 100 and
-// five oracle-driven feedback rounds.
+// five oracle-driven feedback rounds. Qcluster runs twice: under the
+// diagonal scheme the paper adopts, and under Fig. 6's inverse-matrix
+// scheme.
 //
 // Each pinned value is the number of same-category images in the top 100,
 // summed over the 30 queries, for one round. That integer fixes precision
@@ -53,6 +55,11 @@ constexpr Golden kGoldens[] = {
     {"mindreader",
      {522, 596, 627, 627, 629, 631},
      {648, 926, 1017, 1039, 1053, 1055}},
+    // Fig. 6's inverse-matrix arm: Eq. 5 over full-covariance components,
+    // which the BR-tree prunes by their λ_min bounds.
+    {"qcluster_inverse",
+     {522, 584, 589, 588, 588, 589},
+     {648, 898, 995, 1003, 1013, 1014}},
 };
 
 /// Same-category hits in the top kK per round, summed over the query ids.
@@ -99,10 +106,13 @@ std::vector<RoundHits> RunAllMethods(const dataset::FeatureDatabase& db,
   baselines::MindReaderOptions mopt;
   mopt.k = kK;
   baselines::MindReader mindreader(features, knn, mopt);
+  core::QclusterOptions iopt = qopt;
+  iopt.scheme = stats::CovarianceScheme::kInverse;
+  core::QclusterEngine qcluster_inverse(features, knn, iopt);
 
   std::vector<RoundHits> out;
   for (core::RetrievalMethod* m : std::initializer_list<core::RetrievalMethod*>{
-           &qcluster, &qpm, &qex, &falcon, &mindreader}) {
+           &qcluster, &qpm, &qex, &falcon, &mindreader, &qcluster_inverse}) {
     out.push_back(HitsPerRound(*m, db, queries));
   }
   return out;

@@ -40,10 +40,13 @@ using linalg::simd::Tier;
 /// The vector axis is the batch dimension, so parity must hold at any d —
 /// including the paper's real 3-dim features — and the dimension sweep
 /// exercises the per-element loops at widths around and beyond the lane
-/// count. Point counts in the tests are deliberately not multiples of the
-/// widest row group (4), so the batch-tail fallthrough to the row kernels
-/// is always on the tested path.
-constexpr int kDims[] = {1, 3, 4, 5, 14, 32};
+/// count. The full quadratic form walks its matrix four rows at a time, so
+/// the sweep also covers each remainder of d mod 4 after a whole block
+/// (5, 14 and 7 leave one, two and three rows) and wide-full's d = 16.
+/// Point counts in the tests are deliberately not multiples of the widest
+/// row group (4), so the batch-tail fallthrough to the row kernels is
+/// always on the tested path.
+constexpr int kDims[] = {1, 3, 4, 5, 7, 14, 16, 32};
 
 std::vector<Tier> AvailableTiers() {
   std::vector<Tier> tiers;
@@ -166,7 +169,7 @@ TEST_F(SimdParityTest, NonFiniteAndSubnormalInputsByteIdentical) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kSub = std::numeric_limits<double>::denorm_min();
-  for (int dim : {3, 5, 14}) {
+  for (int dim : {3, 5, 7, 14}) {
     Rng rng(2000 + dim);
     std::vector<Vector> pts = RandomPoints(19, dim, rng);
     // Poison a few rows so NaN/∞/subnormal terms land in different lanes
